@@ -61,7 +61,6 @@ from .prob import (
 from .search import (
     RowMesh,
     TransportPolytope,
-    elog_batch,
     golden_max,
     mi_batch,
     pattern_min,
@@ -335,10 +334,9 @@ class _ThetaProblem:
         self.drive = np.empty(0)
         self.rows = np.empty((0, self.mesh.s, self.mesh.ny))
 
-    def _drive(self, qy: np.ndarray, qxpy: np.ndarray) -> np.ndarray:
+    def _drive(self, qy: np.ndarray, gxp: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
-            d = (self.ctx.threshold_batch(qy, self.rate, "a")
-                 - elog_batch(qxpy, self.ctx.logw))
+            d = self.ctx.threshold_batch(qy, self.rate, "a") - gxp
         # -inf on both sides is a feasible tie, as in gamma
         return np.where(np.isnan(d), 0.0, d)
 
@@ -354,15 +352,16 @@ class _ThetaProblem:
         self.kl, self.drive, self.rows = kl[keep], drive[keep], rows[keep]
 
     def _add_mesh(self, mesh: RowMesh) -> tuple[np.ndarray, np.ndarray]:
-        arrs = mesh.build()
-        kl, drive = arrs["kl"], self._drive(arrs["qy"], arrs["qxpy"])
+        arrs = mesh.build("ml")
+        kl, drive = arrs["kl"], self._drive(arrs["qy"], arrs["gxp"])
         self._add(kl, drive, lambda idx: np.array([mesh.rows_of(i) for i in idx]).reshape(
             -1, mesh.s, mesh.ny))
         return kl, drive
 
     def _add_rows(self, rows: np.ndarray) -> tuple[float, float]:
-        st = self.mesh.stats_of(rows)
-        d = float(self._drive(st["qy"][None], st["qxpy"][None])[0])
+        st = self.mesh.stats_of(rows, "ml")
+        d = self.ctx.threshold(st["qy"], self.rate, "a") - st["gxp"]
+        d = 0.0 if math.isnan(d) else d  # as in _drive
         self._add(np.array([st["kl"]]), np.array([d]), lambda idx: rows[None][idx])
         return st["kl"], d
 
@@ -430,10 +429,8 @@ class _TiltedProblem:
         self.mesh = RowMesh(weights, xs, xps,
                             row_grid(ch.n_out, opts.k, opts.budget_cap),
                             ch.n_in, ch.log_matrix)
-        arrs = self.mesh.build()
-        self.i_x = mi_batch(arrs["qxy"])
-        self.i_xp = mi_batch(arrs["qxpy"])
-        self.kl = arrs["kl"]
+        arrs = self.mesh.build("mmi")
+        self.i_x, self.i_xp, self.kl = arrs["gx"], arrs["gxp"], arrs["kl"]
 
     def _drive(self, penalty: str, rate: float) -> np.ndarray:
         if penalty == "balance":
@@ -450,11 +447,9 @@ class _TiltedProblem:
             rows = mesh.params_to_rows(params)
             if rows is None:
                 return math.inf
-            st = mesh.stats_of(rows)
-            ix = float(mi_batch(st["qxy"][None])[0])
-            ixp = float(mi_batch(st["qxpy"][None])[0])
-            pen = mu * (ix - ixp) if penalty == "balance" else mu * (rate - ixp)
-            return st["kl"] + pen
+            st = mesh.stats_of(rows, "mmi")
+            drive = st["gx"] - st["gxp"] if penalty == "balance" else rate - st["gxp"]
+            return st["kl"] + mu * drive
 
         _, fp, _ = pattern_min(mesh.rows_to_params(rows0), f, opts.grid_step,
                                opts.refine_iters, opts.refine_shrink)
@@ -484,21 +479,16 @@ class _TiltedProblem:
         return {"value": float(value), "mu": best_mu, "hit_boundary": hit_boundary}
 
 
-def _tilted_inner(q_xx: Joint2, ch: Channel, opts: OptimizerOptions,
-                  penalty: str, rate: float = 0.0) -> dict:
-    return _TiltedProblem(q_xx, ch, opts).solve(penalty, rate)
-
-
 def lambda_bound(q_xx: Joint2, ch: Channel,
                  opts: OptimizerOptions = OptimizerOptions()) -> float:
     """Multiplier-tilted inner channel minimum with penalty I(X;Y) - I(X';Y)."""
-    return _tilted_inner(q_xx, ch, opts, "balance")["value"]
+    return _TiltedProblem(q_xx, ch, opts).solve("balance")["value"]
 
 
 def phi_bound(q_xx: Joint2, rate: float, ch: Channel,
               opts: OptimizerOptions = OptimizerOptions()) -> float:
     """Multiplier-tilted inner channel minimum with penalty rate - I(X';Y)."""
-    return _tilted_inner(q_xx, ch, opts, "rate", rate)["value"]
+    return _TiltedProblem(q_xx, ch, opts).solve("rate", rate)["value"]
 
 
 def _tilted_pair(q_xx: Joint2, rate: float, ch: Channel,
@@ -788,8 +778,7 @@ def certify_theorem1(rp: RatePoint, ch: Channel,
     for j2 in coupling_grid(qx, margin_grid_k):
         p = psi(j2, ch)
         t = theta(j2, rp.rate, ch, qx, opts)
-        lm = lambda_bound(j2, ch, opts)
-        ph = phi_bound(j2, rp.rate, ch, opts)
+        lm, ph = _tilted_pair(j2, rp.rate, ch, opts)
         g_ml = gamma(j2, rp.rate, ML, ch, qx, opts)
         g_mmi = gamma(j2, rp.rate, MMI, ch, qx, opts)
         if math.isinf(p):

@@ -195,11 +195,12 @@ class _MetricCtx:
 
     # ----- threshold solves ------------------------------------------------
 
-    def threshold(self, qy: np.ndarray, rate: float, which: str) -> float:
-        """a(R, Q_Y) for which='a', alpha(R, Q_Y) for which='alpha'."""
-        key_vec = np.rint(qy * _QUANT).astype(np.int64)
+    def threshold(self, qy, rate: float, which: str) -> float:
+        """a(R, Q_Y) for which='a', alpha(R, Q_Y) for which='alpha'; qy is
+        any sequence of the |Y| output probabilities."""
         if self._fast_1d:
-            return float(self._lattice_table(rate, which)[int(key_vec[0])])
+            return float(self._lattice_table(rate, which)[round(float(qy[0]) * _QUANT)])
+        key_vec = np.rint(np.asarray(qy) * _QUANT).astype(np.int64)
         key = (which, round(rate * 1e12), tuple(key_vec))
         hit = self._memo.get(key)
         if hit is not None:
@@ -213,9 +214,9 @@ class _MetricCtx:
         return val
 
     def threshold_batch(self, qy_arr: np.ndarray, rate: float, which: str) -> np.ndarray:
+        if self._fast_1d:  # the lattice is indexed by Q_Y(0) alone
+            return self._lattice_table(rate, which)[np.rint(qy_arr[:, 0] * _QUANT).astype(np.int64)]
         keys = np.rint(qy_arr * _QUANT).astype(np.int64)
-        if self._fast_1d:
-            return self._lattice_table(rate, which)[keys[:, 0]]
         uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
         vals = np.empty(uniq.shape[0])
         for i, u in enumerate(uniq):
@@ -457,6 +458,13 @@ def _clamp_penalty(max_side: np.ndarray, gxp: np.ndarray) -> np.ndarray:
     return pen
 
 
+def _clamp_penalty_single(max_side: float, gxp: float) -> float:
+    """``_clamp_penalty`` of one candidate."""
+    if gxp == -math.inf:
+        return 0.0 if max_side == -math.inf else math.inf
+    return max(max_side - gxp, 0.0)
+
+
 _N_STARTS = 4  # distinct grid basins fed to the refinement ladder
 
 
@@ -494,31 +502,26 @@ class _InnerSolve:
                             row_grid(ch.n_out, ctx.opts.k, ctx.opts.budget_cap),
                             ch.n_in, ch.log_matrix)
 
-    def _objective(self, kl, qxy, qxpy, qy, slack: float | None = None) -> np.ndarray:
-        ctx = self.ctx
-        gx = ctx.g_batch(qxy)
-        gxp = ctx.g_batch(qxpy)
-        avals = ctx.threshold_batch(qy, self.rate, self.which)
-        max_side = np.maximum(gx, avals)
+    def _objective(self, arrs: dict) -> np.ndarray:
+        """Objective over a ``RowMesh.build`` result, under the base slack."""
+        avals = self.ctx.threshold_batch(arrs["qy"], self.rate, self.which)
+        max_side = np.maximum(arrs["gx"], avals)
         if self.tilde:
-            return kl + _clamp_penalty(max_side, gxp)
-        feas = gxp >= max_side - (ctx.opts.slack if slack is None else slack)
-        return np.where(feas, kl, np.inf)
+            return arrs["kl"] + _clamp_penalty(max_side, arrs["gxp"])
+        feas = arrs["gxp"] >= max_side - self.ctx.opts.slack
+        return np.where(feas, arrs["kl"], np.inf)
 
     def _objective_single(self, rows: np.ndarray, slack: float | None = None) -> float:
-        st = self.mesh.stats_of(rows)
-        val = self._objective(
-            np.array([st["kl"]]), st["qxy"][None], st["qxpy"][None], st["qy"][None],
-            slack=slack,
-        )[0]
-        return float(val)
+        st = self.mesh.stats_of(rows, self.ctx.kind)
+        max_side = max(st["gx"], self.ctx.threshold(st["qy"], self.rate, self.which))
+        if self.tilde:
+            return st["kl"] + _clamp_penalty_single(max_side, st["gxp"])
+        feas = st["gxp"] >= max_side - (self.ctx.opts.slack if slack is None else slack)
+        return st["kl"] if feas else math.inf
 
     def _margin(self, rows: np.ndarray) -> float:
-        st = self.mesh.stats_of(rows)
-        gx = float(self.ctx.g_batch(st["qxy"][None])[0])
-        gxp = float(self.ctx.g_batch(st["qxpy"][None])[0])
-        aval = self.ctx.threshold(st["qy"], self.rate, self.which)
-        return gxp - max(gx, aval)
+        st = self.mesh.stats_of(rows, self.ctx.kind)
+        return st["gxp"] - max(st["gx"], self.ctx.threshold(st["qy"], self.rate, self.which))
 
     def solve(self, warm_rows: np.ndarray | None = None,
               extra_starts: list[np.ndarray] | None = None) -> dict:
@@ -540,8 +543,7 @@ class _InnerSolve:
         if warm_rows is not None:
             starts.append((warm_rows, self._objective_single(warm_rows)))
         elif budget_ok:
-            arrs = mesh.build()
-            obj = self._objective(arrs["kl"], arrs["qxy"], arrs["qxpy"], arrs["qy"])
+            obj = self._objective(mesh.build(ctx.kind))
             n_feasible = int(np.isfinite(obj).sum())
             for idx in _spread_minima(obj, _N_STARTS, mesh.gs):
                 starts.append((mesh.rows_of(idx), float(obj[idx])))
@@ -618,21 +620,19 @@ class _InnerSolve:
             grids = zoom_slot_grids(rows, h, budget, points_cap=cap)
             local = RowMesh(self.mesh.weights, self.mesh.x_of, self.mesh.xp_of,
                             grids, self.mesh.nx, ctx.ch.log_matrix)
-            arrs = local.build()
+            arrs = local.build(ctx.kind)
             evals += arrs["kl"].size
             if self.tilde:
-                obj = self._objective(arrs["kl"], arrs["qxy"], arrs["qxpy"], arrs["qy"])
+                obj = self._objective(arrs)
                 best = int(np.argmin(obj))
                 if np.isfinite(obj[best]) and obj[best] < val - 1e-15:
                     rows, val = local.rows_of(best), float(obj[best])
             else:
                 # one pass serves both the graded-slack objective and the
                 # strictly feasible anchor used by the final repair
-                gx = ctx.g_batch(arrs["qxy"])
-                gxp = ctx.g_batch(arrs["qxpy"])
                 avals = ctx.threshold_batch(arrs["qy"], self.rate, self.which)
                 with np.errstate(invalid="ignore"):
-                    margin = gxp - np.maximum(gx, avals)
+                    margin = arrs["gxp"] - np.maximum(arrs["gx"], avals)
                 # -inf on both sides counts as a (boundary) feasible tie
                 margin = np.where(np.isnan(margin), 0.0, margin)
                 slack_h = ctx.opts.slack * (h / ctx.opts.grid_step)
@@ -684,12 +684,9 @@ class _InnerSolve:
                 rows = mesh.params_to_rows(params)
                 if rows is None:
                     return math.inf
-                st = mesh.stats_of(rows)
-                gx = float(ctx.g_batch(st["qxy"][None])[0])
-                gxp = float(ctx.g_batch(st["qxpy"][None])[0])
+                st = mesh.stats_of(rows, ctx.kind)
                 aval = ctx.threshold(st["qy"], self.rate, self.which)
-                pen = float(_clamp_penalty(np.array(max(gx, aval)), np.array(gxp)))
-                return st["kl"] + lam * pen
+                return st["kl"] + lam * _clamp_penalty_single(max(st["gx"], aval), st["gxp"])
             return f
 
         evals = 0
@@ -912,12 +909,11 @@ def random_coding_exponent(rp: RatePoint, ch: Channel,
     mesh = RowMesh(qx.probs[support], support, support,
                    row_grid(ch.n_out, opts.k, opts.budget_cap), ch.n_in, ch.log_matrix)
 
-    def objective(kl: np.ndarray, qxy: np.ndarray) -> np.ndarray:
-        return kl + np.maximum(mi_batch(qxy) - rp.rate, 0.0)
+    def objective(arrs: dict) -> np.ndarray:
+        return arrs["kl"] + np.maximum(arrs["gx"] - rp.rate, 0.0)
 
     if mesh.size() * mesh.nx * mesh.ny <= opts.budget_cap:
-        arrs = mesh.build()
-        obj = objective(arrs["kl"], arrs["qxy"])
+        obj = objective(mesh.build("mmi"))
         best = int(np.argmin(obj))
         rows0, v0 = mesh.rows_of(best), float(obj[best])
     else:
@@ -930,8 +926,7 @@ def random_coding_exponent(rp: RatePoint, ch: Channel,
     for _ in range(max(4, opts.refine_iters // 3)):
         local = RowMesh(mesh.weights, mesh.x_of, mesh.xp_of,
                         zoom_slot_grids(rows0, h, budget), ch.n_in, ch.log_matrix)
-        arrs = local.build()
-        obj = objective(arrs["kl"], arrs["qxy"])
+        obj = objective(local.build("mmi"))
         best = int(np.argmin(obj))
         if obj[best] < v0 - 1e-15:
             rows0, v0 = local.rows_of(best), float(obj[best])
@@ -941,8 +936,8 @@ def random_coding_exponent(rp: RatePoint, ch: Channel,
         rows = mesh.params_to_rows(params)
         if rows is None:
             return math.inf
-        st = mesh.stats_of(rows)
-        return float(objective(np.array([st["kl"]]), st["qxy"][None])[0])
+        st = mesh.stats_of(rows, "mmi")
+        return st["kl"] + max(st["gx"] - rp.rate, 0.0)
 
     _, v_ref, _ = pattern_min(mesh.rows_to_params(rows0), f, opts.grid_step / 2**4,
                               opts.refine_iters, opts.refine_shrink)

@@ -28,9 +28,9 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def xlogx(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    np.multiply(a, np.log(a, out=np.zeros_like(a), where=a > 0), out=out, where=a > 0)
-    return out
+    pos = a > 0
+    out = np.log(a, out=np.zeros_like(a), where=pos)
+    return np.multiply(out, a, out=out, where=pos)
 
 
 def mi_batch(j: np.ndarray) -> np.ndarray:
@@ -223,17 +223,30 @@ class TransportPolytope:
 
 
 class RowMesh:
-    """Product grid over a tuple of probability rows, with the batched
-    per-candidate accumulations every inner problem needs.
+    """Product grid over a tuple of probability rows, scored slot by slot.
 
     ``weights[r]`` is the mass of slot r, ``x_of[r]`` / ``xp_of[r]`` say into
     which X / X' symbol slot r aggregates. A candidate assigns one grid row to
-    each slot; the mesh exposes, flattened over all G**s candidates:
+    each slot; ``build(kind)`` returns, flattened over all G**s candidates:
 
-    - ``qy``   (N, ny)       output marginal
-    - ``qxy``  (N, nx, ny)   joint with the X symbol
-    - ``qxpy`` (N, nx, ny)   joint with the X' symbol
-    - ``kl``   (N,)          sum_r weights[r] * D(row_r || W(.|x_of[r]))
+    - ``qy``  (N, ny)  output marginal
+    - ``kl``  (N,)     sum_r weights[r] * D(row_r || W(.|x_of[r])), +inf on
+      support violations
+    - ``gx``  (N,)     g(Q_XY) for the decoding metric ``kind`` ('ml'/'mmi')
+    - ``gxp`` (N,)     g(Q_X'Y)
+
+    No (N, nx, ny) joint is built. A cell Q(x, y) of a joint depends only on
+    the slots that aggregate into x, so it lives on the sub-mesh of those
+    slots (the method-of-types split of the joint by x). The ML score
+    sum_(x,y) Q(x,y) log W(y|x) (-inf when a charged cell has W = 0) and the
+    MMI score sum_(x,y) xlogx(Q(x,y)) - sum_x xlogx(Q_X(x)) - sum_y
+    xlogx(Q_Y(y)), clamped at 0, are summed from these cells and broadcast
+    over the mesh; only the sums that mix every slot (the Q_Y term, and the
+    sum over x) span the whole mesh. Every sum is taken in the order
+    ``elog_batch`` / ``mi_batch`` would take it on the summed joint, so the
+    scores equal theirs bit for bit: the searches that break ties on exact
+    score margins then take the same path. ``stats_of(rows, kind)`` returns
+    the same values for one candidate in plain floats.
     """
 
     def __init__(self, weights: np.ndarray, x_of: np.ndarray, xp_of: np.ndarray,
@@ -252,14 +265,17 @@ class RowMesh:
         self.g = self.gs[0]
         self.ny = self.slot_grids[0].shape[1]
         self.n = int(np.prod(self.gs))
-        self._x_onehot = np.zeros((self.s, nx))
-        self._x_onehot[np.arange(self.s), self.x_of] = 1.0
-        self._xp_onehot = np.zeros((self.s, nx))
-        self._xp_onehot[np.arange(self.s), self.xp_of] = 1.0
-        # per-slot KL reference rows and zero-support masks
-        self._lw_slots = logw[self.x_of]  # (s, ny)
-        self._lw_fin = np.where(np.isneginf(self._lw_slots), 0.0, self._lw_slots)
-        self._lw_dead = np.isneginf(self._lw_slots)
+        # gxp is gx when every slot aggregates into the same X and X' symbol
+        self._same = bool(np.array_equal(self.x_of, self.xp_of))
+        self._groups = {"x": _slot_groups(self.x_of), "xp": _slot_groups(self.xp_of)}
+        self._dead = np.isneginf(logw)
+        self._fin = np.where(self._dead, 0.0, logw)
+        # plain-float copies for the scores and stats_of
+        self._w = self.weights.tolist()
+        self._fin_l = self._fin.tolist()
+        self._dead_l = self._dead.tolist()
+        self._fin_x = [self._fin_l[x] for x in self.x_of.tolist()]
+        self._dead_x = [self._dead_l[x] for x in self.x_of.tolist()]
 
     def size(self) -> int:
         return self.n
@@ -270,67 +286,161 @@ class RowMesh:
         shape[r] = self.gs[r]
         return arr.reshape(shape)
 
-    def build(self) -> dict[str, np.ndarray]:
-        s, ny, nx = self.s, self.ny, self.nx
-        mesh_shape = self.gs
-        qy = np.zeros(mesh_shape + (ny,))
-        qxy = np.zeros(mesh_shape + (nx, ny))
-        qxpy = np.zeros(mesh_shape + (nx, ny))
-        kl = np.zeros(mesh_shape)
-        for r in range(s):
-            w = self.weights[r]
-            rows = self.slot_grids[r]
-            qy += self._axis_view(w * rows, r)
-            qxy[..., self.x_of[r], :] += self._axis_view(w * rows, r)
-            qxpy[..., self.xp_of[r], :] += self._axis_view(w * rows, r)
-            kl += self._axis_view(w * self._row_kl(rows, self.x_of[r]), r)
-        flat = self.n
-        return {
-            "qy": qy.reshape(flat, ny),
-            "qxy": qxy.reshape(flat, nx, ny),
-            "qxpy": qxpy.reshape(flat, nx, ny),
-            "kl": kl.reshape(flat),
-        }
+    def build(self, kind: str) -> dict[str, np.ndarray]:
+        s, ny = self.s, self.ny
+        # mass[r][y]: slot r's weighted probability of output y, on mesh axis r
+        mass = [[self._axis_view(self.weights[r] * self.slot_grids[r][:, y], r)
+                 for y in range(ny)] for r in range(s)]
+        # Q_Y column by column: numpy adds along a short trailing axis slowly
+        qy = np.empty((ny,) + self.gs)
+        for y in range(ny):
+            _seq_sum([mass[r][y] for r in range(s)], out=qy[y])
+        kl = _seq_sum([self._axis_view(self.weights[r] * self._row_kl(self.slot_grids[r], self.x_of[r]), r)
+                       for r in range(s)])
+        gx = self._score(kind, self._cells(mass, "x"), xlogx)
+        gxp = gx if self._same else self._score(kind, self._cells(mass, "xp"), xlogx)
+        n = self.n
+        return {"qy": qy.reshape(ny, n).T, "kl": kl.reshape(n),
+                "gx": gx.reshape(n), "gxp": gxp.reshape(n)}
+
+    def _cells(self, mass: list, sym: str) -> list:
+        """[(x, [Q(x, y) for each y])] from mass[r][y], the weighted row
+        entries: sub-mesh arrays of x's slots in build, floats in stats_of."""
+        return [(x, [_seq_sum([mass[r][y] for r in slots]) for y in range(self.ny)])
+                for x, slots in self._groups[sym]]
+
+    def _score(self, kind: str, cells: list, xlx):
+        """elog_batch (kind 'ml') or mi_batch of the joint with these cells,
+        in their order of summation; xlx is x*log(x) for the cells' type."""
+        nx, ny = self.nx, self.ny
+        terms = [0.0] * (nx * ny)
+        if kind == "ml":
+            charged = False
+            for x, col in cells:
+                for y, q in enumerate(col):
+                    if self._dead_l[x][y]:
+                        charged = charged | (q > 0)
+                    else:
+                        terms[x * ny + y] = q * self._fin_l[x][y]
+            return np.where(charged, -np.inf, _np_sum(terms))
+        h_x = [0.0] * nx
+        for x, col in cells:
+            for y, q in enumerate(col):
+                terms[x * ny + y] = xlx(q)
+            h_x[x] = xlx(_np_sum(col))
+        h_y = [xlx(q) for q in _col_sums(cells)]
+        return np.maximum(_np_sum(terms) - _np_sum(h_x) - _np_sum(h_y), 0.0)
 
     def _row_kl(self, rows: np.ndarray, x: int) -> np.ndarray:
         """D(row || W(.|x)) per grid row; +inf on support violations."""
-        lw = self.logw[x]
-        bad = ((rows > 0) & np.isneginf(lw)).any(axis=-1)
-        fin = np.where(np.isneginf(lw), 0.0, lw)
-        val = (xlogx(rows) - rows * fin).sum(axis=-1)
+        bad = ((rows > 0) & self._dead[x]).any(axis=-1)
+        val = (xlogx(rows) - rows * self._fin[x]).sum(axis=-1)
         return np.where(bad, np.inf, val)
 
     def rows_of(self, flat_index: int) -> np.ndarray:
         idx = np.unravel_index(flat_index, self.gs)
         return np.stack([self.slot_grids[r][idx[r]] for r in range(self.s)])
 
-    def stats_of(self, rows: np.ndarray) -> dict[str, np.ndarray]:
-        """Same accumulations for a single candidate, rows shape (s, ny)."""
-        wr = self.weights[:, None] * rows
-        qy = wr.sum(axis=0)
-        qxy = self._x_onehot.T @ wr
-        qxpy = self._xp_onehot.T @ wr
-        if ((rows > 0) & self._lw_dead).any():
-            kl = np.inf
-        else:
-            per_slot = (xlogx(rows) - rows * self._lw_fin).sum(axis=1)
-            kl = float(self.weights @ per_slot)
-        return {"qy": qy, "qxy": qxy, "qxpy": qxpy, "kl": kl}
+    def stats_of(self, rows: np.ndarray, kind: str) -> dict:
+        """The ``build`` values of one candidate, rows shape (s, ny), in plain
+        floats summed in build's order: ``qy`` is a list, ``kl``, ``gx`` and
+        ``gxp`` are floats. Logarithms come from one ``np.log`` call, whose
+        last bits can differ from ``math.log``'s."""
+        rows = rows.tolist()
+        wr = [[w * p for p in row] for w, row in zip(self._w, rows)]
+        qy = [_seq_sum([m[y] for m in wr]) for y in range(self.ny)]
+        joints = [self._cells(wr, "x")] + ([] if self._same else [self._cells(wr, "xp")])
+        need = [p for row in rows for p in row]
+        if kind == "mmi":
+            for cells in joints:
+                need += [q for _, col in cells for q in col] + _col_sums(cells)
+                need += [_np_sum(col) for _, col in cells]
+        pos = [v for v in need if v > 0.0]
+        log = dict(zip(pos, np.log(pos).tolist()))
+
+        per_slot = []
+        for row, fin, dead in zip(rows, self._fin_x, self._dead_x):
+            d = 0.0
+            for p, f, z in zip(row, fin, dead):
+                if p > 0.0:
+                    d = math.inf if z else d + (p * log[p] - p * f)
+            per_slot.append(d)
+        # the weighted sum as numpy's dot takes it (it may fuse multiply-adds)
+        kl = math.inf if math.inf in per_slot else float(np.dot(self.weights, per_slot))
+
+        def xlx(v: float) -> float:
+            return v * log[v] if v > 0.0 else 0.0
+
+        gx = float(self._score(kind, joints[0], xlx))
+        gxp = gx if self._same else float(self._score(kind, joints[1], xlx))
+        return {"qy": qy, "kl": kl, "gx": gx, "gxp": gxp}
 
     def params_to_rows(self, params: np.ndarray) -> np.ndarray | None:
         """Free coordinates (first ny-1 entries per slot) -> full rows, or
         None when outside the simplex."""
-        free = params.reshape(self.s, self.ny - 1)
-        if np.any(free < -1e-12):
+        k = self.ny - 1
+        flat = params.tolist()
+        if min(flat, default=0.0) < -1e-12:
             return None
-        last = 1.0 - free.sum(axis=1)
-        if np.any(last < -1e-12):
-            return None
-        rows = np.concatenate([free, last[:, None]], axis=1)
-        return np.clip(rows, 0.0, 1.0)
+        rows = []
+        for r in range(self.s):
+            free = flat[r * k:(r + 1) * k]
+            tot = 0.0
+            for v in free:
+                tot += v
+            last = 1.0 - tot
+            if last < -1e-12:
+                return None
+            rows.append([min(max(v, 0.0), 1.0) for v in free] + [min(max(last, 0.0), 1.0)])
+        return np.array(rows)
 
     def rows_to_params(self, rows: np.ndarray) -> np.ndarray:
         return rows[:, : self.ny - 1].reshape(-1)
+
+
+def _seq_sum(terms: list, out: np.ndarray | None = None):
+    """terms[0] + terms[1] + ... from the left, the order of numpy's
+    add-reduction along a non-contiguous axis or of fewer than 8 elements.
+    Arrays on different mesh axes broadcast as the sum grows."""
+    last = len(terms) - 1 if out is not None else len(terms)
+    acc = terms[0]
+    for t in terms[1:last]:
+        acc = acc + t
+    if out is None:
+        return acc
+    if last == 0:
+        out[...] = acc
+        return out
+    return np.add(acc, terms[last], out=out)
+
+
+def _np_sum(terms: list):
+    """Sum in the order of numpy's add-reduction over len(terms) contiguous
+    elements: from the left below 8 terms, else numpy's pairwise scheme of
+    eight interleaved partial sums. Terms may be arrays or floats."""
+    n = len(terms)
+    if n < 8:
+        return _seq_sum(terms)
+    part = list(terms[:8])
+    i = 8
+    while i < n - n % 8:
+        for j in range(8):
+            part[j] = part[j] + terms[i + j]
+        i += 8
+    acc = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    for t in terms[i:]:
+        acc = acc + t
+    return acc
+
+
+def _col_sums(cells: list) -> list:
+    """Q_Y(y) = sum_x Q(x, y) of a joint's cells, summed over x in order."""
+    return [_seq_sum([col[y] for _, col in cells]) for y in range(len(cells[0][1]))]
+
+
+def _slot_groups(of: np.ndarray) -> list[tuple[int, list[int]]]:
+    """(symbol, the slots aggregating into it), in symbol order."""
+    return [(x, np.flatnonzero(of == x).tolist()) for x in np.unique(of).tolist()]
 
 
 def row_grid(ny: int, k: int, cap: int) -> np.ndarray:
@@ -366,6 +476,3 @@ def zoom_slot_grids(centers: np.ndarray, h: float, budget: int,
         grids.append(np.concatenate([fc[ok], np.clip(last[ok], 0.0, 1.0)[:, None]], axis=1))
     return grids
 
-
-def mesh_budget_ok(g: int, s: int, per_candidate: int, budget: int) -> bool:
-    return g**s * per_candidate <= budget

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from explab.prob import Channel
 from explab.search import (
     RowMesh,
     TransportPolytope,
@@ -11,6 +12,7 @@ from explab.search import (
     golden_max,
     mi_batch,
     pattern_min,
+    row_grid,
     sup_ray,
     xlogx,
     zoom_slot_grids,
@@ -98,6 +100,49 @@ class TestTransportPolytope:
         assert mesh.shape[0] <= 10_000
 
 
+def _summed_joint_reference(mesh, rows):
+    """kl, qy and the ML and MMI scores of one candidate, computed on the
+    explicitly summed joints Q_XY and Q_X'Y (slot by slot, in slot order)."""
+    qxy = np.zeros((mesh.nx, mesh.ny))
+    qxpy = np.zeros((mesh.nx, mesh.ny))
+    qy = np.zeros(mesh.ny)
+    kl = 0.0
+    for r in range(mesh.s):
+        w, row, lw = mesh.weights[r], rows[r], mesh.logw[mesh.x_of[r]]
+        qxy[mesh.x_of[r]] += w * row
+        qxpy[mesh.xp_of[r]] += w * row
+        qy += w * row
+        if np.any((row > 0) & np.isneginf(lw)):
+            kl = math.inf
+        else:
+            kl += w * sum(p * (math.log(p) - l) for p, l in zip(row, lw) if p > 0)
+    ref = {"kl": kl, "qy": qy}
+    for kind, g in (("ml", lambda j: elog_batch(j[None], mesh.logw)[0]),
+                    ("mmi", lambda j: mi_batch(j[None])[0])):
+        ref[kind] = (float(g(qxy)), float(g(qxpy)))
+    return ref
+
+
+def _same(got, want) -> bool:
+    """Equal infinities, or finite values within 1e-12."""
+    if math.isinf(want) or math.isinf(got):
+        return got == want
+    return abs(got - want) <= 1e-12
+
+
+MESH_CASES = {
+    # name: (channel rows, coupling, per-slot grid steps)
+    "bsc": ([[0.9, 0.1], [0.1, 0.9]], [[0.4, 0.1], [0.1, 0.4]], (4, 4, 4, 4)),
+    # zero cells of W: -inf ML scores and +inf kl
+    "z": ([[1.0, 0.0], [0.2, 0.8]], [[0.25, 0.25], [0.25, 0.25]], (4, 4, 4, 4)),
+    "2x3": ([[0.8, 0.15, 0.05], [0.05, 0.15, 0.8]], [[0.3, 0.2], [0.2, 0.3]], (2, 2, 2, 2)),
+    # one zero cell: 3 slots, x groups {0, 1} {2}, x' groups {0, 2} {1}
+    "zero-cell": ([[1.0, 0.0], [0.2, 0.8]], [[0.2, 0.3], [0.5, 0.0]], (8, 4, 2)),
+    # 8 cells per joint: numpy sums them pairwise, not left to right
+    "2x4": ([[0.7, 0.1, 0.1, 0.1], [0.0, 0.2, 0.3, 0.5]], [[0.5, 0.0], [0.2, 0.3]], (2, 2, 2)),
+}
+
+
 class TestRowMesh:
     def mesh(self):
         logw = np.log(np.array([[0.9, 0.1], [0.1, 0.9]]))
@@ -106,15 +151,46 @@ class TestRowMesh:
                        grid, 2, logw)
 
     def test_build_matches_stats(self):
-        mesh = self.mesh()
-        arrs = mesh.build()
-        for flat in range(mesh.size()):
-            rows = mesh.rows_of(flat)
-            st = mesh.stats_of(rows)
-            assert np.allclose(arrs["qy"][flat], st["qy"])
-            assert np.allclose(arrs["qxy"][flat], st["qxy"])
-            assert np.allclose(arrs["qxpy"][flat], st["qxpy"])
-            assert arrs["kl"][flat] == pytest.approx(st["kl"], abs=1e-12)
+        """build(kind) and stats_of(rows, kind) agree with mi_batch and
+        elog_batch on the summed joints, candidate by candidate: kl to
+        1e-12, Q_Y and the scores bit for bit (the searches break ties on
+        exact score margins, so their paths depend on the last bit)."""
+        for name, (w, coupling, steps) in MESH_CASES.items():
+            ch = Channel.from_rows(w)
+            q = np.array(coupling)
+            xs, xps = np.nonzero(q > 0)
+            grids = [row_grid(ch.n_out, k, 10_000) for k in steps]
+            mesh = RowMesh(q[xs, xps], xs, xps, grids, ch.n_in, ch.log_matrix)
+            assert len(set(mesh.gs)) == len(set(steps))
+            for kind in ("ml", "mmi"):
+                arrs = mesh.build(kind)
+                assert arrs["qy"].shape == (mesh.size(), ch.n_out)
+                for flat in range(mesh.size()):
+                    rows = mesh.rows_of(flat)
+                    ref = _summed_joint_reference(mesh, rows)
+                    st = mesh.stats_of(rows, kind)
+                    for got in (
+                        {k: arrs[k][flat] for k in ("kl", "qy", "gx", "gxp")}, st):
+                        where = f"{name}/{kind} candidate {flat}: {got} vs {ref}"
+                        assert np.array_equal(got["qy"], ref["qy"]), where
+                        assert _same(float(got["kl"]), ref["kl"]), where
+                        assert float(got["gx"]) == ref[kind][0], where
+                        assert float(got["gxp"]) == ref[kind][1], where
+                # off-grid candidates too: their logs exercise the last bit
+                rng = np.random.default_rng(7)
+                for rows in rng.dirichlet(np.ones(ch.n_out), size=(500, mesh.s)):
+                    if name in ("z", "zero-cell"):
+                        rows[rng.random(mesh.s) < 0.5, -1] = 0.0
+                        rows /= rows.sum(axis=1, keepdims=True)
+                    ref = _summed_joint_reference(mesh, rows)
+                    st = mesh.stats_of(rows, kind)
+                    where = f"{name}/{kind} rows {rows.tolist()}: {st} vs {ref}"
+                    assert np.array_equal(st["qy"], ref["qy"]), where
+                    assert _same(st["kl"], ref["kl"]), where
+                    assert (st["gx"], st["gxp"]) == ref[kind], where
+            if name in ("z", "zero-cell"):
+                ml = mesh.build("ml")
+                assert np.isposinf(ml["kl"]).any() and np.isneginf(ml["gx"]).any()
 
     def test_params_roundtrip(self):
         mesh = self.mesh()
