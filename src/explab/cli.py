@@ -25,7 +25,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .prob import Channel, Dist, ProbError
 from .simulate import (
     DEFAULT_ENUM_CAP,
     GldConfig,
+    _trial_summary,
     exact_error_profile,
     exact_error_profile_gld,
     sample_codebook,
@@ -444,21 +445,11 @@ def cmd_simulate(cfg: RunConfig, out, csv_path, echo) -> int:
     else:
         sample_rows = [run_sample(i) for i in range(cfg.samples)]
 
-    logs = [math.log(s["pe_average"]) for s in sample_rows if s["pe_average"] > 0]
-    zero = sum(1 for s in sample_rows if s["pe_average"] == 0)
-    if logs:
-        mean = float(np.mean(logs))
-        stderr = float(np.std(logs, ddof=1) / math.sqrt(len(logs))) if len(logs) > 1 else 0.0
-        exponent = -mean / cfg.n
-    else:
-        mean, stderr, exponent = math.nan, math.nan, math.inf
-    summary = {
-        "type": "summary", "samples": cfg.samples, "n": cfg.n, "M": cfg.m_count,
-        "rate": math.log(cfg.m_count) / cfg.n,
-        "decoder": cfg.decoder, "seed": cfg.seed, "mean_log_pe": mean,
-        "stderr_log_pe": stderr, "empirical_exponent": exponent,
-        "zero_error_samples": zero, "all_zero_error": zero == cfg.samples,
-    }
+    trials = _trial_summary([s["pe_average"] for s in sample_rows], cfg.n, cfg.m_count,
+                            cfg.decoder, cfg.seed)
+    summary = {"type": "summary", **asdict(trials)}
+    summary["M"] = summary.pop("m_count")
+    zero, exponent = trials.zero_error_samples, trials.empirical_exponent
     flags = []
     if zero:
         flags.append({"quantity": "empirical_exponent", "reason":
@@ -467,7 +458,7 @@ def cmd_simulate(cfg: RunConfig, out, csv_path, echo) -> int:
     results = [summary] + [{"type": "sample", **s} for s in sample_rows]
     echo(f"n={cfg.n} M={cfg.m_count} (rate {_fmt(_unit(cfg, summary['rate']))}) "
          f"decoder={cfg.decoder} samples={cfg.samples}: "
-         f"empirical exponent {_fmt(_unit(cfg, exponent)) if logs else 'undefined'}"
+         f"empirical exponent {_fmt(_unit(cfg, exponent)) if math.isfinite(exponent) else 'undefined'}"
          f"{' [' + str(zero) + ' zero-error samples]' if zero else ''}")
     header = ["index", "pe_average", "pe_max"]
     csv_rows = [[s["index"], s["pe_average"], s["pe_max"]] for s in sample_rows]

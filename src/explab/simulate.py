@@ -6,6 +6,15 @@ probabilities are computed by enumerating every output sequence y in Y^n
 channel probabilities of the decoding-error region. Randomness enters only
 through codebook sampling, which is seeded and reproducible.
 
+The outputs are enumerated in blocks of |Y|^k (the largest k with
+|Y|^k <= 2^14). The joint counts of the k low positions are built once per
+codebook, and each block adds the counts of its n - k high digits, so no
+(M, |X|, |Y|, |Y|^n) array is ever built. What grows with |Y|^n is one
+(M, |Y|^n) float64 array: the per-output error mass, summed once at the end
+so that the result does not depend on the block size (and ``competing_sum_log``
+returns an array of that shape). Memory is O(M |Y|^n) float64 plus a few
+O(M |X| |Y| 2^14) block arrays.
+
 Decoders:
 
 - deterministic ML and MMI (argmax over messages, ties to the lowest index),
@@ -54,9 +63,6 @@ class Codebook:
     @property
     def m_count(self) -> int:
         return self.codewords.shape[0]
-
-    def composition_counts(self, nx: int) -> np.ndarray:
-        return np.bincount(self.codewords[0], minlength=nx)
 
 
 @dataclass(frozen=True)
@@ -135,33 +141,62 @@ def sample_codebook(n: int, m_count: int, q_x: Dist, seed) -> Codebook:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive output enumeration
+# exhaustive output enumeration, one block of outputs at a time
 # ---------------------------------------------------------------------------
 
+_BLOCK_OUTPUTS = 2**14  # a block holds |Y|^k outputs, the largest power <= this
+# Tie band of ``_decisions``. At one output, distinct empirical-MI scores of
+# count tables with up to 6 cells and n <= 20 differ by more than 1e-4;
+# log-likelihoods differ by sums of k log W(b|a) with integer |k| <= n, which
+# the band merges only if such a sum falls within 1e-12 of zero.
+_TIE_RTOL = 1e-12
 
-def _output_digits(ny: int, n: int, enum_cap: int) -> np.ndarray:
-    """(n, T) array of output symbols for all T = ny**n sequences."""
+
+def _score_blocks(cb: Codebook, ch: Channel, kind: str, enum_cap: int):
+    """Iterator of (slice, counts, scores, ll) over blocks of the |Y|^n outputs.
+
+    Output t has digits y_i = (t // |Y|^i) % |Y|. A block fixes the high
+    n - k digits to those of j and runs t_lo over |Y|^k, so its outputs are
+    t = t_lo + |Y|^k j. The joint counts N[m, a, b, t] of the k low positions
+    are built once; each block adds the (M, |X|, |Y|) counts of its high
+    digits. ``scores`` and ``ll`` are (M, |Y|^k) arrays: the decoder score
+    and log W(y_t | x_m). The inputs are checked when this is called, before
+    any array is built.
+    """
+    nx, ny, n = ch.n_in, ch.n_out, cb.n
     total = ny**n
     if total > enum_cap:
         raise ProbError(f"|Y|^n = {total} exceeds the enumeration cap {enum_cap}")
-    t = np.arange(total, dtype=np.int64)
-    digits = np.empty((n, total), dtype=np.int8)
-    for i in range(n):
-        digits[i] = (t // ny**i) % ny
-    return digits
-
-
-def _joint_counts(cb: Codebook, nx: int, ny: int, enum_cap: int) -> np.ndarray:
-    """Empirical joint counts N[m, a, b, t] of (codeword m, output t)."""
-    digits = _output_digits(ny, cb.n, enum_cap)
-    total = digits.shape[1]
-    counts = np.zeros((cb.m_count, nx, ny, total), dtype=np.int16)
+    top = int(cb.codewords.max())
+    if top >= nx:
+        raise ProbError(f"codeword symbol {top} is outside the channel's input alphabet of size {nx}")
+    k = 0
+    while k < n and ny ** (k + 1) <= _BLOCK_OUTPUTS:
+        k += 1
+    size = ny**k
+    t = np.arange(size, dtype=np.int64)
+    low = np.zeros((cb.m_count, nx, ny, size), dtype=np.int16)
     for m, cw in enumerate(cb.codewords):
-        for i in range(cb.n):
-            row = digits[i]
+        for i in range(k):
+            digit = (t // ny**i) % ny
             for b in range(ny):
-                counts[m, cw[i], b] += row == b
-    return counts
+                low[m, cw[i], b] += digit == b
+
+    def blocks():
+        high = np.empty((cb.m_count, nx, ny), dtype=np.int16)
+        for j in range(total // size):
+            high[:] = 0
+            rest = j
+            for i in range(k, n):
+                rest, b = divmod(rest, ny)
+                for m, cw in enumerate(cb.codewords):
+                    high[m, cw[i], b] += 1
+            counts = low + high[..., None]
+            ll = _log_likelihoods(counts, ch)
+            scores = ll if kind == "ml" else _empirical_mi(counts, n)
+            yield slice(j * size, (j + 1) * size), counts, scores, ll
+
+    return blocks()
 
 
 def _log_likelihoods(counts: np.ndarray, ch: Channel) -> np.ndarray:
@@ -185,12 +220,16 @@ def _empirical_mi(counts: np.ndarray, n: int) -> np.ndarray:
     return (xlx(nf).sum(axis=(1, 2)) - xlx(row).sum(axis=1) - xlx(col).sum(axis=1))
 
 
-def _scores(cb: Codebook, ch: Channel, kind: str, enum_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    counts = _joint_counts(cb, ch.n_in, ch.n_out, enum_cap)
-    ll = _log_likelihoods(counts, ch)
-    if kind == "ml":
-        return ll, ll
-    return _empirical_mi(counts, cb.n), ll
+def _decisions(scores: np.ndarray) -> np.ndarray:
+    """Per output, the lowest message index whose score ties the best.
+
+    Scores that are equal in exact arithmetic (count tables that are
+    permutations of each other) come out of the float sums a few ulps apart,
+    so a plain argmax would break those ties by rounding. Scores within
+    ``_TIE_RTOL`` (relative, at least absolute) of the best count as tied.
+    """
+    best = scores.max(axis=0)
+    return np.argmax(scores >= best - _TIE_RTOL * np.maximum(1.0, np.abs(best)), axis=0)
 
 
 def exact_error_profile(cb: Codebook, ch: Channel,
@@ -199,25 +238,25 @@ def exact_error_profile(cb: Codebook, ch: Channel,
     """Exact per-message error probabilities of the deterministic decoder.
 
     Decisions are argmax of the decoder score over messages with ties broken
-    toward the lowest message index; P_e|m sums W(y|x_m) over outputs decided
-    away from m.
+    toward the lowest message index (``_decisions``); P_e|m sums W(y|x_m)
+    over outputs decided away from m.
     """
-    scores, ll = _scores(cb, ch, decoder.kind, enum_cap)
-    decisions = np.argmax(scores, axis=0)
-    wrong = decisions[None, :] != np.arange(cb.m_count)[:, None]
-    probs = np.exp(ll)
-    return ErrorProfile(per_message=(probs * wrong).sum(axis=1))
+    blocks = _score_blocks(cb, ch, decoder.kind, enum_cap)
+    # one row per message, reduced once: per-block partial sums would change
+    # numpy's pairwise summation order, and so the last bits
+    weighted = np.empty((cb.m_count, ch.n_out**cb.n))
+    msgs = np.arange(cb.m_count)[:, None]
+    for sl, _, scores, ll in blocks:
+        wrong = _decisions(scores)[None, :] != msgs
+        np.multiply(np.exp(ll), wrong, out=weighted[:, sl])
+    return ErrorProfile(per_message=weighted.sum(axis=1))
 
 
-def _gld_exponents(cb: Codebook, ch: Channel, cfg: GldConfig,
-                   enum_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """n*g scores (M, T) and log-likelihoods (M, T) for the GLD."""
-    scores, ll = _scores(cb, ch, cfg.metric.kind, enum_cap)
+def _gld_exponents(scores: np.ndarray, n: int, cfg: GldConfig) -> np.ndarray:
+    """n*g: beta * log-likelihood for the ML metric, n * empirical MI for MMI."""
     if cfg.metric.kind == "ml":
-        gn = cfg.beta * scores  # n * g = beta * log-likelihood
-    else:
-        gn = cb.n * scores  # n * empirical mutual information
-    return gn, ll
+        return cfg.beta * scores
+    return n * scores
 
 
 def exact_error_profile_gld(cb: Codebook, ch: Channel,
@@ -228,15 +267,16 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
     P_e|m sums, over outputs, the transmit probability W(y|x_m) times the
     posterior mass the GLD assigns to the other messages.
     """
-    gn, ll = _gld_exponents(cb, ch, cfg, enum_cap)
-    gmax = gn.max(axis=0)
-    safe = np.where(np.isfinite(gmax), gmax, 0.0)
-    expg = np.exp(gn - safe[None, :])
-    denom = expg.sum(axis=0)
-    post = expg / denom
-    probs = np.exp(ll)
-    pe = (probs * (1.0 - post)).sum(axis=1)
-    return ErrorProfile(per_message=pe)
+    blocks = _score_blocks(cb, ch, cfg.metric.kind, enum_cap)
+    weighted = np.empty((cb.m_count, ch.n_out**cb.n))
+    for sl, _, scores, ll in blocks:
+        gn = _gld_exponents(scores, cb.n, cfg)
+        gmax = gn.max(axis=0)
+        safe = np.where(np.isfinite(gmax), gmax, 0.0)
+        expg = np.exp(gn - safe[None, :])
+        post = expg / expg.sum(axis=0)
+        np.multiply(np.exp(ll), 1.0 - post, out=weighted[:, sl])
+    return ErrorProfile(per_message=weighted.sum(axis=1))
 
 
 def competing_sum_log(cb: Codebook, ch: Channel,
@@ -248,18 +288,20 @@ def competing_sum_log(cb: Codebook, ch: Channel,
     Shape (M, |Y|^n); -inf where a message has no finite-score competitor.
     M = 1 yields a single all -inf row.
     """
-    gn, _ = _gld_exponents(cb, ch, cfg, enum_cap)
+    blocks = _score_blocks(cb, ch, cfg.metric.kind, enum_cap)
     m = cb.m_count
-    out = np.full_like(gn, -np.inf)
-    for msg in range(m):
-        others = np.delete(gn, msg, axis=0)
-        if others.size == 0:
-            continue
-        top = others.max(axis=0)
-        safe = np.where(np.isfinite(top), top, 0.0)
-        s = np.exp(others - safe[None, :]).sum(axis=0)
-        with np.errstate(divide="ignore"):
-            out[msg] = np.where(np.isfinite(top), safe + np.log(s), top)
+    out = np.full((m, ch.n_out**cb.n), -np.inf)
+    if m == 1:
+        return out
+    for sl, _, scores, _ in blocks:
+        gn = _gld_exponents(scores, cb.n, cfg)
+        for msg in range(m):
+            others = np.delete(gn, msg, axis=0)
+            top = others.max(axis=0)
+            safe = np.where(np.isfinite(top), top, 0.0)
+            s = np.exp(others - safe[None, :]).sum(axis=0)
+            with np.errstate(divide="ignore"):
+                out[msg, sl] = np.where(np.isfinite(top), safe + np.log(s), top)
     return out
 
 
@@ -274,15 +316,18 @@ def empirical_trc(n: int, m_count: int, q_x: Dist, ch: Channel,
     """
     if samples < 1:
         raise ProbError("need at least one sample")
-    logs = []
-    zero = 0
-    for i in range(samples):
-        cb = sample_codebook(n, m_count, q_x, seed=[seed, i])
-        pe = exact_error_profile(cb, ch, decoder, enum_cap).average
-        if pe > 0.0:
-            logs.append(math.log(pe))
-        else:
-            zero += 1
+    averages = [exact_error_profile(sample_codebook(n, m_count, q_x, seed=[seed, i]),
+                                    ch, decoder, enum_cap).average
+                for i in range(samples)]
+    return _trial_summary(averages, n, m_count, decoder.kind, seed)
+
+
+def _trial_summary(averages: list[float], n: int, m_count: int, decoder: str,
+                   seed: int) -> TrialSummary:
+    """Log-mean, its standard error and the exponent over sampled P_e values;
+    zero-error samples are counted and left out of the log-mean."""
+    logs = [math.log(pe) for pe in averages if pe > 0.0]
+    zero = sum(1 for pe in averages if pe == 0.0)
     if logs:
         mean = float(np.mean(logs))
         stderr = float(np.std(logs, ddof=1) / math.sqrt(len(logs))) if len(logs) > 1 else 0.0
@@ -290,10 +335,10 @@ def empirical_trc(n: int, m_count: int, q_x: Dist, ch: Channel,
     else:
         mean, stderr, exponent = math.nan, math.nan, math.inf
     return TrialSummary(
-        samples=samples, n=n, m_count=m_count, rate=math.log(m_count) / n,
-        decoder=decoder.kind, seed=seed,
+        samples=len(averages), n=n, m_count=m_count, rate=math.log(m_count) / n,
+        decoder=decoder, seed=seed,
         mean_log_pe=mean, stderr_log_pe=stderr, empirical_exponent=exponent,
-        zero_error_samples=zero, all_zero_error=zero == samples,
+        zero_error_samples=zero, all_zero_error=zero == len(averages),
     )
 
 

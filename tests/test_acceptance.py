@@ -34,8 +34,7 @@ from explab.simulate import (
     exact_error_profile_gld,
     expurgate_worst_half,
     sample_codebook,
-    _empirical_mi,
-    _joint_counts,
+    _score_blocks,
 )
 
 UNIF = Dist.uniform(2)
@@ -208,8 +207,9 @@ def test_criteria_6_and_7_exact_simulation():
         # decision (and tie) sets coincide; the independently computed
         # entropy pipeline may order exact ties differently in floats, so a
         # disagreement only counts when the scores are not tied
-        counts = _joint_counts(cb, ch.n_in, ch.n_out, 2**20)
-        mi_scores = _empirical_mi(counts, cb.n)
+        blocks = list(_score_blocks(cb, ch, "mmi", 2**20))
+        counts = np.concatenate([c for _, c, _, _ in blocks], axis=3)
+        mi_scores = np.concatenate([s for _, _, s, _ in blocks], axis=1)
         col = counts.sum(axis=1).astype(float)
         with np.errstate(divide="ignore", invalid="ignore"):
             hcond = -(np.where(counts > 0,

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import explab.simulate as sim
 from explab.exponents import ML, MMI
 from explab.prob import Channel, Dist, ProbError
 from explab.simulate import (
@@ -162,6 +164,11 @@ class TestExactProfiles:
         with pytest.raises(ProbError):
             exact_error_profile(cb, BSC01, ML, enum_cap=100)
 
+    def test_symbol_outside_input_alphabet(self):
+        cb = Codebook(n=4, codewords=[[0, 2, 1, 1], [2, 0, 1, 1]])
+        with pytest.raises(ProbError, match="symbol 2 .* size 2"):
+            exact_error_profile(cb, BSC01, MMI)
+
 
 class TestGld:
     def test_beta_zero_uniform_posterior(self):
@@ -193,13 +200,135 @@ class TestGld:
         cfg = GldConfig(metric=ML, beta=1.0)
         z = competing_sum_log(cb, BSC01, cfg)
         assert z.shape == (3, 4)
-        # direct check: competitors of message 0 are messages 1 and 2
-        from explab.simulate import _gld_exponents
-        g, _ = _gld_exponents(cb, BSC01, cfg, 2**20)
-        want = np.log(np.exp(g[1]) + np.exp(g[2]))
+        # direct check: competitors of message 0 are messages 1 and 2; with
+        # beta = 1 the ML score n*g is the log-likelihood. Output t has
+        # digits y_i = (t // 2^i) % 2, so y_0 varies fastest.
+        want = []
+        for y in itertools.product(range(2), repeat=2):
+            g, _ = oracle_scores(cb, BSC01, y[::-1], "ml")
+            want.append(math.log(math.exp(g[1]) + math.exp(g[2])))
         assert z[0] == pytest.approx(want, abs=1e-12)
         single = Codebook(n=2, codewords=np.array([[0, 1]]))
         assert np.all(np.isneginf(competing_sum_log(single, BSC01, cfg)))
+
+
+# ---------------------------------------------------------------------------
+# block enumeration against the full-array formulas
+# ---------------------------------------------------------------------------
+
+
+def full_array_reference(cb, ch, cfg):
+    """Deterministic profile, GLD profile and competing-score log, each from
+    the (M, |X|, |Y|, |Y|^n) joint counts of every output at once."""
+    nx, ny, n, m = ch.n_in, ch.n_out, cb.n, cb.m_count
+    t = np.arange(ny**n)
+    counts = np.zeros((m, nx, ny, t.size), dtype=np.int16)
+    for msg, cw in enumerate(cb.codewords):
+        for i in range(n):
+            digit = (t // ny**i) % ny
+            for b in range(ny):
+                counts[msg, cw[i], b] += digit == b
+    logw = ch.log_matrix
+    fin = np.where(np.isneginf(logw), 0.0, logw)
+    ll = np.einsum("mabt,ab->mt", counts.astype(float), fin)
+    dead = np.einsum("mabt->mt", (counts > 0) & np.isneginf(logw)[None, :, :, None])
+    ll = np.where(dead > 0, -np.inf, ll)
+    if cfg.metric.kind == "ml":
+        scores, gn = ll, cfg.beta * ll
+    else:
+        nf = counts.astype(float) / n
+
+        def xlx(v):
+            return np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
+
+        scores = (xlx(nf).sum(axis=(1, 2)) - xlx(nf.sum(axis=2)).sum(axis=1)
+                  - xlx(nf.sum(axis=1)).sum(axis=1))
+        gn = n * scores
+    probs = np.exp(ll)
+    # ties to the lowest index; scores within 1e-12 (relative, at least
+    # absolute) of the best are ties that rounding split apart
+    best = scores.max(axis=0)
+    tied = scores >= best - 1e-12 * np.maximum(1.0, np.abs(best))
+    wrong = np.argmax(tied, axis=0)[None, :] != np.arange(m)[:, None]
+    det = (probs * wrong).sum(axis=1)
+    gmax = gn.max(axis=0)
+    safe = np.where(np.isfinite(gmax), gmax, 0.0)
+    expg = np.exp(gn - safe[None, :])
+    with np.errstate(invalid="ignore"):
+        gld = (probs * (1.0 - expg / expg.sum(axis=0))).sum(axis=1)
+    comp = np.full_like(gn, -np.inf)
+    for msg in range(m):
+        others = np.delete(gn, msg, axis=0)
+        top = others.max(axis=0)
+        safe = np.where(np.isfinite(top), top, 0.0)
+        with np.errstate(divide="ignore"):
+            comp[msg] = np.where(np.isfinite(top),
+                                 safe + np.log(np.exp(others - safe[None, :]).sum(axis=0)), top)
+    return np.clip(det, 0.0, 1.0), np.clip(gld, 0.0, 1.0), comp
+
+
+ZCH = Channel.from_rows([[1.0, 0.0], [0.2, 0.8]])
+CH23 = Channel.from_rows([[0.8, 0.15, 0.05], [0.05, 0.15, 0.8]])
+CH32 = Channel.from_rows([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
+BLOCK_CASES = {
+    # a duplicate codeword and the complementary pair tie exactly at many outputs
+    "bsc-ties": (BSC01, Codebook(n=6, codewords=np.array(
+        [[0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1], [0, 1, 0, 1, 0, 1]]))),
+    "bsc": (BSC01, sample_codebook(8, 4, UNIF, seed=3)),
+    "z": (ZCH, sample_codebook(6, 4, UNIF, seed=4)),
+    "2x3": (CH23, sample_codebook(4, 3, UNIF, seed=5)),
+    "3x2": (CH32, sample_codebook(6, 4, Dist.uniform(3), seed=6)),
+}
+
+
+class TestBlockEnumeration:
+    """Blocks of |Y| and |Y|^2 outputs, so that every codebook spans many
+    blocks, give the same bits as one block and as the full-array formulas."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("kind", ["ml", "mmi"])
+    def test_many_blocks_bit_identical(self, monkeypatch, case, kind):
+        ch, cb = BLOCK_CASES[case]
+        metric, cfg = (ML, GldConfig(metric=ML, beta=1.0)) if kind == "ml" else (MMI, GldConfig(metric=MMI))
+
+        def run():
+            # the GLD-ML posterior is 0/0 = nan at outputs no codeword can produce
+            with np.errstate(invalid="ignore"):
+                return (exact_error_profile(cb, ch, metric).per_message,
+                        exact_error_profile_gld(cb, ch, cfg).per_message,
+                        competing_sum_log(cb, ch, cfg))
+
+        one_block = run()
+        assert ch.n_out**cb.n <= sim._BLOCK_OUTPUTS
+        ref = full_array_reference(cb, ch, cfg)
+        for power in (1, 2):
+            monkeypatch.setattr(sim, "_BLOCK_OUTPUTS", ch.n_out**power)
+            blocked = run()
+            for got, single, want in zip(blocked, one_block, ref):
+                assert np.array_equal(got, single, equal_nan=True)
+                assert np.array_equal(got, want, equal_nan=True)
+            assert np.max(np.abs(blocked[0] - oracle_profile(cb, ch, kind))) <= 1e-12
+
+    def test_memory_is_one_float_row_per_message_plus_blocks(self):
+        # n = 18, M = 4 under MMI peaked at 148 MiB with every output's
+        # (M, |X|, |Y|, |Y|^n) counts built at once. The block enumeration
+        # keeps one (M, |Y|^n) float64 buffer plus the temporaries of a
+        # block; a block float array is M |X| |Y| |Y|^k float64 (2 MiB here)
+        # and the scoring of one block holds under six of them (19.3 MiB
+        # peak measured). Bound: the buffer (8 MiB) plus 8 block arrays.
+        n, m = 18, 4
+        cb = sample_codebook(n, m, UNIF, seed=1)
+        buffer = m * 2**n * 8
+        block = m * 2 * 2 * sim._BLOCK_OUTPUTS * 8
+        bound = buffer + 8 * block
+        tracemalloc.start()
+        try:
+            prof = exact_error_profile(cb, BSC01, MMI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.per_message.shape == (m,)
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > bound {bound / 2**20:.1f} MiB"
 
 
 class TestDecoderInvariants:
