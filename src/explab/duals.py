@@ -41,8 +41,8 @@ from .exponents import (
     MMI,
     OptimizerOptions,
     RatePoint,
-    _MetricCtx,
     _N_STARTS,
+    _metric_ctx,
     _spread_minima,
     _support_slots,
     gamma,
@@ -318,7 +318,7 @@ class _ThetaProblem:
 
     def __init__(self, q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
                  opts: OptimizerOptions):
-        self.ctx = _MetricCtx(ch, q_x, ML, opts)
+        self.ctx = _metric_ctx(ch, q_x, ML, opts)
         self.rate = rate
         weights, xs, xps = _support_slots(q_xx.probs)
         # the global mesh coarsens until it fits the budget; the zoom
@@ -333,6 +333,7 @@ class _ThetaProblem:
         self.kl = np.empty(0)
         self.drive = np.empty(0)
         self.rows = np.empty((0, self.mesh.s, self.mesh.ny))
+        self._seen: dict[bytes, tuple[float, float]] = {}  # _add_rows' probes
 
     def _drive(self, qy: np.ndarray, gxp: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
@@ -359,10 +360,18 @@ class _ThetaProblem:
         return kl, drive
 
     def _add_rows(self, rows: np.ndarray) -> tuple[float, float]:
+        """(kl, drive) of one candidate, merged into the pool on its first
+        probe only: the pool then holds it or an envelope at or below it, so
+        a repeat cannot move the envelope that theta reads."""
         st = self.mesh.stats_of(rows, "ml")
+        key = np.ascontiguousarray(rows, dtype=np.float64).tobytes()
+        hit = self._seen.get(key)
+        if hit is not None:
+            return hit
         d = self.ctx.threshold(st["qy"], self.rate, "a") - st["gxp"]
         d = 0.0 if math.isnan(d) else d  # as in _drive
         self._add(np.array([st["kl"]]), np.array([d]), lambda idx: rows[None][idx])
+        self._seen[key] = (st["kl"], d)
         return st["kl"], d
 
     def solve(self) -> dict:

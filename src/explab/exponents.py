@@ -29,6 +29,8 @@ resolution.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -170,12 +172,15 @@ class _MetricCtx:
 
     Holds the threshold memo cache: ``a_threshold``/``alpha_threshold`` get
     re-evaluated for every inner candidate's output marginal, so values are
-    memoized on the quantized Q_Y lattice. Entries are deterministic, so
-    concurrent insert-or-read races are benign.
+    memoized on the quantized Q_Y lattice. Get instances from ``_metric_ctx``:
+    the cache is then shared by every solve on the same channel object and
+    freed with it. Entries depend only on their keys, so concurrent
+    insert-or-read races are benign.
     """
 
     def __init__(self, ch: Channel, qx: Dist, metric: DecodingMetric, opts: OptimizerOptions):
-        self.ch = ch
+        # a proxy, so the shared cache does not keep the channel alive
+        self.ch = weakref.proxy(ch)
         self.qx = qx
         self.kind = metric.kind
         self.opts = opts
@@ -201,7 +206,7 @@ class _MetricCtx:
         if self._fast_1d:
             return float(self._lattice_table(rate, which)[round(float(qy[0]) * _QUANT)])
         key_vec = np.rint(np.asarray(qy) * _QUANT).astype(np.int64)
-        key = (which, round(rate * 1e12), tuple(key_vec))
+        key = (which, rate, tuple(key_vec))
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -228,7 +233,7 @@ class _MetricCtx:
     # (interval endpoints by bisection, then endpoint/golden evaluation).
 
     def _lattice_table(self, rate: float, which: str) -> np.ndarray:
-        tkey = (which, round(rate * 1e12))
+        tkey = (which, rate)
         table = self._tables.get(tkey)
         if table is None:
             qy0 = np.arange(int(_QUANT) + 1) / _QUANT
@@ -402,6 +407,29 @@ class _MetricCtx:
         return float(max(obj[best], -v_ref))
 
 
+# One dict of contexts per live channel object, keyed by id(channel) and
+# dropped when the channel is collected. The CLI parses a new channel for
+# every command, so each command starts cold.
+_CTX_CACHE: dict[int, dict[tuple, _MetricCtx]] = {}
+_CTX_LOCK = threading.Lock()
+
+
+def _metric_ctx(ch: Channel, q_x: Dist, metric: DecodingMetric,
+                opts: OptimizerOptions) -> _MetricCtx:
+    """The ``_MetricCtx`` of (ch, q_x, metric, opts), shared by every call
+    on the same channel object, so each threshold table is solved once."""
+    key = (q_x.probs.tobytes(), metric.kind, opts)
+    with _CTX_LOCK:
+        per_ch = _CTX_CACHE.get(id(ch))
+        if per_ch is None:
+            per_ch = _CTX_CACHE[id(ch)] = {}
+            weakref.finalize(ch, _CTX_CACHE.pop, id(ch), None)
+        ctx = per_ch.get(key)
+        if ctx is None:
+            ctx = per_ch[key] = _MetricCtx(ch, q_x, metric, opts)
+    return ctx
+
+
 # ---------------------------------------------------------------------------
 # public threshold operations
 # ---------------------------------------------------------------------------
@@ -416,7 +444,7 @@ def a_threshold(rate: float, q_y: Dist, metric: DecodingMetric, ch: Channel,
     metric when every feasible joint charges a zero of the channel).
     """
     _check_rate_inputs(rate, q_y, ch, q_x)
-    ctx = _MetricCtx(ch, q_x, metric, opts)
+    ctx = _metric_ctx(ch, q_x, metric, opts)
     return ctx.threshold(q_y.probs, rate, "a")
 
 
@@ -424,7 +452,7 @@ def alpha_threshold(rate: float, q_y: Dist, metric: DecodingMetric, ch: Channel,
                     q_x: Dist, opts: OptimizerOptions = OptimizerOptions()) -> float:
     """Same feasible set as a_threshold, objective g(Q_XY) - I(X;Y) + rate."""
     _check_rate_inputs(rate, q_y, ch, q_x)
-    ctx = _MetricCtx(ch, q_x, metric, opts)
+    ctx = _metric_ctx(ch, q_x, metric, opts)
     return ctx.threshold(q_y.probs, rate, "alpha")
 
 
@@ -738,7 +766,7 @@ def gamma(q_xx: Joint2, rate: float, metric: DecodingMetric, ch: Channel,
     satisfies the score constraint.
     """
     _check_coupling(q_xx, q_x, opts)
-    ctx = _MetricCtx(ch, q_x, metric, opts)
+    ctx = _metric_ctx(ch, q_x, metric, opts)
     return _InnerSolve(ctx, q_xx.probs, rate, tilde=False).solve()["value"]
 
 
@@ -753,7 +781,7 @@ def gamma_tilde(q_xx: Joint2, rate: float, metric: DecodingMetric, ch: Channel,
     at or below the computed hard-constraint minimum.
     """
     _check_coupling(q_xx, q_x, opts)
-    ctx = _MetricCtx(ch, q_x, metric, opts)
+    ctx = _metric_ctx(ch, q_x, metric, opts)
     hard = _InnerSolve(ctx, q_xx.probs, rate, tilde=False).solve()
     return _InnerSolve(ctx, q_xx.probs, rate, tilde=True).solve(
         extra_starts=[hard["rows"]])["value"]
@@ -872,7 +900,7 @@ def trc_exponent(rp: RatePoint, metric: DecodingMetric, ch: Channel,
                  opts: OptimizerOptions = OptimizerOptions()) -> ExponentResult:
     """Exponent of the typical random fixed-composition codebook at rate R:
     outer constraint I(X;X') <= 2R, inner value Gamma."""
-    ctx = _MetricCtx(ch, rp.composition, metric, opts)
+    ctx = _metric_ctx(ch, rp.composition, metric, opts)
 
     def inner(q: np.ndarray, warm: np.ndarray | None = None) -> dict:
         return _InnerSolve(ctx, q, rp.rate, tilde=False).solve(warm)
@@ -887,7 +915,7 @@ def expurgated_exponent(rp: RatePoint, metric: DecodingMetric, ch: Channel,
                         opts: OptimizerOptions = OptimizerOptions()) -> ExponentResult:
     """Exponent guaranteed after expurgating the worse half of a random
     codebook: outer constraint I(X;X') <= R, inner value Gamma-tilde."""
-    ctx = _MetricCtx(ch, rp.composition, metric, opts)
+    ctx = _metric_ctx(ch, rp.composition, metric, opts)
 
     def inner(q: np.ndarray, warm: np.ndarray | None = None) -> dict:
         return _InnerSolve(ctx, q, rp.rate, tilde=True).solve(warm)

@@ -276,6 +276,7 @@ class RowMesh:
         self._dead_l = self._dead.tolist()
         self._fin_x = [self._fin_l[x] for x in self.x_of.tolist()]
         self._dead_x = [self._dead_l[x] for x in self.x_of.tolist()]
+        self._stats: dict[tuple, dict] = {}  # stats_of memo
 
     def size(self) -> int:
         return self.n
@@ -345,8 +346,17 @@ class RowMesh:
         """The ``build`` values of one candidate, rows shape (s, ny), in plain
         floats summed in build's order: ``qy`` is a list, ``kl``, ``gx`` and
         ``gxp`` are floats. Logarithms come from one ``np.log`` call, whose
-        last bits can differ from ``math.log``'s."""
-        rows = rows.tolist()
+        last bits can differ from ``math.log``'s. Results are memoized per
+        mesh on (kind, the exact bytes of rows): a repeated probe returns the
+        same dict, which callers must not modify."""
+        arr = np.ascontiguousarray(rows, dtype=np.float64)
+        key = (kind, arr.shape, arr.tobytes())
+        hit = self._stats.get(key)
+        if hit is None:
+            hit = self._stats[key] = self._compute_stats(arr.tolist(), kind)
+        return hit
+
+    def _compute_stats(self, rows: list, kind: str) -> dict:
         wr = [[w * p for p in row] for w, row in zip(self._w, rows)]
         qy = [_seq_sum([m[y] for m in wr]) for y in range(self.ny)]
         joints = [self._cells(wr, "x")] + ([] if self._same else [self._cells(wr, "xp")])

@@ -75,7 +75,8 @@ class ErrorProfile:
 
     def __post_init__(self) -> None:
         pm = np.asarray(self.per_message, dtype=float)
-        if pm.ndim != 1 or np.any(pm < -1e-12) or np.any(pm > 1 + 1e-12):
+        if (pm.ndim != 1 or np.isnan(pm).any() or np.any(pm < -1e-12)
+                or np.any(pm > 1 + 1e-12)):
             raise ProbError("per-message error probabilities must lie in [0,1]")
         pm = np.clip(pm, 0.0, 1.0)
         pm.setflags(write=False)
@@ -265,7 +266,9 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
     """Exact per-message error probabilities of the stochastic GLD.
 
     P_e|m sums, over outputs, the transmit probability W(y|x_m) times the
-    posterior mass the GLD assigns to the other messages.
+    posterior mass the GLD assigns to the other messages. An output where
+    every n*g is -inf (ML metric, no codeword can produce it) has transmit
+    probability 0 for every message and adds 0.
     """
     blocks = _score_blocks(cb, ch, cfg.metric.kind, enum_cap)
     weighted = np.empty((cb.m_count, ch.n_out**cb.n))
@@ -274,7 +277,8 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
         gmax = gn.max(axis=0)
         safe = np.where(np.isfinite(gmax), gmax, 0.0)
         expg = np.exp(gn - safe[None, :])
-        post = expg / expg.sum(axis=0)
+        tot = expg.sum(axis=0)
+        post = expg / np.where(tot > 0.0, tot, 1.0)
         np.multiply(np.exp(ll), 1.0 - post, out=weighted[:, sl])
     return ErrorProfile(per_message=weighted.sum(axis=1))
 

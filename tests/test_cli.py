@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +115,21 @@ class TestSimulateCommand:
         assert collect(argv + ["--out", out1])[0] == 0
         assert collect(argv + ["--out", out2])[0] == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_gld_ml_on_zero_channel_entry_is_finite(self, tmp_path):
+        # outputs no codeword can produce add nothing, not 0 * nan
+        z = tmp_path / "z.ch"
+        z.write_text("dmc 2 2\n1 0\n0.2 0.8\n")
+        out = str(tmp_path / "g.json")
+        code, _ = collect(["simulate", "--channel", str(z), "--decoder", "gld",
+                           "--metric", "ml", "--n", "8", "--M", "3", "--samples", "2",
+                           "--seed", "1", "--out", out])
+        assert code == 0
+        summary, *samples = json.loads(open(out).read())["results"]
+        assert math.isfinite(summary["mean_log_pe"])
+        assert math.isfinite(summary["empirical_exponent"])
+        for s in samples:
+            assert all(0.0 < v < 1.0 for v in s["per_message"])
 
     def test_json_csv_same_numbers(self, bsc_file, tmp_path):
         out = str(tmp_path / "r.json")
@@ -247,3 +265,14 @@ class TestErrors:
         code, text = collect(["simulate", "--channel", str(p), "--n", "4", "--M", "2"])
         assert code == 2
         assert "row 1" in text
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "explab", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: explab" in proc.stdout
+    assert "certify" in proc.stdout

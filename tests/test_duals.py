@@ -164,6 +164,23 @@ class TestTheta:
         assert theta(q, rate, BSC01, UNIF, OPTS) <= gamma(
             q, rate, ML, BSC01, UNIF, OPTS) + 1e-4
 
+    def test_repeated_probe_leaves_pool_unchanged(self):
+        """theta's polish probes the same rows again and again; a repeat
+        returns the stored (kl, drive) and leaves the pool as one insert."""
+        from explab.duals import _ThetaProblem
+        rng = np.random.default_rng(11)
+        once = _ThetaProblem(ANTI, 0.1, BSC01, UNIF, OPTS)
+        twice = _ThetaProblem(ANTI, 0.1, BSC01, UNIF, OPTS)
+        probes = [BSC01.w[once.mesh.x_of], once.mesh.rows_of(5)] + list(
+            rng.dirichlet(np.ones(2), size=(12, once.mesh.s)))
+        for rows in probes:
+            got = once._add_rows(rows)
+            assert twice._add_rows(rows) == got
+            assert twice._add_rows(rows.copy()) == got
+            for attr in ("kl", "drive", "rows"):
+                assert np.array_equal(getattr(twice, attr), getattr(once, attr))
+        assert 1 < once.kl.size < len(probes)  # some probes were pruned
+
 
 class TestLambdaPhi:
     def test_lambda_diagonal_zero(self):

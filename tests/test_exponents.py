@@ -1,8 +1,16 @@
+import gc
+import json
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import explab.exponents as exponents
+from explab.cli import run as cli_run
+from explab.duals import certify_theorem1
 from explab.exponents import (
     ML,
     MMI,
@@ -310,3 +318,81 @@ class TestSweep:
         vals = [r.value for r in curve.records]
         assert all(b <= a + 1e-6 for a, b in zip(vals, vals[1:]))
         assert all(v >= 0 for v in vals)
+
+
+class TestSharedContext:
+    """One _MetricCtx per (channel object, composition, metric, options):
+    each threshold lattice is solved once per command."""
+
+    @staticmethod
+    def _count_lattices(monkeypatch):
+        solved = []
+        solve = exponents._MetricCtx._solve_1d_batch
+
+        def counted(self, qys, rate, which):
+            solved.append((self.kind, rate, which))
+            return solve(self, qys, rate, which)
+
+        monkeypatch.setattr(exponents._MetricCtx, "_solve_1d_batch", counted)
+        return solved
+
+    def test_certify_solves_two_lattices(self, monkeypatch):
+        # ML a(R, .) serves gamma, theta, trc and ml_upper_bound; MMI a(R, .)
+        # serves gamma and trc
+        solved = self._count_lattices(monkeypatch)
+        certify_theorem1(RatePoint(0.01, UNIF), Channel.bsc(0.1), OPTS)
+        assert sorted(solved) == [("ml", 0.01, "a"), ("mmi", 0.01, "a")]
+
+    def test_each_cli_command_starts_cold(self, monkeypatch, tmp_path):
+        solved = self._count_lattices(monkeypatch)
+        ch_file = tmp_path / "bsc.ch"
+        ch_file.write_text("dmc 2 2\n0.9 0.1\n0.1 0.9\n")
+        argv = ["certify", "theorem1", "--channel", str(ch_file), "--rate", "0.01",
+                "--refine-iters", "4"]
+        for n_commands in (1, 2):
+            assert cli_run(argv, echo=lambda *a, **k: None) == 0
+            assert len(solved) == 2 * n_commands
+
+    def test_cache_freed_with_channel(self):
+        ch = Channel.bsc(0.2)
+        alive = weakref.ref(ch)
+        before = set(exponents._CTX_CACHE)
+        key = id(ch)
+        gamma(PROD, 0.05, ML, ch, UNIF, OptimizerOptions(refine_iters=4))
+        assert key in exponents._CTX_CACHE
+        del ch
+        gc.collect()
+        assert alive() is None
+        assert key not in exponents._CTX_CACHE
+        assert set(exponents._CTX_CACHE) <= before
+
+    def test_one_context_under_contention(self):
+        ch = Channel.bsc(0.3)
+        qys = np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]])
+
+        def lookup(_):
+            ctx = exponents._metric_ctx(ch, UNIF, ML, OPTS)
+            return ctx, ctx.threshold_batch(qys, 0.05, "a")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lookup, range(32), timeout=120))
+        finally:
+            sys.setswitchinterval(old)
+        assert len(got) == 32
+        assert all(ctx is got[0][0] for ctx, _ in got)
+        assert all(np.array_equal(vals, got[0][1]) for _, vals in got)
+
+    def test_threads_share_context_safely(self, tmp_path):
+        ch_file = tmp_path / "bsc.ch"
+        ch_file.write_text("dmc 2 2\n0.9 0.1\n0.1 0.9\n")
+        results = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.json"
+            assert cli_run(["exponent", "trc", "--channel", str(ch_file),
+                            "--rates", "0,0.01,0.02", "--threads", threads,
+                            "--out", str(out)], echo=lambda *a, **k: None) == 0
+            results.append(json.loads(out.read_text())["results"])
+        assert results[0] == results[1]

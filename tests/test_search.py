@@ -212,3 +212,58 @@ def test_xlogx_and_entropy_batch():
     v = np.array([0.0, 0.5, 1.0])
     assert np.allclose(xlogx(v), [0.0, 0.5 * math.log(0.5), 0.0])
     assert entropy_batch(np.array([[0.5, 0.5]]))[0] == pytest.approx(math.log(2))
+
+
+class TestStatsMemo:
+    """stats_of memoizes per mesh on (kind, the exact bytes of rows)."""
+
+    CASES = {
+        "bsc": ([[0.9, 0.1], [0.1, 0.9]], [[0.25, 0.25], [0.25, 0.25]]),
+        "z": ([[1.0, 0.0], [0.2, 0.8]], [[0.4, 0.1], [0.1, 0.4]]),
+        "2x3": ([[0.8, 0.15, 0.05], [0.05, 0.15, 0.8]], [[0.5, 0.0], [0.2, 0.3]]),
+    }
+
+    @staticmethod
+    def _mesh(w, coupling):
+        ch = Channel.from_rows(w)
+        q = np.array(coupling)
+        xs, xps = np.nonzero(q > 0)
+        return RowMesh(q[xs, xps], xs, xps, row_grid(ch.n_out, 4, 10_000),
+                       ch.n_in, ch.log_matrix)
+
+    @staticmethod
+    def _counted(mesh):
+        calls = []
+        compute = mesh._compute_stats
+        mesh._compute_stats = lambda rows, kind: calls.append(kind) or compute(rows, kind)
+        return calls
+
+    def test_hit_bit_identical_to_fresh_mesh(self):
+        rng = np.random.default_rng(3)
+        for name, (w, coupling) in self.CASES.items():
+            for kind in ("ml", "mmi"):
+                mesh = self._mesh(w, coupling)
+                calls = self._counted(mesh)
+                for rows in [mesh.rows_of(7)] + list(
+                        rng.dirichlet(np.ones(mesh.ny), size=(20, mesh.s))):
+                    first = mesh.stats_of(rows, kind)
+                    hit = mesh.stats_of(rows.copy(), kind)
+                    fresh = self._mesh(w, coupling).stats_of(rows, kind)
+                    assert hit is first
+                    assert hit == fresh, (name, kind, rows.tolist())
+                assert len(calls) == 21
+
+    def test_other_kind_and_one_ulp_miss(self):
+        w, coupling = self.CASES["bsc"]
+        mesh = self._mesh(w, coupling)
+        calls = self._counted(mesh)
+        rows = np.array([[0.3, 0.7], [0.6, 0.4], [0.2, 0.8], [0.9, 0.1]])
+        ml = mesh.stats_of(rows, "ml")
+        mmi = mesh.stats_of(rows, "mmi")
+        assert calls == ["ml", "mmi"]
+        assert mmi["gx"] == self._mesh(w, coupling).stats_of(rows, "mmi")["gx"] != ml["gx"]
+        bumped = rows.copy()
+        bumped[0, 0] = np.nextafter(bumped[0, 0], 1.0)
+        st = mesh.stats_of(bumped, "ml")
+        assert calls == ["ml", "mmi", "ml"]
+        assert st == self._mesh(w, coupling).stats_of(bumped, "ml")

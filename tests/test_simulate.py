@@ -190,6 +190,25 @@ class TestGld:
             gld = exact_error_profile_gld(cb, BSC01, GldConfig(metric=ML, beta=1.0))
             assert gld.average <= 2 * ml_avg + 1e-12
 
+    def test_ml_metric_unreachable_outputs_add_zero(self):
+        """On the Z-channel most outputs are out of reach of some codewords,
+        and some of every codeword: those add nothing, not 0 * (0/0). The
+        codebooks are the CLI's for ``simulate --decoder gld --metric ml
+        --n 8 --M 3 --samples 2 --seed 1``."""
+        zch = Channel.from_rows([[1.0, 0.0], [0.2, 0.8]])
+        for i in range(2):
+            cb = sample_codebook(8, 3, UNIF, seed=[1, i])
+            prof = exact_error_profile_gld(cb, zch, GldConfig(metric=ML, beta=1.0))
+            want = [0.0] * cb.m_count
+            for y in itertools.product(range(2), repeat=cb.n):
+                w = [math.prod(zch.w[x, b] for x, b in zip(cw, y)) for cw in cb.codewords]
+                if sum(w) == 0.0:
+                    continue  # no codeword can produce y
+                for m in range(cb.m_count):
+                    want[m] += w[m] * (1.0 - w[m] / sum(w))
+            assert np.all(np.isfinite(prof.per_message))
+            assert np.max(np.abs(prof.per_message - want)) <= 1e-12
+
     def test_mmi_metric_gld_valid_profile(self):
         cb = sample_codebook(6, 4, UNIF, 5)
         prof = exact_error_profile_gld(cb, BSC01, GldConfig(metric=MMI))
@@ -254,8 +273,10 @@ def full_array_reference(cb, ch, cfg):
     gmax = gn.max(axis=0)
     safe = np.where(np.isfinite(gmax), gmax, 0.0)
     expg = np.exp(gn - safe[None, :])
+    # an output no codeword can produce (every n*g is -inf) adds 0
     with np.errstate(invalid="ignore"):
-        gld = (probs * (1.0 - expg / expg.sum(axis=0))).sum(axis=1)
+        gld = np.where(np.isfinite(gmax)[None, :],
+                       probs * (1.0 - expg / expg.sum(axis=0)), 0.0).sum(axis=1)
     comp = np.full_like(gn, -np.inf)
     for msg in range(m):
         others = np.delete(gn, msg, axis=0)
@@ -292,11 +313,9 @@ class TestBlockEnumeration:
         metric, cfg = (ML, GldConfig(metric=ML, beta=1.0)) if kind == "ml" else (MMI, GldConfig(metric=MMI))
 
         def run():
-            # the GLD-ML posterior is 0/0 = nan at outputs no codeword can produce
-            with np.errstate(invalid="ignore"):
-                return (exact_error_profile(cb, ch, metric).per_message,
-                        exact_error_profile_gld(cb, ch, cfg).per_message,
-                        competing_sum_log(cb, ch, cfg))
+            return (exact_error_profile(cb, ch, metric).per_message,
+                    exact_error_profile_gld(cb, ch, cfg).per_message,
+                    competing_sum_log(cb, ch, cfg))
 
         one_block = run()
         assert ch.n_out**cb.n <= sim._BLOCK_OUTPUTS
@@ -305,8 +324,8 @@ class TestBlockEnumeration:
             monkeypatch.setattr(sim, "_BLOCK_OUTPUTS", ch.n_out**power)
             blocked = run()
             for got, single, want in zip(blocked, one_block, ref):
-                assert np.array_equal(got, single, equal_nan=True)
-                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(got, single)
+                assert np.array_equal(got, want)
             assert np.max(np.abs(blocked[0] - oracle_profile(cb, ch, kind))) <= 1e-12
 
     def test_memory_is_one_float_row_per_message_plus_blocks(self):
@@ -391,6 +410,11 @@ class TestExpurgation:
         # their max 0.1 clears the 2 * average = 0.6 guarantee with slack
         assert np.array_equal(kept.codewords, cb.codewords[1:3])
         assert prof.per_message[1:3].max() <= 2 * prof.average
+
+    def test_profile_rejects_nan_and_out_of_range(self):
+        for bad in ([0.1, math.nan], [0.1, -0.2], [1.5]):
+            with pytest.raises(ProbError):
+                ErrorProfile(per_message=np.array(bad))
 
     def test_single_message_unchanged(self):
         cb = Codebook(n=2, codewords=np.array([[0, 1]]))
