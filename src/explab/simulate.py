@@ -1,19 +1,24 @@
 """Exact small-blocklength simulation of fixed-composition random codes.
 
 No Monte Carlo over channel outputs anywhere: per-message error
-probabilities are computed by enumerating every output sequence y in Y^n
-(an odometer capped at ``enum_cap`` outputs) and summing the exact product
-channel probabilities of the decoding-error region. Randomness enters only
-through codebook sampling, which is seeded and reproducible.
+probabilities sum the exact product channel probabilities of the
+decoding-error region over every output sequence y in Y^n (at most
+``enum_cap`` of them). Randomness enters only through codebook sampling,
+which is seeded and reproducible.
 
-The outputs are enumerated in blocks of |Y|^k (the largest k with
-|Y|^k <= 2^14). The joint counts of the k low positions are built once per
-codebook, and each block adds the counts of its n - k high digits, so no
-(M, |X|, |Y|, |Y|^n) array is ever built. What grows with |Y|^n is one
-(M, |Y|^n) float64 array: the per-output error mass, summed once at the end
-so that the result does not depend on the block size (and ``competing_sum_log``
-returns an array of that shape). Memory is O(M |Y|^n) float64 plus a few
-O(M |X| |Y| 2^14) block arrays.
+The decoders see y only through the joint counts of (x_m, y), and those
+depend only on how many positions of each column type c = (x_1(i), ...,
+x_M(i)) carry each output symbol (the method of types). So the outputs are
+grouped into classes of equal counts, and each class is scored once, in
+blocks of at most 2^12 classes: its likelihoods, decisions, GLD posterior
+and competing sums. A class code is linear in the digits of y, so the codes
+of all outputs come from one low/high digit split, blocks of |Y|^k outputs
+at a time, and the per-class values are gathered into one (M, |Y|^n)
+float64 array: the per-output error mass, summed once at the end so that
+the result is bit-identical to scoring every output (and
+``competing_sum_log`` returns an array of that shape). Memory is at most
+two O(M |Y|^n) float64 arrays, that buffer and the per-class table (the
+code space is at most |Y|^n), plus a few O(M |X| |Y| 2^12) block arrays.
 
 Decoders:
 
@@ -26,6 +31,7 @@ Decoders:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -87,7 +93,12 @@ class ErrorProfile:
 
 @dataclass(frozen=True)
 class GldConfig:
-    """Metric and (for the ML metric) inverse-temperature of the GLD."""
+    """Metric and (for the ML metric) inverse-temperature of the GLD.
+
+    With the ML metric, n*g = beta * log W(y|x_m). beta = 0 means the
+    beta -> 0+ limit: n*g is 0 where W(y|x_m) > 0 and -inf where it is 0, so
+    the decoder picks uniformly among the messages that can produce y.
+    """
 
     metric: DecodingMetric = MMI
     beta: float = 1.0
@@ -142,10 +153,14 @@ def sample_codebook(n: int, m_count: int, q_x: Dist, seed) -> Codebook:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive output enumeration, one block of outputs at a time
+# exhaustive output enumeration, one output type class at a time
 # ---------------------------------------------------------------------------
 
-_BLOCK_OUTPUTS = 2**14  # a block holds |Y|^k outputs, the largest power <= this
+# Classes scored, and outputs gathered, per block. A block's scoring holds a
+# few (M, |X|, |Y|, block) float64 temporaries next to the per-class table;
+# at 2^14 they lifted simulate-bsc's peak RSS by up to 12 MiB, at 2^12 by
+# under 2 MiB, with no loss of speed.
+_BLOCK_OUTPUTS = 2**12
 # Tie band of ``_decisions``. At one output, distinct empirical-MI scores of
 # count tables with up to 6 cells and n <= 20 differ by more than 1e-4;
 # log-likelihoods differ by sums of k log W(b|a) with integer |k| <= n, which
@@ -153,51 +168,96 @@ _BLOCK_OUTPUTS = 2**14  # a block holds |Y|^k outputs, the largest power <= this
 _TIE_RTOL = 1e-12
 
 
-def _score_blocks(cb: Codebook, ch: Channel, kind: str, enum_cap: int):
-    """Iterator of (slice, counts, scores, ll) over blocks of the |Y|^n outputs.
+class _OutputClasses:
+    """The outputs of one codebook, grouped into classes of equal joint counts.
 
-    Output t has digits y_i = (t // |Y|^i) % |Y|. A block fixes the high
-    n - k digits to those of j and runs t_lo over |Y|^k, so its outputs are
-    t = t_lo + |Y|^k j. The joint counts N[m, a, b, t] of the k low positions
-    are built once; each block adds the (M, |X|, |Y|) counts of its high
-    digits. ``scores`` and ``ll`` are (M, |Y|^k) arrays: the decoder score
-    and log W(y_t | x_m). The inputs are checked when this is called, before
-    any array is built.
+    Positions of the same column type c = (x_1(i), ..., x_M(i)) are
+    interchangeable, so the counts N_m(a, b) of an output depend only on
+    K[c, b], the number of positions of type c that carry symbol b. Each
+    type's part of a class is either its count vector (b >= 1 in radix
+    n_c + 1, where K[c, 0] is implied) or its raw digits, whichever code
+    space is smaller; a class code is the mixed-radix combination over
+    types. The code of output y is then linear in its digits,
+    code(y) = sum_i weights[i, y_i], and ``size``, the code space, is at
+    most |Y|^n. The inputs are checked before any array is built.
     """
-    nx, ny, n = ch.n_in, ch.n_out, cb.n
-    total = ny**n
-    if total > enum_cap:
-        raise ProbError(f"|Y|^n = {total} exceeds the enumeration cap {enum_cap}")
-    top = int(cb.codewords.max())
-    if top >= nx:
-        raise ProbError(f"codeword symbol {top} is outside the channel's input alphabet of size {nx}")
-    k = 0
-    while k < n and ny ** (k + 1) <= _BLOCK_OUTPUTS:
-        k += 1
-    size = ny**k
-    t = np.arange(size, dtype=np.int64)
-    low = np.zeros((cb.m_count, nx, ny, size), dtype=np.int16)
-    for m, cw in enumerate(cb.codewords):
-        for i in range(k):
-            digit = (t // ny**i) % ny
-            for b in range(ny):
-                low[m, cw[i], b] += digit == b
 
-    def blocks():
-        high = np.empty((cb.m_count, nx, ny), dtype=np.int16)
-        for j in range(total // size):
-            high[:] = 0
-            rest = j
+    def __init__(self, cb: Codebook, ch: Channel, enum_cap: int):
+        nx, ny, n = ch.n_in, ch.n_out, cb.n
+        if ny**n > enum_cap:
+            raise ProbError(f"|Y|^n = {ny**n} exceeds the enumeration cap {enum_cap}")
+        top = int(cb.codewords.max())
+        if top >= nx:
+            raise ProbError(f"codeword symbol {top} is outside the channel's input alphabet of size {nx}")
+        self.cb, self.ch = cb, ch
+        self.weights = np.zeros((n, ny), dtype=np.int64)
+        # per type: its column, the (|Y|, L) counts and the codes of its L classes
+        self.types: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        stride = 1
+        cols, of_pos = np.unique(cb.codewords.T, axis=0, return_inverse=True)
+        for c, col in enumerate(cols):
+            pos = np.flatnonzero(of_pos.ravel() == c)
+            nc = pos.size
+            if (nc + 1) ** (ny - 1) <= ny**nc:
+                radix = (nc + 1) ** np.arange(ny - 1)
+                self.weights[pos, 1:] = stride * radix
+                tail = [k for k in itertools.product(range(nc + 1), repeat=ny - 1) if sum(k) <= nc]
+                tail = np.array(tail, dtype=np.int64).reshape(len(tail), ny - 1)
+                counts = np.column_stack([nc - tail.sum(axis=1), tail])
+                local, space = tail @ radix, (nc + 1) ** (ny - 1)
+            else:
+                place = ny ** np.arange(nc)
+                self.weights[pos] = stride * place[:, None] * np.arange(ny)[None, :]
+                local, space = np.arange(ny**nc), ny**nc
+                digits = (local[:, None] // place) % ny
+                counts = (digits[:, :, None] == np.arange(ny)).sum(axis=1)
+            self.types.append((col, counts.T.astype(np.int16), stride * local))
+            stride *= space
+        self.size = stride
+        self.count = math.prod(len(local) for _, _, local in self.types)
+
+    def blocks(self, kind: str):
+        """Iterator of (codes, counts, scores, ll) over blocks of at most
+        ``_BLOCK_OUTPUTS`` classes: the class codes, their (M, |X|, |Y|, B)
+        joint counts, the decoder score and log W(y | x_m) as (M, B) arrays."""
+        cb, ch = self.cb, self.ch
+        for start in range(0, self.count, _BLOCK_OUTPUTS):
+            rest = np.arange(start, min(start + _BLOCK_OUTPUTS, self.count))
+            codes = np.zeros(rest.size, dtype=np.int64)
+            counts = np.zeros((cb.m_count, ch.n_in, ch.n_out, rest.size), dtype=np.int16)
+            for col, local_counts, local_codes in self.types:
+                rest, idx = np.divmod(rest, len(local_codes))
+                codes += np.take(local_codes, idx)
+                k = np.take(local_counts, idx, axis=1)
+                for m, a in enumerate(col):
+                    counts[m, a] += k
+            ll = _log_likelihoods(counts, ch)
+            scores = ll if kind == "ml" else _empirical_mi(counts, cb.n)
+            yield codes, counts, scores, ll
+
+    def gather(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[:, t] = table[:, code(y_t)] for every output t = sum_i y_i |Y|^i.
+
+        The outputs go in blocks of |Y|^k (the largest k with |Y|^k <=
+        ``_BLOCK_OUTPUTS``): the codes of the k low digits are summed once,
+        and each block adds the code of its n - k high digits.
+        """
+        ny, n = self.ch.n_out, self.cb.n
+        k = 0
+        while k < n and ny ** (k + 1) <= _BLOCK_OUTPUTS:
+            k += 1
+        size = ny**k
+        t = np.arange(size)
+        low = np.zeros(size, dtype=np.int64)
+        for i in range(k):
+            low += self.weights[i, (t // ny**i) % ny]
+        for j in range(ny ** (n - k)):
+            rest, high = j, 0
             for i in range(k, n):
                 rest, b = divmod(rest, ny)
-                for m, cw in enumerate(cb.codewords):
-                    high[m, cw[i], b] += 1
-            counts = low + high[..., None]
-            ll = _log_likelihoods(counts, ch)
-            scores = ll if kind == "ml" else _empirical_mi(counts, n)
-            yield slice(j * size, (j + 1) * size), counts, scores, ll
-
-    return blocks()
+                high += int(self.weights[i, b])
+            np.take(table, low + high, axis=1, out=out[:, j * size:(j + 1) * size])
+        return out
 
 
 def _log_likelihoods(counts: np.ndarray, ch: Channel) -> np.ndarray:
@@ -242,22 +302,29 @@ def exact_error_profile(cb: Codebook, ch: Channel,
     toward the lowest message index (``_decisions``); P_e|m sums W(y|x_m)
     over outputs decided away from m.
     """
-    blocks = _score_blocks(cb, ch, decoder.kind, enum_cap)
-    # one row per message, reduced once: per-block partial sums would change
-    # numpy's pairwise summation order, and so the last bits
-    weighted = np.empty((cb.m_count, ch.n_out**cb.n))
+    classes = _OutputClasses(cb, ch, enum_cap)
+    table = np.empty((cb.m_count, classes.size))
     msgs = np.arange(cb.m_count)[:, None]
-    for sl, _, scores, ll in blocks:
-        wrong = _decisions(scores)[None, :] != msgs
-        np.multiply(np.exp(ll), wrong, out=weighted[:, sl])
+    for codes, _, scores, ll in classes.blocks(decoder.kind):
+        table[:, codes] = np.exp(ll) * (_decisions(scores)[None, :] != msgs)
+    # one value per output, each row reduced once: per-class sums weighted by
+    # class size would change numpy's pairwise summation order, and so the
+    # last bits
+    weighted = classes.gather(table, np.empty((cb.m_count, ch.n_out**cb.n)))
     return ErrorProfile(per_message=weighted.sum(axis=1))
 
 
 def _gld_exponents(scores: np.ndarray, n: int, cfg: GldConfig) -> np.ndarray:
-    """n*g: beta * log-likelihood for the ML metric, n * empirical MI for MMI."""
-    if cfg.metric.kind == "ml":
-        return cfg.beta * scores
-    return n * scores
+    """n*g: beta * log-likelihood for the ML metric, n * empirical MI for MMI.
+
+    At beta = 0 the ML metric takes its beta -> 0+ limit (``GldConfig``), so
+    a -inf log-likelihood stays -inf rather than becoming 0 * -inf = NaN.
+    """
+    if cfg.metric.kind != "ml":
+        return n * scores
+    if cfg.beta == 0.0:
+        return np.where(np.isneginf(scores), -np.inf, 0.0)
+    return cfg.beta * scores
 
 
 def exact_error_profile_gld(cb: Codebook, ch: Channel,
@@ -270,16 +337,17 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
     every n*g is -inf (ML metric, no codeword can produce it) has transmit
     probability 0 for every message and adds 0.
     """
-    blocks = _score_blocks(cb, ch, cfg.metric.kind, enum_cap)
-    weighted = np.empty((cb.m_count, ch.n_out**cb.n))
-    for sl, _, scores, ll in blocks:
+    classes = _OutputClasses(cb, ch, enum_cap)
+    table = np.empty((cb.m_count, classes.size))
+    for codes, _, scores, ll in classes.blocks(cfg.metric.kind):
         gn = _gld_exponents(scores, cb.n, cfg)
         gmax = gn.max(axis=0)
         safe = np.where(np.isfinite(gmax), gmax, 0.0)
         expg = np.exp(gn - safe[None, :])
         tot = expg.sum(axis=0)
         post = expg / np.where(tot > 0.0, tot, 1.0)
-        np.multiply(np.exp(ll), 1.0 - post, out=weighted[:, sl])
+        table[:, codes] = np.exp(ll) * (1.0 - post)
+    weighted = classes.gather(table, np.empty((cb.m_count, ch.n_out**cb.n)))
     return ErrorProfile(per_message=weighted.sum(axis=1))
 
 
@@ -292,12 +360,12 @@ def competing_sum_log(cb: Codebook, ch: Channel,
     Shape (M, |Y|^n); -inf where a message has no finite-score competitor.
     M = 1 yields a single all -inf row.
     """
-    blocks = _score_blocks(cb, ch, cfg.metric.kind, enum_cap)
+    classes = _OutputClasses(cb, ch, enum_cap)
     m = cb.m_count
-    out = np.full((m, ch.n_out**cb.n), -np.inf)
     if m == 1:
-        return out
-    for sl, _, scores, _ in blocks:
+        return np.full((1, ch.n_out**cb.n), -np.inf)
+    table = np.empty((m, classes.size))
+    for codes, _, scores, _ in classes.blocks(cfg.metric.kind):
         gn = _gld_exponents(scores, cb.n, cfg)
         for msg in range(m):
             others = np.delete(gn, msg, axis=0)
@@ -305,8 +373,8 @@ def competing_sum_log(cb: Codebook, ch: Channel,
             safe = np.where(np.isfinite(top), top, 0.0)
             s = np.exp(others - safe[None, :]).sum(axis=0)
             with np.errstate(divide="ignore"):
-                out[msg, sl] = np.where(np.isfinite(top), safe + np.log(s), top)
-    return out
+                table[msg, codes] = np.where(np.isfinite(top), safe + np.log(s), top)
+    return classes.gather(table, np.empty((m, ch.n_out**cb.n)))
 
 
 def empirical_trc(n: int, m_count: int, q_x: Dist, ch: Channel,

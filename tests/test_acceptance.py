@@ -34,7 +34,7 @@ from explab.simulate import (
     exact_error_profile_gld,
     expurgate_worst_half,
     sample_codebook,
-    _score_blocks,
+    _OutputClasses,
 )
 
 UNIF = Dist.uniform(2)
@@ -206,8 +206,9 @@ def test_criteria_6_and_7_exact_simulation():
         # the scores differ by the constant composition entropy, so the
         # decision (and tie) sets coincide; the independently computed
         # entropy pipeline may order exact ties differently in floats, so a
-        # disagreement only counts when the scores are not tied
-        blocks = list(_score_blocks(cb, ch, "mmi", 2**20))
+        # disagreement only counts when the scores are not tied; outputs of
+        # one type class share their counts, so each class stands for them
+        blocks = list(_OutputClasses(cb, ch, 2**20).blocks("mmi"))
         counts = np.concatenate([c for _, c, _, _ in blocks], axis=3)
         mi_scores = np.concatenate([s for _, _, s, _ in blocks], axis=1)
         col = counts.sum(axis=1).astype(float)

@@ -176,6 +176,32 @@ class TestGld:
         prof = exact_error_profile_gld(cb, BSC01, GldConfig(metric=ML, beta=0.0))
         assert prof.per_message == pytest.approx([2 / 3] * 3, abs=1e-12)
 
+    @pytest.mark.parametrize("rows, q_x", [
+        ([[1.0, 0.0], [0.2, 0.8]], UNIF),
+        ([[1.0, 0.0], [0.5, 0.5], [0.1, 0.9]], Dist.uniform(3)),
+    ])
+    def test_beta_zero_is_the_small_beta_limit(self, rows, q_x):
+        """beta = 0 picks uniformly among the messages that can produce y.
+        On the Z-channel every such message has the same likelihood; on the
+        3x2 channel they differ, so small beta moves the profile by at most
+        beta n max|log W| (the posterior's derivative in beta is bounded by
+        the spread of the log-likelihoods)."""
+        ch = Channel.from_rows(rows)
+        cb = sample_codebook(6, 3, q_x, seed=1)
+        prof = exact_error_profile_gld(cb, ch, GldConfig(metric=ML, beta=0.0)).per_message
+        want = [0.0] * cb.m_count
+        for y in itertools.product(range(ch.n_out), repeat=cb.n):
+            w = [math.prod(ch.w[x, b] for x, b in zip(cw, y)) for cw in cb.codewords]
+            live = sum(v > 0.0 for v in w)
+            for m in range(cb.m_count):
+                if w[m] > 0.0:
+                    want[m] += w[m] * (1.0 - 1.0 / live)
+        assert np.max(np.abs(prof - want)) <= 1e-12
+        spread = np.max(np.abs(np.log(ch.w[ch.w > 0])))
+        for beta in (1e-9, 1e-8, 1e-7, 1e-6):
+            near = exact_error_profile_gld(cb, ch, GldConfig(metric=ML, beta=beta)).per_message
+            assert np.max(np.abs(near - prof)) <= beta * cb.n * spread
+
     def test_large_beta_recovers_tie_split_ml(self):
         cb = Codebook(n=4, codewords=np.array([[0, 0, 1, 1], [1, 1, 0, 0]]))
         prof = exact_error_profile_gld(cb, BSC01, GldConfig(metric=ML, beta=64 * cb.n))
@@ -280,7 +306,7 @@ def full_array_reference(cb, ch, cfg):
     comp = np.full_like(gn, -np.inf)
     for msg in range(m):
         others = np.delete(gn, msg, axis=0)
-        top = others.max(axis=0)
+        top = others.max(axis=0, initial=-np.inf)  # M = 1: no competitor
         safe = np.where(np.isfinite(top), top, 0.0)
         with np.errstate(divide="ignore"):
             comp[msg] = np.where(np.isfinite(top),
@@ -299,12 +325,23 @@ BLOCK_CASES = {
     "z": (ZCH, sample_codebook(6, 4, UNIF, seed=4)),
     "2x3": (CH23, sample_codebook(4, 3, UNIF, seed=5)),
     "3x2": (CH32, sample_codebook(6, 4, Dist.uniform(3), seed=6)),
+    "single": (BSC01, Codebook(n=6, codewords=np.array([[0, 1, 1, 0, 1, 0]]))),
+    # 8 distinct columns (patterns 0-3 and their complements): one position
+    # per type, so there are as many classes as outputs
+    "distinct": (BSC01, Codebook(n=8, codewords=np.array(
+        [[(p >> msg) & 1 for p in (0, 1, 2, 3, 15, 14, 13, 12)] for msg in range(4)]))),
+    # types of 3, 1, 1 and 2 positions: 3^1 raw digits beat (1+1)^2 counts,
+    # (3+1)^2 counts beat 3^3 raw digits, and (2+1)^2 counts tie 3^2 raw
+    # digits; messages 0 and 2 are equal
+    "2x3-mixed": (CH23, Codebook(n=7, codewords=np.array(
+        [[0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 0, 1, 1], [0, 0, 0, 0, 1, 1, 1]]))),
 }
 
 
 class TestBlockEnumeration:
-    """Blocks of |Y| and |Y|^2 outputs, so that every codebook spans many
-    blocks, give the same bits as one block and as the full-array formulas."""
+    """Blocks of |Y| and |Y|^2 classes and outputs, so that every codebook
+    spans many blocks, give the same bits as one block and as the full-array
+    formulas."""
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     @pytest.mark.parametrize("kind", ["ml", "mmi"])
@@ -328,6 +365,28 @@ class TestBlockEnumeration:
                 assert np.array_equal(got, want)
             assert np.max(np.abs(blocked[0] - oracle_profile(cb, ch, kind))) <= 1e-12
 
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_each_type_class_scored_once(self, monkeypatch, case):
+        ch, cb = BLOCK_CASES[case]
+        scored = []
+        log_likelihoods = sim._log_likelihoods
+
+        def counting(counts, ch):
+            scored.append(counts.shape[-1])
+            return log_likelihoods(counts, ch)
+
+        monkeypatch.setattr(sim, "_log_likelihoods", counting)
+        exact_error_profile(cb, ch, ML)
+        _, per_type = np.unique(cb.codewords.T, axis=0, return_counts=True)
+        if ch.n_out == 2:
+            assert sum(scored) == math.prod(int(nc) + 1 for nc in per_type)
+        if case == "2x3-mixed":
+            # 10 compositions of 3 positions, 6 of 2 and 3 of 1, in code
+            # spaces 4^2, 3^2 and 3^1
+            assert sorted(per_type.tolist()) == [1, 1, 2, 3]
+            assert sum(scored) == 10 * 6 * 3 * 3
+            assert sim._OutputClasses(cb, ch, 2**20).size == 16 * 9 * 3 * 3
+
     def test_memory_is_one_float_row_per_message_plus_blocks(self):
         # n = 18, M = 4 under MMI peaked at 148 MiB with every output's
         # (M, |X|, |Y|, |Y|^n) counts built at once. The block enumeration
@@ -340,6 +399,29 @@ class TestBlockEnumeration:
         buffer = m * 2**n * 8
         block = m * 2 * 2 * sim._BLOCK_OUTPUTS * 8
         bound = buffer + 8 * block
+        tracemalloc.start()
+        try:
+            prof = exact_error_profile(cb, BSC01, MMI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.per_message.shape == (m,)
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > bound {bound / 2**20:.1f} MiB"
+
+    def test_memory_of_an_incompressible_codebook(self):
+        # n = 16 distinct columns: every type class holds one position, so
+        # there are as many classes as outputs and the per-class table is as
+        # large as the (M, |Y|^n) buffer. Bound: the buffer (4 MiB), the
+        # table (4 MiB) and 8 block arrays of M |X| |Y| 2^14 float64 (4 MiB).
+        n, m = 16, 8
+        patterns = list(range(8)) + [255 - p for p in range(8)]
+        cb = Codebook(n=n, codewords=np.array(
+            [[(p >> msg) & 1 for p in patterns] for msg in range(m)]))
+        assert len({tuple(col) for col in cb.codewords.T}) == n
+        buffer = m * 2**n * 8
+        table = m * 2**n * 8
+        block = m * 2 * 2 * sim._BLOCK_OUTPUTS * 8
+        bound = buffer + table + 8 * block
         tracemalloc.start()
         try:
             prof = exact_error_profile(cb, BSC01, MMI)
