@@ -6,12 +6,10 @@ small-blocklength simulator.
 """
 
 from .prob import (
-    Alphabet,
     Channel,
     CondDist,
     Dist,
     Joint2,
-    Joint3,
     ProbError,
     conditional_entropy,
     coupling_grid,
@@ -19,7 +17,6 @@ from .prob import (
     entropy,
     kl_divergence,
     mutual_information,
-    simplex_grid,
 )
 from .exponents import (
     ML,
@@ -30,10 +27,8 @@ from .exponents import (
     OptimizerOptions,
     RatePoint,
     a_threshold,
-    alpha_threshold,
     expurgated_exponent,
     gamma,
-    gamma_tilde,
     random_coding_exponent,
     sweep,
     trc_exponent,
@@ -65,12 +60,12 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "Channel", "CondDist", "Dist", "Joint2", "Joint3", "ProbError",
+    "Channel", "CondDist", "Dist", "Joint2", "ProbError",
     "conditional_entropy", "coupling_grid", "empirical_joint", "entropy",
-    "kl_divergence", "mutual_information", "simplex_grid",
+    "kl_divergence", "mutual_information",
     "ML", "MMI", "DecodingMetric", "ExponentCurve", "ExponentResult",
-    "OptimizerOptions", "RatePoint", "a_threshold", "alpha_threshold",
-    "expurgated_exponent", "gamma", "gamma_tilde", "random_coding_exponent",
+    "OptimizerOptions", "RatePoint", "a_threshold",
+    "expurgated_exponent", "gamma", "random_coding_exponent",
     "sweep", "trc_exponent",
     "BoundReport", "certify_theorem1", "g_aux", "lambda_bound",
     "ml_upper_bound", "mmi_lower_bound", "phi_bound", "psi", "theta",

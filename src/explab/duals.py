@@ -43,6 +43,7 @@ from .exponents import (
     RatePoint,
     _N_STARTS,
     _metric_ctx,
+    _outer_search,
     _spread_minima,
     _support_slots,
     gamma,
@@ -60,9 +61,7 @@ from .prob import (
 )
 from .search import (
     RowMesh,
-    TransportPolytope,
     golden_max,
-    mi_batch,
     pattern_min,
     row_grid,
     sup_ray,
@@ -337,7 +336,7 @@ class _ThetaProblem:
 
     def _drive(self, qy: np.ndarray, gxp: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
-            d = self.ctx.threshold_batch(qy, self.rate, "a") - gxp
+            d = self.ctx.threshold_batch(qy, self.rate) - gxp
         # -inf on both sides is a feasible tie, as in gamma
         return np.where(np.isnan(d), 0.0, d)
 
@@ -368,7 +367,7 @@ class _ThetaProblem:
         hit = self._seen.get(key)
         if hit is not None:
             return hit
-        d = self.ctx.threshold(st["qy"], self.rate, "a") - st["gxp"]
+        d = self.ctx.threshold(st["qy"], self.rate) - st["gxp"]
         d = 0.0 if math.isnan(d) else d  # as in _drive
         self._add(np.array([st["kl"]]), np.array([d]), lambda idx: rows[None][idx])
         self._seen[key] = (st["kl"], d)
@@ -512,48 +511,11 @@ def _tilted_pair(q_xx: Joint2, rate: float, ch: Channel,
 # ---------------------------------------------------------------------------
 
 
-def _outer_bound(rp: RatePoint, ch: Channel, opts: OptimizerOptions,
-                 per_coupling) -> dict:
+def _outer_bound(rp: RatePoint, opts: OptimizerOptions, per_coupling) -> float:
     """min over couplings {I <= 2R} of per_coupling(q) + I - R, clamped at 0."""
-    qx = rp.composition
-    slack = 1e-12  # see _outer_minimize: no grid slack needed on the cap
-    cap = 2.0 * rp.rate
-    # seed with the always-feasible product coupling (not always a grid point)
-    q_prod = np.outer(qx.probs, qx.probs)
-    best = (per_coupling(q_prod) - rp.rate, q_prod, 0.0)
-    n_feas = 0
-    for j2 in coupling_grid(qx, opts.k):
-        info = mutual_information(j2)
-        if info > cap + slack:
-            continue
-        n_feas += 1
-        val = per_coupling(j2.probs) + info - rp.rate
-        if val < best[0] - 1e-15:
-            best = (val, j2.probs, info)
-
-    poly = TransportPolytope(qx.probs, qx.probs)
-
-    def f(c: np.ndarray) -> float:
-        j = poly.joints(c)
-        if not poly.feasible(j[None])[0]:
-            return math.inf
-        j = np.clip(j, 0.0, None)
-        info = float(mi_batch(j[None])[0])
-        if info > cap + slack:
-            return math.inf
-        return per_coupling(j) + info - rp.rate
-
-    c_ref, v_ref, _ = pattern_min(poly.param_of(best[1]), f, opts.grid_step,
-                                  opts.refine_iters, opts.refine_shrink)
-    raw, coupling = best[0], best[1]
-    if v_ref < raw:
-        raw, coupling = v_ref, np.clip(poly.joints(c_ref), 0.0, None)
-    return {
-        "value": max(float(raw), 0.0),
-        "raw_value": float(raw),
-        "coupling": coupling,
-        "n_feasible": n_feas,
-    }
+    best, (_, v_ref), _, _ = _outer_search(rp, opts, 2.0 * rp.rate,
+                                           lambda q, warm: (per_coupling(q), None))
+    return max(float(min(best[0], v_ref)), 0.0)
 
 
 def ml_upper_bound(rp: RatePoint, ch: Channel,
@@ -573,7 +535,7 @@ def ml_upper_bound(rp: RatePoint, ch: Channel,
             memo[key] = max(psi(j2, ch), theta(j2, rp.rate, ch, rp.composition, opts))
         return memo[key]
 
-    return _outer_bound(rp, ch, opts, per_coupling)["value"]
+    return _outer_bound(rp, opts, per_coupling)
 
 
 def mmi_lower_bound(rp: RatePoint, ch: Channel,
@@ -589,7 +551,7 @@ def mmi_lower_bound(rp: RatePoint, ch: Channel,
             memo[key] = max(_tilted_pair(j2, rp.rate, ch, opts))
         return memo[key]
 
-    return _outer_bound(rp, ch, opts, per_coupling)["value"]
+    return _outer_bound(rp, opts, per_coupling)
 
 
 @dataclass

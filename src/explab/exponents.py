@@ -2,28 +2,37 @@
 exponents of fixed-composition ensembles over a DMC, for the matched
 (ML) and universal (MMI) decoding metrics.
 
-The rate-R exponent of the typical random codebook is the double
-minimization
+Both exponents minimize one objective, with E_trc(R) = E(R, 2R) and
+E_ex(R) = E(R, R):
 
-    E_trc(R) = min over couplings {Q_XX' : I(X;X') <= 2R, both marginals
-               pinned to the composition} of  Gamma(Q_XX', R) + I(X;X') - R,
+    E(R, cap) = min over couplings {Q_XX' : I(X;X') <= cap, both marginals
+                pinned to the composition} of  Gamma(Q_XX', R) + I(X;X') - R.
 
-where the inner value Gamma is itself a constrained minimum over channel
-conditionals Q_{Y|XX'}; the expurgated exponent has the same shape with the
-outer constraint I <= R and a soft-clamped inner penalty (Gamma-tilde). Both
-inner problems reference a rate-dependent threshold (``a_threshold`` /
-``alpha_threshold``): the largest metric score an incorrect codeword of the
-pinned composition can reach among output-conditionals at information cost at
-most R.
+Gamma, the exponent of a pairwise error between codewords of joint type
+Q_XX', is the least D(Q_{Y|XX'} || W | Q_XX') over channel conditionals whose
+competitor score g(Q_X'Y) reaches max{g(Q_XY), a(R, Q_Y)}; the threshold
+a(R, Q_Y) (``a_threshold``) is the largest score of a pinned-composition
+codeword among output conditionals at information cost at most R.
+
+Why the caps differ: a rate-R random codebook holds about e^{n(2R - I)}
+ordered pairs of type Q_XX', e^{n(R - I)} per codeword, each adding its
+pairwise exponent. In the typical codebook every type with I <= 2R occurs
+(Merhav, "Error exponents of typical random codes", IEEE T-IT 2018), but for
+I > R only an exponentially small fraction of codewords have such a
+neighbour. Expurgation deletes them, which removes every type with I > R and
+keeps the per-codeword counts of the rest, so E_ex is the same objective
+capped at R, and E_ex >= E_trc. At the uniform binary composition it is the
+Csiszar-Korner expurgated exponent under both metrics, as the ML = MMI
+corollary of Tamir & Merhav (arXiv:2007.12225) asserts.
 
 All searches follow one scheme (see search.py): exhaustive coarse grid, then
 nested zoom meshes around the incumbent (full local grids with shrinking
 half-width, which keep the thin feasible shells of active score constraints
-covered), then a coordinate shrink-and-probe polish. Hard constraints carry a
-grid-resolution slack that is graded away with the zoom scale, so reported
-witnesses are exactly feasible. None of the feasible sets here are convex for
-the MMI metric, so no solver certificate is claimed beyond the grid
-resolution.
+covered), then a coordinate shrink-and-probe polish. The score constraint
+carries a grid-resolution slack that is graded away with the zoom scale, so
+reported witnesses are exactly feasible. None of the feasible sets here are
+convex for the MMI metric, so no solver certificate is claimed beyond the
+grid resolution.
 """
 
 from __future__ import annotations
@@ -32,13 +41,11 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .prob import Channel, CondDist, Dist, Joint2, ProbError, coupling_grid, mutual_information
 from .search import (
-    GOLDEN,
     RowMesh,
     TransportPolytope,
     elog_batch,
@@ -168,14 +175,14 @@ _QUANT = 4096.0  # lattice for memoizing thresholds on quantized Q_Y
 
 
 class _MetricCtx:
-    """Per-(channel, composition, metric, options) solver state.
+    """Per-(channel, composition, metric, options) solver state: g over
+    joints on X x Y, and the memo of the one threshold a(R, Q_Y).
 
-    Holds the threshold memo cache: ``a_threshold``/``alpha_threshold`` get
-    re-evaluated for every inner candidate's output marginal, so values are
-    memoized on the quantized Q_Y lattice. Get instances from ``_metric_ctx``:
-    the cache is then shared by every solve on the same channel object and
-    freed with it. Entries depend only on their keys, so concurrent
-    insert-or-read races are benign.
+    a(R, Q_Y) is re-evaluated for every inner candidate's output marginal,
+    so values are memoized on the quantized Q_Y lattice. Get instances from
+    ``_metric_ctx``: the cache is then shared by every solve on the same
+    channel object and freed with it. Entries depend only on their keys, so
+    concurrent insert-or-read races are benign.
     """
 
     def __init__(self, ch: Channel, qx: Dist, metric: DecodingMetric, opts: OptimizerOptions):
@@ -186,7 +193,7 @@ class _MetricCtx:
         self.opts = opts
         self.logw = ch.log_matrix
         self._memo: dict[tuple, float] = {}
-        self._tables: dict[tuple, np.ndarray] = {}
+        self._tables: dict[float, np.ndarray] = {}
         self._fast_1d = (
             ch.n_in == 2 and ch.n_out == 2
             and (self.kind == "mmi" or bool(ch.support.all()))
@@ -200,13 +207,12 @@ class _MetricCtx:
 
     # ----- threshold solves ------------------------------------------------
 
-    def threshold(self, qy, rate: float, which: str) -> float:
-        """a(R, Q_Y) for which='a', alpha(R, Q_Y) for which='alpha'; qy is
-        any sequence of the |Y| output probabilities."""
+    def threshold(self, qy, rate: float) -> float:
+        """a(R, Q_Y); qy is any sequence of the |Y| output probabilities."""
         if self._fast_1d:
-            return float(self._lattice_table(rate, which)[round(float(qy[0]) * _QUANT)])
+            return float(self._lattice_table(rate)[round(float(qy[0]) * _QUANT)])
         key_vec = np.rint(np.asarray(qy) * _QUANT).astype(np.int64)
-        key = (which, rate, tuple(key_vec))
+        key = (rate, tuple(key_vec))
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -214,34 +220,33 @@ class _MetricCtx:
         total = snapped.sum()
         if total <= 0:
             raise ProbError("threshold called with a zero output marginal")
-        val = self._solve_threshold(snapped / total, rate, which)
+        val = self._solve_threshold(snapped / total, rate)
         self._memo[key] = val
         return val
 
-    def threshold_batch(self, qy_arr: np.ndarray, rate: float, which: str) -> np.ndarray:
+    def threshold_batch(self, qy_arr: np.ndarray, rate: float) -> np.ndarray:
         if self._fast_1d:  # the lattice is indexed by Q_Y(0) alone
-            return self._lattice_table(rate, which)[np.rint(qy_arr[:, 0] * _QUANT).astype(np.int64)]
+            return self._lattice_table(rate)[np.rint(qy_arr[:, 0] * _QUANT).astype(np.int64)]
         keys = np.rint(qy_arr * _QUANT).astype(np.int64)
         uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
         vals = np.empty(uniq.shape[0])
         for i, u in enumerate(uniq):
-            vals[i] = self.threshold(u / _QUANT, rate, which)
+            vals[i] = self.threshold(u / _QUANT, rate)
         return vals[inverse.reshape(-1)]
 
     # Binary X and Y: the coupling polytope for every Q_Y is one-dimensional,
     # so the whole quantized-Q_Y memo lattice is solved in one vectorized pass
-    # (interval endpoints by bisection, then endpoint/golden evaluation).
+    # (interval endpoints by bisection, then the better endpoint).
 
-    def _lattice_table(self, rate: float, which: str) -> np.ndarray:
-        tkey = (which, rate)
-        table = self._tables.get(tkey)
+    def _lattice_table(self, rate: float) -> np.ndarray:
+        table = self._tables.get(rate)
         if table is None:
             qy0 = np.arange(int(_QUANT) + 1) / _QUANT
-            table = self._solve_1d_batch(np.stack([qy0, 1.0 - qy0], axis=1), rate, which)
-            self._tables[tkey] = table
+            table = self._solve_1d_batch(np.stack([qy0, 1.0 - qy0], axis=1), rate)
+            self._tables[rate] = table
         return table
 
-    def _solve_1d_batch(self, qys: np.ndarray, rate: float, which: str) -> np.ndarray:
+    def _solve_1d_batch(self, qys: np.ndarray, rate: float) -> np.ndarray:
         qx = self.qx.probs
         base = qx[None, :, None] * qys[:, None, :]
         bmove = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -265,62 +270,24 @@ class _MetricCtx:
 
         c_lo = edge(lo)
         c_hi = edge(hi)
-        if which == "alpha" and self.kind == "mmi":
-            return np.full(qys.shape[0], rate)
-        if which == "a" and self.kind == "mmi":
+        if self.kind == "mmi":
             return np.maximum(info(c_lo), info(c_hi))
+        # full channel support: g is affine on the interval, ends win
+        return np.maximum(elog_batch(base + c_lo[:, None, None] * bmove, self.logw),
+                          elog_batch(base + c_hi[:, None, None] * bmove, self.logw))
 
-        def g_of(c: np.ndarray) -> np.ndarray:
-            return elog_batch(base + c[:, None, None] * bmove, self.logw)
-
-        if which == "a":
-            # full channel support: g is affine on the interval, ends win
-            return np.maximum(g_of(c_lo), g_of(c_hi))
-
-        # alpha under ml: g - I + rate is concave on the interval
-        def f(c: np.ndarray) -> np.ndarray:
-            return g_of(c) - info(c) + rate
-
-        a, b = c_lo.copy(), c_hi.copy()
-        x1 = b - GOLDEN * (b - a)
-        x2 = a + GOLDEN * (b - a)
-        f1, f2 = f(x1), f(x2)
-        for _ in range(70):
-            keep_left = f1 >= f2
-            a_new = np.where(keep_left, a, x1)
-            b_new = np.where(keep_left, x2, b)
-            x1_fresh = b_new - GOLDEN * (b_new - a_new)
-            x2_fresh = a_new + GOLDEN * (b_new - a_new)
-            fx1 = f(x1_fresh)
-            fx2 = f(x2_fresh)
-            x1, f1, x2, f2 = (
-                np.where(keep_left, x1_fresh, x2),
-                np.where(keep_left, fx1, f2),
-                np.where(keep_left, x1, x2_fresh),
-                np.where(keep_left, f1, fx2),
-            )
-            a, b = a_new, b_new
-        xm = 0.5 * (a + b)
-        return np.maximum.reduce([f(xm), f(c_lo), f(c_hi)])
-
-    def _solve_threshold(self, qy: np.ndarray, rate: float, which: str) -> float:
+    def _solve_threshold(self, qy: np.ndarray, rate: float) -> float:
         poly = TransportPolytope(self.qx.probs, qy)
         if poly.dim == 0:
             j = poly.base
             if mutual_information(Joint2(j)) > rate + self.opts.slack:
                 return -math.inf
-            return self._threshold_obj(j[None], rate, which)[0]
+            return self.g_batch(j[None])[0]
         if poly.dim == 1:
-            return self._solve_threshold_1d(poly, rate, which)
-        return self._solve_threshold_grid(poly, rate, which)
+            return self._solve_threshold_1d(poly, rate)
+        return self._solve_threshold_grid(poly, rate)
 
-    def _threshold_obj(self, joints: np.ndarray, rate: float, which: str) -> np.ndarray:
-        g = self.g_batch(joints)
-        if which == "a":
-            return g
-        return g - mi_batch(joints) + rate
-
-    def _solve_threshold_1d(self, poly: TransportPolytope, rate: float, which: str) -> float:
+    def _solve_threshold_1d(self, poly: TransportPolytope, rate: float) -> float:
         # One free coordinate: the I <= R region is an exact interval around
         # the product coupling (I is convex with I(0) = 0), so locate its
         # endpoints by bisection and optimize on a dense 1-d grid inside.
@@ -348,36 +315,26 @@ class _MetricCtx:
 
         c_lo = edge(lo)
         c_hi = edge(hi)
-        if which == "a" and self.kind == "mmi":
+        if self.kind == "mmi":
             return max(info(c_lo), info(c_hi))
-        if which == "alpha" and self.kind == "mmi":
-            return rate  # objective I - I + R is constant on the feasible set
         cs = np.linspace(c_lo, c_hi, 129)
         joints = poly.joints(cs[:, None])
         ok = poly.feasible(joints)
-        obj = np.where(ok, self._threshold_obj(np.clip(joints, 0.0, None), rate, which), -np.inf)
+        obj = np.where(ok, self.g_batch(np.clip(joints, 0.0, None)), -np.inf)
         best = int(np.argmax(obj))
         c_best, v_best = cs[best], obj[best]
         span = (c_hi - c_lo) / 128 if c_hi > c_lo else 0.0
 
-        def fneg(c: np.ndarray) -> float:
-            j = poly.joints(c)
-            if not poly.feasible(j[None])[0]:
-                return math.inf
-            j = np.clip(j, 0.0, None)
-            if mi_batch(j[None])[0] > rate + 1e-12:
-                return math.inf
-            return -float(self._threshold_obj(j[None], rate, which)[0])
-
         if span > 0:
             c_ref, v_ref, _ = pattern_min(
-                np.array([c_best]), fneg, span, self.opts.refine_iters, self.opts.refine_shrink
+                np.array([c_best]), lambda c: self._neg_g(poly, c, rate + 1e-12), span,
+                self.opts.refine_iters, self.opts.refine_shrink
             )
             if -v_ref > v_best:
                 v_best = -v_ref
         return float(v_best)
 
-    def _solve_threshold_grid(self, poly: TransportPolytope, rate: float, which: str) -> float:
+    def _solve_threshold_grid(self, poly: TransportPolytope, rate: float) -> float:
         slack = self.opts.slack
         cs = poly.grid(2 * self.opts.k + 1, self.opts.budget_cap // 8)
         joints = poly.joints(cs)
@@ -388,23 +345,23 @@ class _MetricCtx:
             cs = np.vstack([cs, np.zeros((1, poly.dim))])
             joints = poly.joints(cs)
             ok = np.concatenate([ok, [True]])  # product coupling, I = 0
-        obj = np.where(ok, self._threshold_obj(joints, rate, which), -np.inf)
+        obj = np.where(ok, self.g_batch(joints), -np.inf)
         best = int(np.argmax(obj))
-        c0 = cs[best]
-
-        def fneg(c: np.ndarray) -> float:
-            j = poly.joints(c)
-            if not poly.feasible(j[None])[0]:
-                return math.inf
-            j = np.clip(j, 0.0, None)
-            if mi_batch(j[None])[0] > rate + slack:
-                return math.inf
-            return -float(self._threshold_obj(j[None], rate, which)[0])
-
         c_ref, v_ref, _ = pattern_min(
-            c0, fneg, self.opts.grid_step, self.opts.refine_iters, self.opts.refine_shrink
+            cs[best], lambda c: self._neg_g(poly, c, rate + slack), self.opts.grid_step,
+            self.opts.refine_iters, self.opts.refine_shrink
         )
         return float(max(obj[best], -v_ref))
+
+    def _neg_g(self, poly: TransportPolytope, c: np.ndarray, info_cap: float) -> float:
+        """-g at polytope coordinates c; +inf off the polytope or above info_cap."""
+        j = poly.joints(c)
+        if not poly.feasible(j[None])[0]:
+            return math.inf
+        j = np.clip(j, 0.0, None)
+        if mi_batch(j[None])[0] > info_cap:
+            return math.inf
+        return -float(self.g_batch(j[None])[0])
 
 
 # One dict of contexts per live channel object, keyed by id(channel) and
@@ -445,15 +402,7 @@ def a_threshold(rate: float, q_y: Dist, metric: DecodingMetric, ch: Channel,
     """
     _check_rate_inputs(rate, q_y, ch, q_x)
     ctx = _metric_ctx(ch, q_x, metric, opts)
-    return ctx.threshold(q_y.probs, rate, "a")
-
-
-def alpha_threshold(rate: float, q_y: Dist, metric: DecodingMetric, ch: Channel,
-                    q_x: Dist, opts: OptimizerOptions = OptimizerOptions()) -> float:
-    """Same feasible set as a_threshold, objective g(Q_XY) - I(X;Y) + rate."""
-    _check_rate_inputs(rate, q_y, ch, q_x)
-    ctx = _metric_ctx(ch, q_x, metric, opts)
-    return ctx.threshold(q_y.probs, rate, "alpha")
+    return ctx.threshold(q_y.probs, rate)
 
 
 def _check_rate_inputs(rate: float, q_y: Dist, ch: Channel, q_x: Dist) -> None:
@@ -475,19 +424,9 @@ def _support_slots(q_xx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return q_xx[xs, xps], xs, xps
 
 
-def _clamp_penalty(max_side: np.ndarray, gxp: np.ndarray) -> np.ndarray:
+def _clamp_penalty_single(max_side: float, gxp: float) -> float:
     """[max_side - gxp]_+ with the -inf cases resolved: a -inf score for the
     competitor is an infinite penalty unless the reference side is -inf too."""
-    with np.errstate(invalid="ignore"):
-        pen = np.maximum(max_side - gxp, 0.0)
-    dead_xp = np.isneginf(gxp)
-    pen = np.where(dead_xp & np.isneginf(max_side), 0.0, pen)
-    pen = np.where(dead_xp & ~np.isneginf(max_side), np.inf, pen)
-    return pen
-
-
-def _clamp_penalty_single(max_side: float, gxp: float) -> float:
-    """``_clamp_penalty`` of one candidate."""
     if gxp == -math.inf:
         return 0.0 if max_side == -math.inf else math.inf
     return max(max_side - gxp, 0.0)
@@ -516,14 +455,13 @@ def _spread_minima(obj: np.ndarray, k: int, shape: tuple[int, ...]) -> list[int]
 
 
 class _InnerSolve:
-    """Grid + refinement over the conditional rows Q_{Y|XX'} for Gamma (hard
-    score constraint) and Gamma-tilde (clamped penalty)."""
+    """Grid + refinement over the conditional rows Q_{Y|XX'} for Gamma at one
+    coupling: minimize D(Q_{Y|XX'} || W | Q_XX') subject to the score
+    constraint g(Q_X'Y) >= max{g(Q_XY), a(R, Q_Y)}."""
 
-    def __init__(self, ctx: _MetricCtx, q_xx: np.ndarray, rate: float, tilde: bool):
+    def __init__(self, ctx: _MetricCtx, q_xx: np.ndarray, rate: float):
         self.ctx = ctx
         self.rate = rate
-        self.tilde = tilde
-        self.which = "alpha" if tilde else "a"
         weights, xs, xps = _support_slots(q_xx)
         ch = ctx.ch
         self.mesh = RowMesh(weights, xs, xps,
@@ -532,27 +470,21 @@ class _InnerSolve:
 
     def _objective(self, arrs: dict) -> np.ndarray:
         """Objective over a ``RowMesh.build`` result, under the base slack."""
-        avals = self.ctx.threshold_batch(arrs["qy"], self.rate, self.which)
-        max_side = np.maximum(arrs["gx"], avals)
-        if self.tilde:
-            return arrs["kl"] + _clamp_penalty(max_side, arrs["gxp"])
-        feas = arrs["gxp"] >= max_side - self.ctx.opts.slack
+        avals = self.ctx.threshold_batch(arrs["qy"], self.rate)
+        feas = arrs["gxp"] >= np.maximum(arrs["gx"], avals) - self.ctx.opts.slack
         return np.where(feas, arrs["kl"], np.inf)
 
     def _objective_single(self, rows: np.ndarray, slack: float | None = None) -> float:
         st = self.mesh.stats_of(rows, self.ctx.kind)
-        max_side = max(st["gx"], self.ctx.threshold(st["qy"], self.rate, self.which))
-        if self.tilde:
-            return st["kl"] + _clamp_penalty_single(max_side, st["gxp"])
+        max_side = max(st["gx"], self.ctx.threshold(st["qy"], self.rate))
         feas = st["gxp"] >= max_side - (self.ctx.opts.slack if slack is None else slack)
         return st["kl"] if feas else math.inf
 
     def _margin(self, rows: np.ndarray) -> float:
         st = self.mesh.stats_of(rows, self.ctx.kind)
-        return st["gxp"] - max(st["gx"], self.ctx.threshold(st["qy"], self.rate, self.which))
+        return st["gxp"] - max(st["gx"], self.ctx.threshold(st["qy"], self.rate))
 
-    def solve(self, warm_rows: np.ndarray | None = None,
-              extra_starts: list[np.ndarray] | None = None) -> dict:
+    def solve(self, warm_rows: np.ndarray | None = None) -> dict:
         """Full solve: global grid -> zoom refinement -> pattern polish.
 
         A warm start (witness rows from a nearby coupling's solve) skips the
@@ -577,8 +509,6 @@ class _InnerSolve:
                 starts.append((mesh.rows_of(idx), float(obj[idx])))
         else:
             starts.append(self._sweep_start()[:2])
-        for rows in extra_starts or []:
-            starts.append((rows, self._objective_single(rows)))
         if not starts or not math.isfinite(starts[0][1]):
             # nothing feasible yet: manufacture a start with the soft-penalty
             # ladder before giving up (the feasible set may be a thin shell
@@ -600,16 +530,14 @@ class _InnerSolve:
             if v_z < v_best:
                 rows_best, v_best = rows_z, v_z
 
-        if not self.tilde:
-            # repair to exact feasibility before the exact-slack polish
-            rows_best, v_best = self._exact_feasible(rows_best, anchor)
-        final_slack = 0.0 if not self.tilde else None
+        # repair to exact feasibility before the exact-slack polish
+        rows_best, v_best = self._exact_feasible(rows_best, anchor)
 
         def f(params: np.ndarray) -> float:
             rows = mesh.params_to_rows(params)
             if rows is None:
                 return math.inf
-            return self._objective_single(rows, slack=final_slack)
+            return self._objective_single(rows, slack=0.0)
 
         p_ref, v_ref, ev = pattern_min(
             mesh.rows_to_params(rows_best), f,
@@ -650,29 +578,23 @@ class _InnerSolve:
                             grids, self.mesh.nx, ctx.ch.log_matrix)
             arrs = local.build(ctx.kind)
             evals += arrs["kl"].size
-            if self.tilde:
-                obj = self._objective(arrs)
-                best = int(np.argmin(obj))
-                if np.isfinite(obj[best]) and obj[best] < val - 1e-15:
-                    rows, val = local.rows_of(best), float(obj[best])
-            else:
-                # one pass serves both the graded-slack objective and the
-                # strictly feasible anchor used by the final repair
-                avals = ctx.threshold_batch(arrs["qy"], self.rate, self.which)
-                with np.errstate(invalid="ignore"):
-                    margin = arrs["gxp"] - np.maximum(arrs["gx"], avals)
-                # -inf on both sides counts as a (boundary) feasible tie
-                margin = np.where(np.isnan(margin), 0.0, margin)
-                slack_h = ctx.opts.slack * (h / ctx.opts.grid_step)
-                obj = np.where(margin >= -slack_h, arrs["kl"], np.inf)
-                best = int(np.argmin(obj))
-                if np.isfinite(obj[best]) and obj[best] < val - 1e-15:
-                    rows, val = local.rows_of(best), float(obj[best])
-                strict = np.where(margin >= 0.0, arrs["kl"], np.inf)
-                sbest = int(np.argmin(strict))
-                if np.isfinite(strict[sbest]) and strict[sbest] < anchor["kl"]:
-                    anchor["rows"] = local.rows_of(sbest)
-                    anchor["kl"] = float(strict[sbest])
+            # one pass serves both the graded-slack objective and the
+            # strictly feasible anchor used by the final repair
+            avals = ctx.threshold_batch(arrs["qy"], self.rate)
+            with np.errstate(invalid="ignore"):
+                margin = arrs["gxp"] - np.maximum(arrs["gx"], avals)
+            # -inf on both sides counts as a (boundary) feasible tie
+            margin = np.where(np.isnan(margin), 0.0, margin)
+            slack_h = ctx.opts.slack * (h / ctx.opts.grid_step)
+            obj = np.where(margin >= -slack_h, arrs["kl"], np.inf)
+            best = int(np.argmin(obj))
+            if np.isfinite(obj[best]) and obj[best] < val - 1e-15:
+                rows, val = local.rows_of(best), float(obj[best])
+            strict = np.where(margin >= 0.0, arrs["kl"], np.inf)
+            sbest = int(np.argmin(strict))
+            if np.isfinite(strict[sbest]) and strict[sbest] < anchor["kl"]:
+                anchor["rows"] = local.rows_of(sbest)
+                anchor["kl"] = float(strict[sbest])
             h *= ctx.opts.refine_shrink
         return rows, val, evals
 
@@ -713,7 +635,7 @@ class _InnerSolve:
                 if rows is None:
                     return math.inf
                 st = mesh.stats_of(rows, ctx.kind)
-                aval = ctx.threshold(st["qy"], self.rate, self.which)
+                aval = ctx.threshold(st["qy"], self.rate)
                 return st["kl"] + lam * _clamp_penalty_single(max(st["gx"], aval), st["gxp"])
             return f
 
@@ -767,24 +689,7 @@ def gamma(q_xx: Joint2, rate: float, metric: DecodingMetric, ch: Channel,
     """
     _check_coupling(q_xx, q_x, opts)
     ctx = _metric_ctx(ch, q_x, metric, opts)
-    return _InnerSolve(ctx, q_xx.probs, rate, tilde=False).solve()["value"]
-
-
-def gamma_tilde(q_xx: Joint2, rate: float, metric: DecodingMetric, ch: Channel,
-                q_x: Dist, opts: OptimizerOptions = OptimizerOptions()) -> float:
-    """Unconstrained variant: the score shortfall enters as the clamped
-    penalty [max{g(Q_XY), alpha(R,Q_Y)} - g(Q_X'Y)]_+ instead of a hard
-    constraint.
-
-    The hard-constraint witness is fed in as an extra start: it is feasible
-    for the penalized problem at zero penalty, which keeps the computed value
-    at or below the computed hard-constraint minimum.
-    """
-    _check_coupling(q_xx, q_x, opts)
-    ctx = _metric_ctx(ch, q_x, metric, opts)
-    hard = _InnerSolve(ctx, q_xx.probs, rate, tilde=False).solve()
-    return _InnerSolve(ctx, q_xx.probs, rate, tilde=True).solve(
-        extra_starts=[hard["rows"]])["value"]
+    return _InnerSolve(ctx, q_xx.probs, rate).solve()["value"]
 
 
 def _check_coupling(q_xx: Joint2, q_x: Dist, opts: OptimizerOptions) -> None:
@@ -802,10 +707,19 @@ def _check_coupling(q_xx: Joint2, q_x: Dist, opts: OptimizerOptions) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _outer_minimize(rp: RatePoint, ch: Channel, opts: OptimizerOptions,
-                    info_cap: float,
-                    inner: Callable[..., dict],
-                    reeval: Callable[[np.ndarray, np.ndarray], float]) -> ExponentResult:
+def _outer_search(rp: RatePoint, opts: OptimizerOptions, cap: float,
+                  per_coupling) -> tuple:
+    """min over couplings {Q_XX' : I(X;X') <= cap} of per_coupling + I - R.
+
+    per_coupling(q, warm) returns (value, payload). The product coupling
+    seeds the search, the coupling grid is scanned exhaustively, and a
+    pattern polish refines the grid winner; inside the polish, ``warm`` is
+    the incumbent's payload whenever the probe has its support pattern
+    (None everywhere else). Returns the grid incumbent
+    (value, coupling, payload, information), the polish result
+    (coupling, value), the number of feasible grid couplings and the
+    polish evaluation count.
+    """
     qx = rp.composition
     # the coupling polytope always contains the product point in its
     # interior, so the information cap needs no grid slack
@@ -814,24 +728,21 @@ def _outer_minimize(rp: RatePoint, ch: Channel, opts: OptimizerOptions,
     # always a grid point (its entries need not be multiples of the step),
     # so it seeds the search unconditionally
     q_prod = np.outer(qx.probs, qx.probs)
-    res0 = inner(q_prod)
-    best = (res0["value"] - rp.rate, q_prod, res0, 0.0)
+    v0, payload0 = per_coupling(q_prod, None)
+    best = (v0 - rp.rate, q_prod, payload0, 0.0)
     n_feasible = 0
     for j2 in coupling_grid(qx, opts.k):
-        q = j2.probs
         info = mutual_information(j2)
-        if info > info_cap + slack:
+        if info > cap + slack:
             continue
         n_feasible += 1
-        res = inner(q)
-        total = res["value"] + info - rp.rate
+        v, payload = per_coupling(j2.probs, None)
+        total = v + info - rp.rate
         if total < best[0] - 1e-15:
-            best = (total, q, res, info)
+            best = (total, j2.probs, payload, info)
 
     poly = TransportPolytope(qx.probs, qx.probs)
-    # refinement probes warm-start the inner solve from the incumbent's
-    # witness whenever the coupling support pattern matches
-    state = {"rows": best[2]["rows"], "sig": _support_sig(best[1]), "val": best[0]}
+    state = {"payload": best[2], "sig": _support_sig(best[1]), "val": best[0]}
 
     def f(c: np.ndarray) -> float:
         j = poly.joints(c)
@@ -839,29 +750,41 @@ def _outer_minimize(rp: RatePoint, ch: Channel, opts: OptimizerOptions,
             return math.inf
         j = np.clip(j, 0.0, None)
         info = float(mi_batch(j[None])[0])
-        if info > info_cap + slack:
+        if info > cap + slack:
             return math.inf
-        warm = state["rows"] if _support_sig(j) == state["sig"] else None
-        res = inner(j, warm)
-        val = res["value"] + info - rp.rate
+        sig = _support_sig(j)
+        v, payload = per_coupling(j, state["payload"] if sig == state["sig"] else None)
+        val = v + info - rp.rate
         if val < state["val"]:
-            state.update(rows=res["rows"], sig=_support_sig(j), val=val)
+            state.update(payload=payload, sig=sig, val=val)
         return val
 
-    c0 = poly.param_of(best[1])
     c_ref, v_ref, evals = pattern_min(
-        c0, f, opts.grid_step, opts.refine_iters, opts.refine_shrink
+        poly.param_of(best[1]), f, opts.grid_step, opts.refine_iters, opts.refine_shrink
     )
+    return best, (np.clip(poly.joints(c_ref), 0.0, None), v_ref), n_feasible, evals
+
+
+def _outer_minimize(rp: RatePoint, metric: DecodingMetric, ch: Channel,
+                    opts: OptimizerOptions, info_cap: float) -> ExponentResult:
+    """E(R, info_cap): Gamma + I - R over the couplings with I <= info_cap."""
+    ctx = _metric_ctx(ch, rp.composition, metric, opts)
+
+    def per_coupling(q: np.ndarray, warm: dict | None) -> tuple[float, dict]:
+        # polish probes warm-start from the incumbent's witness rows
+        res = _InnerSolve(ctx, q, rp.rate).solve(None if warm is None else warm["rows"])
+        return res["value"], res
+
+    best, (j, v_ref), n_feasible, evals = _outer_search(rp, opts, info_cap, per_coupling)
     if v_ref < best[0]:
-        j = np.clip(poly.joints(c_ref), 0.0, None)
-        res = inner(j)  # cold re-solve at the winning coupling
+        res = _InnerSolve(ctx, j, rp.rate).solve()  # cold re-solve at the winning coupling
         best = (min(v_ref, res["value"] + float(mi_batch(j[None])[0]) - rp.rate),
                 j, res, float(mi_batch(j[None])[0]))
 
     raw, q, res, info = best
     rows_full = _full_conditional(ch, q, res["rows"])
     # witness consistency: re-evaluate the objective at the reported rows
-    recheck = reeval(q, res["rows"]) + info - rp.rate
+    recheck = _InnerSolve(ctx, q, rp.rate)._objective_single(res["rows"]) + info - rp.rate
     diag = {
         "raw_value": float(raw),
         "coupling_information": info,
@@ -899,31 +822,16 @@ def _full_conditional(ch: Channel, q_xx: np.ndarray, support_rows: np.ndarray) -
 def trc_exponent(rp: RatePoint, metric: DecodingMetric, ch: Channel,
                  opts: OptimizerOptions = OptimizerOptions()) -> ExponentResult:
     """Exponent of the typical random fixed-composition codebook at rate R:
-    outer constraint I(X;X') <= 2R, inner value Gamma."""
-    ctx = _metric_ctx(ch, rp.composition, metric, opts)
-
-    def inner(q: np.ndarray, warm: np.ndarray | None = None) -> dict:
-        return _InnerSolve(ctx, q, rp.rate, tilde=False).solve(warm)
-
-    def reeval(q: np.ndarray, rows: np.ndarray) -> float:
-        return _InnerSolve(ctx, q, rp.rate, tilde=False)._objective_single(rows)
-
-    return _outer_minimize(rp, ch, opts, 2.0 * rp.rate, inner, reeval)
+    Gamma + I - R over the couplings with I(X;X') <= 2R."""
+    return _outer_minimize(rp, metric, ch, opts, 2.0 * rp.rate)
 
 
 def expurgated_exponent(rp: RatePoint, metric: DecodingMetric, ch: Channel,
                         opts: OptimizerOptions = OptimizerOptions()) -> ExponentResult:
     """Exponent guaranteed after expurgating the worse half of a random
-    codebook: outer constraint I(X;X') <= R, inner value Gamma-tilde."""
-    ctx = _metric_ctx(ch, rp.composition, metric, opts)
-
-    def inner(q: np.ndarray, warm: np.ndarray | None = None) -> dict:
-        return _InnerSolve(ctx, q, rp.rate, tilde=True).solve(warm)
-
-    def reeval(q: np.ndarray, rows: np.ndarray) -> float:
-        return _InnerSolve(ctx, q, rp.rate, tilde=True)._objective_single(rows)
-
-    return _outer_minimize(rp, ch, opts, rp.rate, inner, reeval)
+    codebook: the TRC objective Gamma + I - R with the coupling cap at
+    I(X;X') <= R in place of 2R (see the module docstring)."""
+    return _outer_minimize(rp, metric, ch, opts, rp.rate)
 
 
 def random_coding_exponent(rp: RatePoint, ch: Channel,

@@ -6,8 +6,7 @@ manipulates the handful of objects defined here:
 
 - ``Dist``      -- a probability vector over a finite alphabet,
 - ``CondDist``  -- a stack of rows, one ``Dist`` per conditioning symbol,
-- ``Joint2``    -- a joint matrix with queryable marginals/conditionals,
-- ``Joint3``    -- a three-way joint tensor,
+- ``Joint2``    -- a joint matrix with queryable marginals,
 - ``Channel``   -- a per-symbol transition matrix with an explicit support mask.
 
 Conventions, applied uniformly:
@@ -24,14 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 SUM_TOL = 1e-12
 MEASURE_TOL = 1e-10
 
-# simplex_grid refuses to enumerate more points than this unless overridden
+# simplex_grid_array refuses to enumerate more points than this unless overridden
 DEFAULT_GRID_CAP = 5_000_000
 
 
@@ -58,17 +57,6 @@ def _check_simplex(p: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """A finite alphabet; symbols are the indices ``0 .. size-1``."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
-            raise ProbError(f"alphabet size must be a positive integer, got {self.size!r}")
-
-
-@dataclass(frozen=True)
 class Dist:
     """Probability vector over a finite alphabet."""
 
@@ -82,9 +70,6 @@ class Dist:
     @property
     def size(self) -> int:
         return self.probs.size
-
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.size)
 
     @staticmethod
     def uniform(size: int) -> "Dist":
@@ -120,9 +105,6 @@ class CondDist:
     def n_out(self) -> int:
         return self.rows.shape[-1]
 
-    def row(self, *idx: int) -> Dist:
-        return Dist(self.rows[idx])
-
 
 @dataclass(frozen=True)
 class Joint2:
@@ -143,14 +125,6 @@ class Joint2:
     def marginal_col(self) -> Dist:
         return Dist(self.probs.sum(axis=0))
 
-    def conditional_row_given_col(self) -> np.ndarray:
-        """Raw rows P(row | col); columns of zero mass come back uniform."""
-        col = self.probs.sum(axis=0)
-        safe = np.where(col > 0, col, 1.0)
-        out = self.probs / safe[None, :]
-        out[:, col == 0] = 1.0 / self.probs.shape[0]
-        return out
-
     @staticmethod
     def from_product(p: Dist, q: Dist) -> "Joint2":
         return Joint2(np.outer(p.probs, q.probs))
@@ -159,27 +133,6 @@ class Joint2:
     def from_input_and_rows(p: Dist, rows: np.ndarray) -> "Joint2":
         """Joint p(x) * rows(y|x)."""
         return Joint2(p.probs[:, None] * np.asarray(rows, dtype=float))
-
-
-@dataclass(frozen=True)
-class Joint3:
-    """Joint distribution over a triple of finite alphabets."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.probs, dtype=float)
-        if t.ndim != 3:
-            raise ProbError(f"Joint3 must be a 3-tensor, got shape {t.shape}")
-        _check_simplex(t.reshape(-1), "Joint3")
-        object.__setattr__(self, "probs", _freeze(np.clip(t, 0.0, 1.0)))
-
-    def marginal(self, axis_keep: tuple[int, int]) -> Joint2:
-        drop = ({0, 1, 2} - set(axis_keep)).pop()
-        m = self.probs.sum(axis=drop)
-        if axis_keep[0] > axis_keep[1]:
-            m = m.T
-        return Joint2(m)
 
 
 @dataclass(frozen=True)
@@ -313,17 +266,11 @@ def simplex_grid_array(dim: int, k: int, cap: int = DEFAULT_GRID_CAP) -> np.ndar
     N = C(k+dim-1, dim-1).
     """
     if dim < 1 or k < 1:
-        raise ProbError(f"simplex_grid needs dim >= 1 and k >= 1, got {dim}, {k}")
+        raise ProbError(f"simplex_grid_array needs dim >= 1 and k >= 1, got {dim}, {k}")
     n = simplex_grid_size(dim, k)
     if n > cap:
         raise ProbError(f"simplex grid would emit {n} points, above the cap {cap}")
     return _freeze(_simplex_grid_counts(dim, k) / k)
-
-
-def simplex_grid(dim: int, k: int, cap: int = DEFAULT_GRID_CAP) -> Iterator[Dist]:
-    """Enumerate simplex grid points as ``Dist`` objects (lexicographic)."""
-    for row in simplex_grid_array(dim, k, cap):
-        yield Dist(row)
 
 
 def _contingency_tables(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[np.ndarray]:

@@ -18,10 +18,8 @@ from explab.exponents import (
     OptimizerOptions,
     RatePoint,
     a_threshold,
-    alpha_threshold,
     expurgated_exponent,
     gamma,
-    gamma_tilde,
     random_coding_exponent,
     sweep,
     trc_exponent,
@@ -36,12 +34,9 @@ OPTS = OptimizerOptions()
 # frozen independent-oracle values (dense linspace scans / exhaustive grids,
 # separate code path from the solvers; see the assertions for the bands)
 A_ML_R02_K64 = -0.5516717579292457        # k=64 rows grid, exact-marginal subset
-ALPHA_ML_R02_K64 = -0.5401147444410908
 GAMMA_PROD_R01_K64 = 0.26242326943728905  # same value for both metrics
-GAMMA_TILDE_ANTI_ML_K64 = 0.9932372224400762
 ER_ZERO_K128 = 0.22314355131420988        # also the closed form -log(0.8)
 
-DIAG = Joint2(np.diag([0.5, 0.5]))
 PROD = Joint2(np.full((2, 2), 0.25))
 ANTI = Joint2(np.array([[0.0, 0.5], [0.5, 0.0]]))
 
@@ -122,26 +117,6 @@ class TestAThreshold:
         assert 0.0 <= v_mmi <= 0.15 + 1e-9
 
 
-class TestAlphaThreshold:
-    def test_mmi_rate_zero(self):
-        assert alpha_threshold(0.0, UNIF, MMI, BSC01, UNIF, OPTS) == pytest.approx(0.0, abs=1e-9)
-
-    def test_mmi_equals_rate(self):
-        # objective I - I + R is constant on the feasible set
-        assert alpha_threshold(0.17, UNIF, MMI, BSC01, UNIF, OPTS) == pytest.approx(0.17, abs=1e-9)
-
-    def test_dominates_a_threshold(self):
-        for r in (0.05, 0.15, 0.3):
-            for metric in (ML, MMI):
-                a = a_threshold(r, UNIF, metric, BSC01, UNIF, OPTS)
-                al = alpha_threshold(r, UNIF, metric, BSC01, UNIF, OPTS)
-                assert al >= a - 1e-9
-
-    def test_ml_oracle_band(self):
-        val = alpha_threshold(0.2, UNIF, ML, BSC01, UNIF, OPTS)
-        assert ALPHA_ML_R02_K64 - 1e-9 <= val <= ALPHA_ML_R02_K64 + 0.05
-
-
 class TestGamma:
     def test_diagonal_smallest_at_rate_zero(self):
         # exhaustive over the k=8 coupling grid: the diagonal coupling's
@@ -176,35 +151,6 @@ class TestGamma:
             gamma(bad, 0.1, ML, BSC01, UNIF, OPTS)
 
 
-class TestGammaTilde:
-    def test_upper_bounded_by_gamma_low_rates(self):
-        for z in (0.25, 0.375, 0.5):
-            q = Joint2(np.array([[z, 0.5 - z], [0.5 - z, z]]))
-            for r in (0.05, 0.1, 0.15):
-                for metric in (ML, MMI):
-                    g = gamma(q, r, metric, BSC01, UNIF, OPTS)
-                    gt = gamma_tilde(q, r, metric, BSC01, UNIF, OPTS)
-                    assert gt <= g + 1e-6
-
-    def test_antidiag_ml_oracle_band(self):
-        # both the engine and the k=64 oracle are approximate minimizers of a
-        # multi-basin landscape; they must agree to grid resolution
-        val = gamma_tilde(ANTI, 0.1, ML, BSC01, UNIF, OPTS)
-        assert val == pytest.approx(GAMMA_TILDE_ANTI_ML_K64, abs=5e-3)
-
-    def test_antidiag_mmi_zero(self):
-        # true-channel rows give equal transmit/competitor informations and
-        # alpha = R below them, so the clamp penalty vanishes at zero cost
-        val = gamma_tilde(ANTI, 0.1, MMI, BSC01, UNIF, OPTS)
-        assert val == pytest.approx(0.0, abs=1e-8)
-
-    def test_diag_unconstrained_form(self):
-        # diagonal coupling at rate 0: the clamp never binds, so the value is
-        # the unconstrained KL minimum, which is 0 at the true channel rows
-        val = gamma_tilde(DIAG, 0.0, ML, BSC01, UNIF, OPTS)
-        assert val == pytest.approx(0.0, abs=1e-8)
-
-
 class TestTrcExponent:
     def test_rate_zero_equals_product_gamma(self):
         rp = RatePoint(0.0, UNIF)
@@ -234,11 +180,13 @@ class TestTrcExponent:
 
 
 class TestExpurgatedExponent:
-    def test_rate_zero_equals_product_gamma_tilde(self):
+    def test_rate_zero_equals_product_gamma(self):
+        # at R = 0 the cap I(X;X') <= R leaves the product coupling alone
         rp = RatePoint(0.0, UNIF)
-        res = expurgated_exponent(rp, ML, BSC01, OPTS)
-        direct = gamma_tilde(PROD, 0.0, ML, BSC01, UNIF, OPTS)
-        assert res.value == pytest.approx(direct, abs=1e-6)
+        for metric in (ML, MMI):
+            res = expurgated_exponent(rp, metric, BSC01, OPTS)
+            direct = gamma(PROD, 0.0, metric, BSC01, UNIF, OPTS)
+            assert res.value == pytest.approx(direct, abs=1e-6)
 
     def test_dominates_random_coding(self):
         for r in (0.05, 0.15):
@@ -329,9 +277,9 @@ class TestSharedContext:
         solved = []
         solve = exponents._MetricCtx._solve_1d_batch
 
-        def counted(self, qys, rate, which):
-            solved.append((self.kind, rate, which))
-            return solve(self, qys, rate, which)
+        def counted(self, qys, rate):
+            solved.append((self.kind, rate))
+            return solve(self, qys, rate)
 
         monkeypatch.setattr(exponents._MetricCtx, "_solve_1d_batch", counted)
         return solved
@@ -341,7 +289,7 @@ class TestSharedContext:
         # serves gamma and trc
         solved = self._count_lattices(monkeypatch)
         certify_theorem1(RatePoint(0.01, UNIF), Channel.bsc(0.1), OPTS)
-        assert sorted(solved) == [("ml", 0.01, "a"), ("mmi", 0.01, "a")]
+        assert sorted(solved) == [("ml", 0.01), ("mmi", 0.01)]
 
     def test_each_cli_command_starts_cold(self, monkeypatch, tmp_path):
         solved = self._count_lattices(monkeypatch)
@@ -372,7 +320,7 @@ class TestSharedContext:
 
         def lookup(_):
             ctx = exponents._metric_ctx(ch, UNIF, ML, OPTS)
-            return ctx, ctx.threshold_batch(qys, 0.05, "a")
+            return ctx, ctx.threshold_batch(qys, 0.05)
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from explab.prob import (
-    Alphabet,
     Channel,
     CondDist,
     Dist,
     Joint2,
-    Joint3,
     ProbError,
     conditional_entropy,
     coupling_grid,
@@ -18,7 +16,6 @@ from explab.prob import (
     entropy,
     kl_divergence,
     mutual_information,
-    simplex_grid,
     simplex_grid_array,
     simplex_grid_size,
 )
@@ -35,11 +32,6 @@ def bsc(p):
 
 
 class TestTypes:
-    def test_alphabet_validation(self):
-        assert Alphabet(3).size == 3
-        with pytest.raises(ProbError):
-            Alphabet(0)
-
     def test_dist_validation(self):
         with pytest.raises(ProbError):
             Dist(np.array([0.5, 0.6]))
@@ -52,14 +44,6 @@ class TestTypes:
         j = Joint2(np.array([[0.5, 0.25], [0.0, 0.25]]))
         assert np.allclose(j.marginal_row().probs, [0.75, 0.25])
         assert np.allclose(j.marginal_col().probs, [0.5, 0.5])
-
-    def test_joint3_marginal(self):
-        t = np.zeros((2, 2, 2))
-        t[0, 1, 0] = 0.5
-        t[1, 0, 1] = 0.5
-        j3 = Joint3(t)
-        j_xy = j3.marginal((0, 2))
-        assert np.allclose(j_xy.probs, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_channel_support(self):
         z = Channel.from_rows([[1.0, 0.0], [0.5, 0.5]])
@@ -184,11 +168,11 @@ class TestEmpiricalJoint:
 
 class TestSimplexGrid:
     def test_binary_k2(self):
-        pts = [tuple(d.probs) for d in simplex_grid(2, 2)]
+        pts = [tuple(row) for row in simplex_grid_array(2, 2)]
         assert pts == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
 
     def test_dim1(self):
-        assert [tuple(d.probs) for d in simplex_grid(1, 7)] == [(1.0,)]
+        assert [tuple(row) for row in simplex_grid_array(1, 7)] == [(1.0,)]
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
@@ -224,7 +208,7 @@ class TestCouplingGrid:
         assert cs[0].probs[0, 0] == 1.0
 
     def test_filter_equivalence_with_simplex_grid(self):
-        # couplings are exactly the simplex_grid(dim^2, k) points with both
+        # couplings are exactly the simplex_grid_array(dim^2, k) points with both
         # marginals equal to q
         q = Dist(np.array([0.5, 0.5]))
         k = 4
