@@ -22,7 +22,8 @@ per-coupling order: lambda, phi and Gamma_MMI are invariant under a
 relabelling of X', psi, theta and Gamma_ML are not.
 
 ``ml_upper_bound`` / ``mmi_lower_bound`` push max{psi, theta} and
-max{lambda, phi} through the common outer coupling minimization, and
+max{lambda, phi} (lambda alone at rates at or above I(Q_X;W)) through the
+common outer coupling minimization, and
 ``certify_theorem1`` assembles every margin into a report. Certification
 never asserts: each inequality is reported with its measured margin, and
 infinities (zero channel support between row pairs) are propagated as
@@ -42,6 +43,7 @@ from .exponents import (
     OptimizerOptions,
     RatePoint,
     _N_STARTS,
+    _channel_memo,
     _metric_ctx,
     _outer_search,
     _spread_minima,
@@ -256,15 +258,19 @@ def _lower_front(kl: np.ndarray, drive: np.ndarray) -> np.ndarray:
     front = order[ds < prev][::-1]  # drive ascending, kl descending
     if np.isneginf(drive[front]).any():
         return front
+    # the hull in plain floats: the same products and differences as on
+    # numpy scalars, so the same decisions
+    kl_l, drive_l = kl.tolist(), drive.tolist()
     hull: list[int] = []
-    for t in front:
+    for t in front.tolist():
+        kt, dt = kl_l[t], drive_l[t]
         while len(hull) >= 2:
             o, a = hull[-2], hull[-1]
-            if ((drive[a] - drive[o]) * (kl[t] - kl[o])
-                    - (kl[a] - kl[o]) * (drive[t] - drive[o])) > 0:
+            ko, do = kl_l[o], drive_l[o]
+            if ((drive_l[a] - do) * (kt - ko) - (kl_l[a] - ko) * (dt - do)) > 0:
                 break
             hull.pop()
-        hull.append(int(t))
+        hull.append(t)
     return np.array(hull, dtype=int)
 
 
@@ -343,6 +349,10 @@ class _ThetaProblem:
     def _add(self, kl: np.ndarray, drive: np.ndarray, rows_of) -> None:
         """Merge candidates into the pool, keeping its lower front; rows_of
         maps candidate indices to their rows (only survivors are built)."""
+        if kl.size == 1 and ((self.kl <= kl[0]) & (self.drive <= drive[0])).any():
+            # weakly dominated by a pool member: it cannot enter the front,
+            # nor lower the running minimum of drive that filters the rest
+            return
         ok = np.flatnonzero(np.isfinite(kl) & ~np.isposinf(drive))
         new = ok[_lower_front(kl[ok], drive[ok])]
         kl = np.concatenate([self.kl, kl[new]])
@@ -415,7 +425,13 @@ class _ThetaProblem:
 
 def _theta_full(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
                 opts: OptimizerOptions) -> dict:
-    return _ThetaProblem(q_xx, rate, ch, q_x, opts).solve()
+    """theta's solve, memoized per channel on (rate, the coupling's bytes)."""
+    memo = _channel_memo(ch, "theta", q_x.probs.tobytes(), opts)
+    key = (rate, q_xx.probs.tobytes())
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _ThetaProblem(q_xx, rate, ch, q_x, opts).solve()
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +517,15 @@ def phi_bound(q_xx: Joint2, rate: float, ch: Channel,
 
 def _tilted_pair(q_xx: Joint2, rate: float, ch: Channel,
                  opts: OptimizerOptions) -> tuple[float, float]:
-    """lambda_bound and phi_bound sharing one mesh evaluation."""
-    prob = _TiltedProblem(q_xx, ch, opts)
-    return prob.solve("balance")["value"], prob.solve("rate", rate)["value"]
+    """lambda_bound and phi_bound sharing one mesh evaluation, memoized per
+    channel on (rate, the coupling's bytes)."""
+    memo = _channel_memo(ch, "tilted", opts)
+    key = (rate, q_xx.probs.tobytes())
+    hit = memo.get(key)
+    if hit is None:
+        prob = _TiltedProblem(q_xx, ch, opts)
+        hit = memo[key] = (prob.solve("balance")["value"], prob.solve("rate", rate)["value"])
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -541,17 +563,27 @@ def ml_upper_bound(rp: RatePoint, ch: Channel,
 def mmi_lower_bound(rp: RatePoint, ch: Channel,
                     opts: OptimizerOptions = OptimizerOptions()) -> float:
     """Lower bound on the MMI-decoding TRC exponent:
-    min over {I <= 2R} of max{lambda, phi} + I - R."""
+    min over {I <= 2R} of max{lambda, phi} + I - R, with lambda alone at
+    rates where phi does not relax Gamma_MMI (``_phi_relaxes``)."""
     memo: dict[tuple, float] = {}
+    use_phi = _phi_relaxes(rp, ch)
 
     def per_coupling(q: np.ndarray) -> float:
         key = tuple(np.rint(q.reshape(-1) * 4096).astype(np.int64))
         if key not in memo:
             j2 = Joint2(q / q.sum())
-            memo[key] = max(_tilted_pair(j2, rp.rate, ch, opts))
+            lm, ph = _tilted_pair(j2, rp.rate, ch, opts)
+            memo[key] = max(lm, ph) if use_phi else lm
         return memo[key]
 
     return _outer_bound(rp, opts, per_coupling)
+
+
+def _phi_relaxes(rp: RatePoint, ch: Channel) -> bool:
+    """Whether the rate is below I(Q_X;W). At or above it the MMI threshold
+    min{R, max I} can fall below R, and phi no longer relaxes Gamma_MMI."""
+    qx = rp.composition
+    return rp.rate < mutual_information(Joint2(qx.probs[:, None] * ch.w))
 
 
 @dataclass
@@ -738,7 +770,7 @@ def certify_theorem1(rp: RatePoint, ch: Channel,
     the primal gap.
     """
     qx = rp.composition
-    phi_judged = rp.rate < mutual_information(Joint2(qx.probs[:, None] * ch.w))
+    phi_judged = _phi_relaxes(rp, ch)
     per = []
     flags: list[dict] = []
     if not phi_judged:

@@ -364,27 +364,39 @@ class _MetricCtx:
         return -float(self.g_batch(j[None])[0])
 
 
-# One dict of contexts per live channel object, keyed by id(channel) and
+# One dict of solver state per live channel object, keyed by id(channel) and
 # dropped when the channel is collected. The CLI parses a new channel for
 # every command, so each command starts cold.
-_CTX_CACHE: dict[int, dict[tuple, _MetricCtx]] = {}
+_CTX_CACHE: dict[int, dict[tuple, object]] = {}
 _CTX_LOCK = threading.Lock()
+
+
+def _channel_entry(ch: Channel, key: tuple, make):
+    """The entry ``key`` of ch's cache, made by ``make()`` on first use."""
+    with _CTX_LOCK:
+        per_ch = _CTX_CACHE.get(id(ch))
+        if per_ch is None:
+            per_ch = _CTX_CACHE[id(ch)] = {}
+            weakref.finalize(ch, _CTX_CACHE.pop, id(ch), None)
+        val = per_ch.get(key)
+        if val is None:
+            val = per_ch[key] = make()
+    return val
 
 
 def _metric_ctx(ch: Channel, q_x: Dist, metric: DecodingMetric,
                 opts: OptimizerOptions) -> _MetricCtx:
     """The ``_MetricCtx`` of (ch, q_x, metric, opts), shared by every call
     on the same channel object, so each threshold table is solved once."""
-    key = (q_x.probs.tobytes(), metric.kind, opts)
-    with _CTX_LOCK:
-        per_ch = _CTX_CACHE.get(id(ch))
-        if per_ch is None:
-            per_ch = _CTX_CACHE[id(ch)] = {}
-            weakref.finalize(ch, _CTX_CACHE.pop, id(ch), None)
-        ctx = per_ch.get(key)
-        if ctx is None:
-            ctx = per_ch[key] = _MetricCtx(ch, q_x, metric, opts)
-    return ctx
+    return _channel_entry(ch, (q_x.probs.tobytes(), metric.kind, opts),
+                          lambda: _MetricCtx(ch, q_x, metric, opts))
+
+
+def _channel_memo(ch: Channel, *key) -> dict:
+    """A memo dict shared by every call on the same channel object under
+    ``key`` and freed with the channel. Its values must depend only on
+    their keys, the channel and ``key``."""
+    return _channel_entry(ch, ("memo",) + key, dict)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +701,23 @@ def gamma(q_xx: Joint2, rate: float, metric: DecodingMetric, ch: Channel,
     """
     _check_coupling(q_xx, q_x, opts)
     ctx = _metric_ctx(ch, q_x, metric, opts)
-    return _InnerSolve(ctx, q_xx.probs, rate).solve()["value"]
+    return _inner_solve(ch, ctx, q_xx.probs, rate)["value"]
+
+
+def _inner_solve(ch: Channel, ctx: _MetricCtx, q: np.ndarray, rate: float,
+                 warm_rows: np.ndarray | None = None) -> dict:
+    """``_InnerSolve(ctx, q, rate).solve(warm_rows)``, memoized per channel
+    on (rate, the exact bytes of the slot weights and symbols, of warm_rows
+    or None): a repeat returns the same dict, which callers must not modify."""
+    prob = _InnerSolve(ctx, q, rate)
+    mesh = prob.mesh
+    memo = _channel_memo(ch, "gamma", ctx.qx.probs.tobytes(), ctx.kind, ctx.opts)
+    key = (rate, mesh.weights.tobytes(), mesh.x_of.tobytes(), mesh.xp_of.tobytes(),
+           None if warm_rows is None else np.asarray(warm_rows, dtype=np.float64).tobytes())
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = prob.solve(warm_rows)
+    return hit
 
 
 def _check_coupling(q_xx: Joint2, q_x: Dist, opts: OptimizerOptions) -> None:
@@ -772,12 +800,12 @@ def _outer_minimize(rp: RatePoint, metric: DecodingMetric, ch: Channel,
 
     def per_coupling(q: np.ndarray, warm: dict | None) -> tuple[float, dict]:
         # polish probes warm-start from the incumbent's witness rows
-        res = _InnerSolve(ctx, q, rp.rate).solve(None if warm is None else warm["rows"])
+        res = _inner_solve(ch, ctx, q, rp.rate, None if warm is None else warm["rows"])
         return res["value"], res
 
     best, (j, v_ref), n_feasible, evals = _outer_search(rp, opts, info_cap, per_coupling)
     if v_ref < best[0]:
-        res = _InnerSolve(ctx, j, rp.rate).solve()  # cold re-solve at the winning coupling
+        res = _inner_solve(ch, ctx, j, rp.rate)  # cold re-solve at the winning coupling
         best = (min(v_ref, res["value"] + float(mi_batch(j[None])[0]) - rp.rate),
                 j, res, float(mi_batch(j[None])[0]))
 

@@ -12,6 +12,7 @@ share one tuned engine.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -307,30 +308,46 @@ class RowMesh:
     def _cells(self, mass: list, sym: str) -> list:
         """[(x, [Q(x, y) for each y])] from mass[r][y], the weighted row
         entries: sub-mesh arrays of x's slots in build, floats in stats_of."""
-        return [(x, [_seq_sum([mass[r][y] for r in slots]) for y in range(self.ny)])
-                for x, slots in self._groups[sym]]
+        return [(x, _vec_sum([mass[r] for r in slots])) for x, slots in self._groups[sym]]
 
-    def _score(self, kind: str, cells: list, xlx):
+    @staticmethod
+    def _margins(cells: list) -> tuple[list, list]:
+        """The cells' row sums over y and column sums over x, each in
+        mi_batch's order of summation."""
+        return [_np_sum(col) for _, col in cells], _vec_sum([col for _, col in cells])
+
+    def _score(self, kind: str, cells: list, xlx, margins: tuple | None = None):
         """elog_batch (kind 'ml') or mi_batch of the joint with these cells,
-        in their order of summation; xlx is x*log(x) for the cells' type."""
+        in their order of summation; xlx is x*log(x) for the cells' type,
+        margins the cells' ``_margins`` if already taken. Arrays in build,
+        floats in stats_of."""
         nx, ny = self.nx, self.ny
         terms = [0.0] * (nx * ny)
         if kind == "ml":
             charged = False
             for x, col in cells:
+                dead, fin = self._dead_l[x], self._fin_l[x]
                 for y, q in enumerate(col):
-                    if self._dead_l[x][y]:
+                    if dead[y]:
                         charged = charged | (q > 0)
                     else:
-                        terms[x * ny + y] = q * self._fin_l[x][y]
-            return np.where(charged, -np.inf, _np_sum(terms))
+                        terms[x * ny + y] = q * fin[y]
+            total = _np_sum(terms)
+            if isinstance(charged, bool):  # floats, or no dead cell
+                return -math.inf if charged else total
+            return np.where(charged, -np.inf, total)
+        row_sums, col_sums = margins or self._margins(cells)
+        h_y = [xlx(q) for q in col_sums]
+        del col_sums  # in build, whole-mesh arrays: free them before the cells' terms
         h_x = [0.0] * nx
-        for x, col in cells:
+        for (x, col), tot in zip(cells, row_sums):
             for y, q in enumerate(col):
                 terms[x * ny + y] = xlx(q)
-            h_x[x] = xlx(_np_sum(col))
-        h_y = [xlx(q) for q in _col_sums(cells)]
-        return np.maximum(_np_sum(terms) - _np_sum(h_x) - _np_sum(h_y), 0.0)
+            h_x[x] = xlx(tot)
+        v = _np_sum(terms) - _np_sum(h_x) - _np_sum(h_y)
+        if isinstance(v, float):  # np.maximum(v, 0.0) on a float: v if NaN
+            return v if v > 0.0 or v != v else 0.0
+        return np.maximum(v, 0.0)
 
     def _row_kl(self, rows: np.ndarray, x: int) -> np.ndarray:
         """D(row || W(.|x)) per grid row; +inf on support violations."""
@@ -358,32 +375,32 @@ class RowMesh:
 
     def _compute_stats(self, rows: list, kind: str) -> dict:
         wr = [[w * p for p in row] for w, row in zip(self._w, rows)]
-        qy = [_seq_sum([m[y] for m in wr]) for y in range(self.ny)]
+        qy = _vec_sum(wr)
         joints = [self._cells(wr, "x")] + ([] if self._same else [self._cells(wr, "xp")])
         need = [p for row in rows for p in row]
+        margins = [None] * len(joints)
         if kind == "mmi":
-            for cells in joints:
-                need += [q for _, col in cells for q in col] + _col_sums(cells)
-                need += [_np_sum(col) for _, col in cells]
+            margins = [self._margins(cells) for cells in joints]
+            for cells, (row_sums, col_sums) in zip(joints, margins):
+                for _, col in cells:
+                    need += col
+                need += row_sums + col_sums
         pos = [v for v in need if v > 0.0]
-        log = dict(zip(pos, np.log(pos).tolist()))
+        # x*log(x) of every value needed, as xlogx takes it
+        xl = {v: v * g for v, g in zip(pos, np.log(pos).tolist())}
+        xl[0.0] = 0.0
 
         per_slot = []
         for row, fin, dead in zip(rows, self._fin_x, self._dead_x):
             d = 0.0
             for p, f, z in zip(row, fin, dead):
                 if p > 0.0:
-                    d = math.inf if z else d + (p * log[p] - p * f)
+                    d = math.inf if z else d + (xl[p] - p * f)
             per_slot.append(d)
-        # the weighted sum as numpy's dot takes it (it may fuse multiply-adds)
-        kl = math.inf if math.inf in per_slot else float(np.dot(self.weights, per_slot))
+        kl = math.inf if math.inf in per_slot else _seq_sum([w * d for w, d in zip(self._w, per_slot)])
 
-        def xlx(v: float) -> float:
-            return v * log[v] if v > 0.0 else 0.0
-
-        gx = float(self._score(kind, joints[0], xlx))
-        gxp = gx if self._same else float(self._score(kind, joints[1], xlx))
-        return {"qy": qy, "kl": kl, "gx": gx, "gxp": gxp}
+        gs = [self._score(kind, cells, xl.__getitem__, m) for cells, m in zip(joints, margins)]
+        return {"qy": qy, "kl": kl, "gx": gs[0], "gxp": gs[-1]}
 
     def params_to_rows(self, params: np.ndarray) -> np.ndarray | None:
         """Free coordinates (first ny-1 entries per slot) -> full rows, or
@@ -430,7 +447,10 @@ def _np_sum(terms: list):
     eight interleaved partial sums. Terms may be arrays or floats."""
     n = len(terms)
     if n < 8:
-        return _seq_sum(terms)
+        acc = terms[0]
+        for i in range(1, n):
+            acc = acc + terms[i]
+        return acc
     part = list(terms[:8])
     i = 8
     while i < n - n % 8:
@@ -443,9 +463,13 @@ def _np_sum(terms: list):
     return acc
 
 
-def _col_sums(cells: list) -> list:
-    """Q_Y(y) = sum_x Q(x, y) of a joint's cells, summed over x in order."""
-    return [_seq_sum([col[y] for _, col in cells]) for y in range(len(cells[0][1]))]
+def _vec_sum(vecs: list) -> list:
+    """vecs[0] + vecs[1] + ... entry by entry, from the left: the order of
+    _seq_sum. Entries may be arrays or floats."""
+    acc = list(vecs[0])
+    for v in vecs[1:]:
+        acc = list(map(operator.add, acc, v))
+    return acc
 
 
 def _slot_groups(of: np.ndarray) -> list[tuple[int, list[int]]]:

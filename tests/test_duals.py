@@ -16,13 +16,14 @@ from explab.duals import (
     theta,
     threshold_dual,
 )
-from explab.exponents import ML, OptimizerOptions, RatePoint, a_threshold, gamma
+from explab.exponents import ML, MMI, OptimizerOptions, RatePoint, a_threshold, gamma, trc_exponent
 from explab.prob import Channel, Dist, Joint2, ProbError
 from explab.search import pattern_min
 
 UNIF = Dist.uniform(2)
 BSC01 = Channel.bsc(0.1)
 OPTS = OptimizerOptions()
+CERT_TOL = 1e-4  # certify's default tolerance
 
 DIAG = Joint2(np.diag([0.5, 0.5]))
 PROD = Joint2(np.full((2, 2), 0.25))
@@ -182,6 +183,83 @@ class TestTheta:
         assert 1 < once.kl.size < len(probes)  # some probes were pruned
 
 
+def _front_reference(kl, drive):
+    """_lower_front by brute force, in exact arithmetic on integer inputs.
+
+    Pareto filter: i survives unless a candidate ranked before it (by kl,
+    then drive, then index) has drive <= drive_i. When no survivor has a
+    -inf drive, a survivor on or above the chord of two others on either
+    side of it (in drive) is dropped. Returned in ascending drive.
+    """
+    n = len(kl)
+    rank = sorted(range(n), key=lambda i: (kl[i], drive[i], i))
+    front = [i for pos, i in enumerate(rank)
+             if all(drive[j] > drive[i] for j in rank[:pos])]
+    front.sort(key=lambda i: drive[i])
+    if any(drive[i] == -math.inf for i in front):
+        return front
+
+    def below_chord(m):
+        return all((drive[a] - drive[o]) * (kl[m] - kl[o])
+                   - (kl[a] - kl[o]) * (drive[m] - drive[o]) < 0
+                   for o in front for a in front if drive[o] < drive[m] < drive[a])
+
+    return [m for m in front if below_chord(m)]
+
+
+class TestLowerFront:
+    """theta's pool: _lower_front and the dominated-probe shortcut of _add."""
+
+    @staticmethod
+    def _random_set(rng, n):
+        # small integers: ties, duplicates and collinear triples are common,
+        # and every product in the hull test is exact
+        kl = rng.integers(0, 6, n).astype(float)
+        drive = rng.integers(-4, 5, n).astype(float)
+        if rng.random() < 0.3:
+            drive[rng.integers(0, n)] = -math.inf
+        return kl, drive
+
+    def test_matches_brute_force(self):
+        from explab.duals import _lower_front
+        rng = np.random.default_rng(17)
+        for trial in range(600):
+            kl, drive = self._random_set(rng, int(rng.integers(1, 14)))
+            got = _lower_front(kl, drive).tolist()
+            assert got == _front_reference(kl.tolist(), drive.tolist()), (
+                trial, kl.tolist(), drive.tolist())
+        # collinear points strictly inside the hull's edge are dropped
+        kl = np.array([4.0, 3.0, 2.0, 1.0, 0.0])
+        drive = np.array([-4.0, -3.0, -2.0, -1.0, 0.0])
+        assert _lower_front(kl, drive).tolist() == [0, 4]
+
+    def test_dominated_probe_shortcut_equals_full_merge(self):
+        from explab.duals import _ThetaProblem, _lower_front
+        rng = np.random.default_rng(23)
+        prob = object.__new__(_ThetaProblem)
+        shortcuts = 0
+        for _ in range(400):
+            kl, drive = self._random_set(rng, int(rng.integers(1, 10)))
+            rows = rng.random((kl.size, 2, 2))
+            keep = _lower_front(kl, drive)
+            prob.kl, prob.drive, prob.rows = kl[keep], drive[keep], rows[keep]
+            k, d = (float(a[0]) for a in self._random_set(rng, 1))
+            if rng.random() < 0.5:  # force a weak domination, ties included
+                m = int(rng.integers(0, prob.kl.size))
+                k, d = prob.kl[m] + rng.integers(0, 2), prob.drive[m] + rng.integers(0, 2)
+            row = rng.random((1, 2, 2))
+            all_kl = np.concatenate([prob.kl, [k]])
+            all_drive = np.concatenate([prob.drive, [d]])
+            all_rows = np.concatenate([prob.rows, row])
+            full = _lower_front(all_kl, all_drive)
+            want = (all_kl[full], all_drive[full], all_rows[full])
+            shortcuts += bool(((prob.kl <= k) & (prob.drive <= d)).any())
+            prob._add(np.array([k]), np.array([d]), lambda idx: row[idx])
+            for got, exp in zip((prob.kl, prob.drive, prob.rows), want):
+                assert np.array_equal(got, exp)
+        assert shortcuts > 100
+
+
 class TestLambdaPhi:
     def test_lambda_diagonal_zero(self):
         assert lambda_bound(DIAG, BSC01, OPTS) == pytest.approx(0.0, abs=1e-9)
@@ -227,6 +305,14 @@ class TestOuterBounds:
         want_low = max(lambda_bound(PROD, BSC01, OPTS),
                        phi_bound(PROD, 0.0, BSC01, OPTS))
         assert low == pytest.approx(want_low, abs=1e-4)
+
+    def test_mmi_lower_drops_phi_above_information(self):
+        # on BSC(0.25) I(Q_X;W) = 0.1308 < R = 0.3: phi is no relaxation
+        # there, and max{lambda, phi} put the bound 4.4e-4 above trc_mmi
+        ch = Channel.bsc(0.25)
+        rp = RatePoint(0.3, UNIF)
+        trc_mmi = trc_exponent(rp, MMI, ch, OPTS).value
+        assert trc_mmi - mmi_lower_bound(rp, ch, OPTS) >= -CERT_TOL
 
     def test_deterministic_across_runs(self):
         rp = RatePoint(0.1, UNIF)

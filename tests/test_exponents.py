@@ -314,11 +314,100 @@ class TestSharedContext:
         assert key not in exponents._CTX_CACHE
         assert set(exponents._CTX_CACHE) <= before
 
+    @staticmethod
+    def _count_solves(monkeypatch):
+        """Keys of the Gamma, theta and (lambda, phi) solves that run."""
+        from explab import duals
+        ran = {"gamma": [], "theta": [], "tilted": []}
+
+        def sig(mesh):
+            return mesh.weights.tobytes(), mesh.x_of.tobytes(), mesh.xp_of.tobytes()
+
+        def wrap(cls, name, record):
+            orig = getattr(cls, name)
+
+            def counted(self, *args, **kwargs):
+                out = orig(self, *args, **kwargs)
+                record(self, *args, **kwargs)
+                return out
+
+            monkeypatch.setattr(cls, name, counted)
+
+        wrap(exponents._InnerSolve, "solve", lambda self, warm=None: ran["gamma"].append(
+            (id(self.ctx), self.rate) + sig(self.mesh)
+            + (None if warm is None else np.asarray(warm).tobytes(),)))
+        wrap(duals._ThetaProblem, "solve", lambda self: ran["theta"].append(
+            (self.rate,) + sig(self.mesh)))
+        wrap(duals._TiltedProblem, "__init__", lambda self, q, ch, opts: ran["tilted"].append(
+            sig(self.mesh)))
+        return ran
+
+    def test_cli_commands_repeat_the_same_solves(self, monkeypatch, tmp_path):
+        # a memo that outlived its command would make the second run cheaper
+        ran = self._count_solves(monkeypatch)
+        ch_file = tmp_path / "bsc.ch"
+        ch_file.write_text("dmc 2 2\n0.9 0.1\n0.1 0.9\n")
+        argv = ["certify", "theorem1", "--channel", str(ch_file), "--rate", "0.01",
+                "--refine-iters", "4"]
+        counts = []
+        for _ in range(2):
+            for log in ran.values():
+                log.clear()
+            assert cli_run(argv, echo=lambda *a, **k: None) == 0
+            counts.append({name: len(log) for name, log in ran.items()})
+        assert counts[0] == counts[1]
+        assert min(counts[0].values()) > 0
+
+    def test_certify_runs_no_exact_repeat(self, monkeypatch):
+        ran = self._count_solves(monkeypatch)
+        certify_theorem1(RatePoint(0.01, UNIF), Channel.bsc(0.1), OPTS)
+        for name, log in ran.items():
+            assert len(log) == len(set(log)), name
+        assert len(ran["gamma"]) > 0
+
+    def test_memoized_gamma_equals_fresh_solve(self):
+        ch = Channel.bsc(0.15)
+        opts = OptimizerOptions(refine_iters=4)
+        q = np.array([[0.3, 0.2], [0.2, 0.3]])
+        ctx = exponents._metric_ctx(ch, UNIF, MMI, opts)
+        for warm in (None, np.array([[0.8, 0.2], [0.7, 0.3], [0.25, 0.75], [0.1, 0.9]])):
+            first = exponents._inner_solve(ch, ctx, q, 0.05, warm)
+            assert exponents._inner_solve(ch, ctx, q.copy(), 0.05,
+                                          None if warm is None else warm.copy()) is first
+            fresh = exponents._InnerSolve(ctx, q, 0.05).solve(warm)
+            assert fresh is not first
+            assert fresh.keys() == first.keys()
+            for key, val in first.items():
+                if isinstance(val, np.ndarray):
+                    assert val.tobytes() == fresh[key].tobytes(), key
+                else:
+                    assert val == fresh[key], key
+
+    def test_memos_freed_with_channel(self):
+        from explab.duals import _tilted_pair, theta
+        ch = Channel.bsc(0.2)
+        opts = OptimizerOptions(refine_iters=4)
+        alive = weakref.ref(ch)
+        key = id(ch)
+        gamma(PROD, 0.05, ML, ch, UNIF, opts)
+        theta(PROD, 0.05, ch, UNIF, opts)
+        _tilted_pair(PROD, 0.05, ch, opts)
+        entries = exponents._CTX_CACHE[key]
+        memos = [k[1] for k in entries if k[0] == "memo"]
+        assert sorted(memos) == ["gamma", "theta", "tilted"]
+        assert all(entries[k] for k in entries)  # each holds its solve
+        del ch, entries
+        gc.collect()
+        assert alive() is None
+        assert key not in exponents._CTX_CACHE
+
     def test_one_context_under_contention(self):
         ch = Channel.bsc(0.3)
         qys = np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]])
 
-        def lookup(_):
+        def lookup(i):
+            memo = exponents._channel_memo(ch, "probe")
+            memo.setdefault(i % 4, []).append(i)
             ctx = exponents._metric_ctx(ch, UNIF, ML, OPTS)
             return ctx, ctx.threshold_batch(qys, 0.05)
 
@@ -332,6 +421,9 @@ class TestSharedContext:
         assert len(got) == 32
         assert all(ctx is got[0][0] for ctx, _ in got)
         assert all(np.array_equal(vals, got[0][1]) for _, vals in got)
+        # one memo dict for every thread: no insert went to a lost copy
+        memo = exponents._channel_memo(ch, "probe")
+        assert sorted(i for vals in memo.values() for i in vals) == list(range(32))
 
     def test_threads_share_context_safely(self, tmp_path):
         ch_file = tmp_path / "bsc.ch"

@@ -267,3 +267,40 @@ class TestStatsMemo:
         st = mesh.stats_of(bumped, "ml")
         assert calls == ["ml", "mmi", "ml"]
         assert st == self._mesh(w, coupling).stats_of(bumped, "ml")
+
+
+class TestFloatKernel:
+    """stats_of's float kernel returns build's values, bit for bit, for
+    every candidate."""
+
+    CASES = {
+        # name: (channel rows, coupling, grid step)
+        "bsc": ([[0.9, 0.1], [0.1, 0.9]], [[0.4, 0.1], [0.1, 0.4]], 4),
+        # dead cells of W: -inf ML scores and +inf kl on the grid
+        "z": ([[1.0, 0.0], [0.2, 0.8]], [[0.3, 0.2], [0.2, 0.3]], 4),
+        "2x3": ([[0.8, 0.15, 0.05], [0.05, 0.15, 0.8]], [[0.3, 0.2], [0.2, 0.3]], 3),
+        # zero coupling cells: x_of and xp_of group the slots unevenly
+        "3x2": ([[0.9, 0.1], [0.5, 0.5], [0.0, 1.0]],
+                [[0.2, 0.1, 0.0], [0.0, 0.2, 0.2], [0.1, 0.0, 0.2]], 2),
+    }
+
+    def test_stats_equal_build_per_candidate(self):
+        for name, (w, coupling, k) in self.CASES.items():
+            ch = Channel.from_rows(w)
+            q = np.array(coupling)
+            xs, xps = np.nonzero(q > 0)
+            mesh = RowMesh(q[xs, xps], xs, xps, row_grid(ch.n_out, k, 10_000),
+                           ch.n_in, ch.log_matrix)
+            assert not np.array_equal(mesh.x_of, mesh.xp_of)
+            assert (mesh.slot_grids[0] == 0.0).any()  # rows with zero entries
+            for kind in ("ml", "mmi"):
+                arrs = mesh.build(kind)
+                for i in range(mesh.size()):
+                    st = mesh.stats_of(mesh.rows_of(i), kind)
+                    where = f"{name}/{kind} candidate {i}"
+                    assert st["qy"] == arrs["qy"][i].tolist(), where
+                    assert st["gx"] == arrs["gx"][i], where
+                    assert st["gxp"] == arrs["gxp"][i], where
+                    assert st["kl"] == arrs["kl"][i], where
+                if name == "z" and kind == "ml":
+                    assert np.isneginf(arrs["gx"]).any() and np.isposinf(arrs["kl"]).any()
