@@ -112,6 +112,8 @@ def parse_channel_spec(text: str, name: str = "") -> ChannelSpec:
             vals = [float(p) for p in parts]
         except ValueError as exc:
             raise CliError(f"row {i} has a non-numeric entry") from exc
+        if not all(map(math.isfinite, vals)):
+            raise CliError(f"row {i} has a non-numeric entry")
         if any(v < 0 for v in vals):
             raise CliError(f"row {i} has a negative probability")
         s = sum(vals)
@@ -259,24 +261,26 @@ class RunConfig:
 def parse_rates(spec: str) -> list[float]:
     """'start:stop:step' (inclusive ends, within half a step) or 'r1,r2,...'."""
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise CliError(f"rate range must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise CliError("need step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        rates = [start + i * step for i in range(count)]
-        if rates[-1] > stop + step * 1e-9:
-            rates.pop()
-        return rates
+    form = "range" if ":" in spec else "list"
     try:
-        rates = [float(p) for p in spec.split(",") if p.strip()]
+        vals = [float(p) for p in spec.split(":" if form == "range" else ",") if p.strip()]
     except ValueError as exc:
-        raise CliError(f"bad rate list {spec!r}") from exc
-    if not rates:
-        raise CliError("empty rate list")
+        raise CliError(f"bad rate {form} {spec!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise CliError(f"rates must be finite, got {spec!r}")
+    if not vals:
+        raise CliError(f"empty rate {form}")
+    if form == "list":
+        return vals
+    if len(vals) != 3:
+        raise CliError(f"rate range must be start:stop:step, got {spec!r}")
+    start, stop, step = vals
+    if step <= 0 or stop < start:
+        raise CliError("need step > 0 and stop >= start")
+    count = int(round((stop - start) / step)) + 1
+    rates = [start + i * step for i in range(count)]
+    if rates[-1] > stop + step * 1e-9:
+        rates.pop()
     return rates
 
 
@@ -302,7 +306,7 @@ def _resolve_composition(arg: str | None, nx: int, grid_step: float,
             comp = np.array([float(p) for p in arg.split(",")], dtype=float)
         except ValueError as exc:
             raise CliError(f"bad composition {arg!r}") from exc
-        if comp.size != nx or np.any(comp < 0) or comp.sum() <= 0:
+        if comp.size != nx or not np.all(comp >= 0) or not 0 < comp.sum() < math.inf:
             raise CliError(f"composition needs {nx} nonnegative entries")
         comp = comp / comp.sum()
     k = round(1.0 / grid_step)

@@ -35,7 +35,10 @@ def xlogx(a: np.ndarray) -> np.ndarray:
 
 
 def mi_batch(j: np.ndarray) -> np.ndarray:
-    """Mutual information of a batch of joints, shape (..., A, B) -> (...)."""
+    """Mutual information of a batch of joints, shape (..., A, B) -> (...):
+    sum xlogx(cells) - sum_x xlogx(row sums) - sum_y xlogx(column sums), each
+    sum in numpy's add-reduction order (``_np_sum``), clamped at 0. RowMesh.build,
+    RowMesh.stats_of and the binary threshold lattice sum in this order."""
     row = j.sum(axis=-1)
     col = j.sum(axis=-2)
     v = xlogx(j).sum(axis=(-2, -1)) - xlogx(row).sum(axis=-1) - xlogx(col).sum(axis=-1)

@@ -66,6 +66,11 @@ class TestChannelParsing:
         with pytest.raises(CliError):
             parse_channel("dmc 1 2\n1.2 -0.2\n")
 
+    def test_rejects_non_finite_reports_index(self):
+        for bad in ("nan 0.5", "inf 0.5", "0.5 -inf"):
+            with pytest.raises(CliError, match="row 1"):
+                parse_channel_spec(f"dmc 2 2\n0.9 0.1\n{bad}\n")
+
     def test_round_trip_identity(self):
         spec = parse_channel_spec("dmc 2 3\n0.5 0.25 0.25\n0.125 0.125 0.75\n")
         again = parse_channel_spec(format_channel_spec(spec))
@@ -82,9 +87,15 @@ class TestRates:
         assert parse_rates("0.1, 0.2") == [0.1, 0.2]
 
     def test_bad_specs(self):
-        for bad in ("0:1", "0:1:-0.1", "abc", ""):
+        for bad in ("0:1", "0:1:-0.1", "abc", "", "0:a:0.1", "0:nan:0.1", "0:inf:0.1",
+                    "0:0.1:nan", "0.1,nan"):
             with pytest.raises(CliError):
                 parse_rates(bad)
+
+    def test_bad_range_exits_2(self, bsc_file):
+        for bad in ("0:a:0.1", "0:nan:0.1"):
+            code, text = collect(["exponent", "random", "--channel", bsc_file, "--rates", bad])
+            assert code == 2 and "error:" in text
 
 
 class TestSerialization:
@@ -210,6 +221,14 @@ class TestExponentCommand:
                               "--rates", "0.1", "--composition", "0.3,0.7"])
         assert code == 0
         assert "rounded" in text
+
+    def test_non_finite_composition_rejected(self, bsc_file, recwarn):
+        for bad in ("nan,1", "inf,1"):
+            code, text = collect(["exponent", "random", "--channel", bsc_file,
+                                  "--rates", "0.1", "--composition", bad])
+            assert code == 2
+            assert "composition needs 2 nonnegative entries" in text
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_bits_display_only(self, bsc_file, tmp_path):
         out_n = str(tmp_path / "n.json")

@@ -25,6 +25,7 @@ from explab.exponents import (
     trc_exponent,
 )
 from explab.prob import Channel, Dist, Joint2, ProbError, coupling_grid, mutual_information
+from explab.search import elog_batch, mi_batch
 
 LOG2 = math.log(2.0)
 UNIF = Dist.uniform(2)
@@ -115,6 +116,62 @@ class TestAThreshold:
         assert math.isfinite(v_ml)
         v_mmi = a_threshold(0.15, qy, MMI, BSC01, UNIF, OPTS)
         assert 0.0 <= v_mmi <= 0.15 + 1e-9
+
+
+def _lattice_joint_form(ctx, qys: np.ndarray, rate: float) -> np.ndarray:
+    """The binary threshold lattice solved on (N, 2, 2) joints with mi_batch:
+    the same bisection as _MetricCtx._solve_1d_batch, in the joint form."""
+    base = ctx.qx.probs[None, :, None] * qys[:, None, :]
+    bmove = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+    def info(c):
+        return mi_batch(base + c[:, None, None] * bmove)
+
+    def edge(side):
+        ok = info(side) <= rate
+        a = np.where(ok, side, 0.0)
+        b = side.copy()
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            good = info(mid) <= rate
+            a = np.where(good, mid, a)
+            b = np.where(good, b, mid)
+        return np.where(ok, side, a)
+
+    c_lo = edge(-np.minimum(base[:, 0, 0], base[:, 1, 1]))
+    c_hi = edge(np.minimum(base[:, 0, 1], base[:, 1, 0]))
+    if ctx.kind == "mmi":
+        return np.maximum(info(c_lo), info(c_hi))
+    return np.maximum(elog_batch(base + c_lo[:, None, None] * bmove, ctx.logw),
+                      elog_batch(base + c_hi[:, None, None] * bmove, ctx.logw))
+
+
+class TestLattice:
+    """The cell-vector lattice equals the joint form bit for bit. Rows are
+    solved independently, so every 8th lattice point plus the two next to
+    the ends (cells of 1/4096 and below) stand for the whole lattice."""
+
+    QY0 = np.unique(np.concatenate([np.arange(0, 4097, 8), [1, 4095]])) / 4096.0
+    # 0.8 nats exceeds log 2, so I(Q_X;W) and every coupling's I lie below it
+    RATES = (0.0, 0.005, 0.01, 0.1, 0.3, 0.8)
+
+    @pytest.mark.parametrize("rows, kind", [
+        ([[0.9, 0.1], [0.1, 0.9]], "ml"),
+        ([[0.9, 0.1], [0.1, 0.9]], "mmi"),
+        ([[0.75, 0.25], [0.1, 0.9]], "ml"),
+        ([[0.75, 0.25], [0.1, 0.9]], "mmi"),
+        ([[1.0, 0.0], [0.2, 0.8]], "mmi"),
+    ])
+    @pytest.mark.parametrize("comp", [[0.5, 0.5], [0.25, 0.75], [0.0, 1.0]])
+    def test_matches_joint_form(self, rows, kind, comp):
+        ctx = exponents._MetricCtx(Channel.from_rows(rows), Dist(np.array(comp)),
+                                   DecodingMetric(kind), OPTS)
+        assert ctx._fast_1d
+        qys = np.stack([self.QY0, 1.0 - self.QY0], axis=1)
+        for rate in self.RATES:
+            got = ctx._solve_1d_batch(qys, rate)
+            want = _lattice_joint_form(ctx, qys, rate)
+            assert np.array_equal(got, want), (rate, np.flatnonzero(got != want)[:5])
 
 
 class TestGamma:
