@@ -455,6 +455,10 @@ class _TiltedProblem:
                             ch.n_in, ch.log_matrix)
         arrs = self.mesh.build("mmi")
         self.i_x, self.i_xp, self.kl = arrs["gx"], arrs["gxp"], arrs["kl"]
+        # polish probes of every multiplier and penalty, keyed on the exact
+        # bytes of the parameter vector: its stats, or None off the simplex.
+        # It stands in for the mesh's own stats_of memo, which it bypasses
+        self._probes: dict[bytes, dict | None] = {}
 
     def _drive(self, penalty: str, rate: float) -> np.ndarray:
         if penalty == "balance":
@@ -468,10 +472,14 @@ class _TiltedProblem:
         rows0, v0 = mesh.rows_of(best), float(obj[best])
 
         def f(params: np.ndarray) -> float:
-            rows = mesh.params_to_rows(params)
-            if rows is None:
+            key = params.tobytes()
+            if key not in self._probes:
+                rows = mesh.params_to_rows(params)
+                self._probes[key] = (None if rows is None
+                                     else mesh.compute_stats(rows.tolist(), "mmi"))
+            st = self._probes[key]
+            if st is None:
                 return math.inf
-            st = mesh.stats_of(rows, "mmi")
             drive = st["gx"] - st["gxp"] if penalty == "balance" else rate - st["gxp"]
             return st["kl"] + mu * drive
 

@@ -746,14 +746,18 @@ def _outer_search(rp: RatePoint, opts: OptimizerOptions, cap: float,
     seeds the search, the coupling grid is scanned exhaustively, and a
     pattern polish refines the grid winner; inside the polish, ``warm`` is
     the incumbent's payload whenever the probe has its support pattern
-    (None everywhere else). Returns the grid incumbent
+    (None everywhere else). At cap 0 the feasible set is the product
+    coupling alone (I(X;X') = 0 only when X and X' are independent), so the
+    grid is scanned but not polished: the incumbent, the product coupling,
+    is also the polish result, after 0 evaluations. Returns the grid incumbent
     (value, coupling, payload, information), the polish result
     (coupling, value), the number of feasible grid couplings and the
     polish evaluation count.
     """
     qx = rp.composition
-    # the coupling polytope always contains the product point in its
-    # interior, so the information cap needs no grid slack
+    # rounding tolerance of the cap; near the product coupling I grows like
+    # the square of the distance, so at cap 0 it would admit couplings some
+    # 1e-7 off the product, which is why cap 0 skips the polish below
     slack = 1e-12
     # the product coupling (information 0) is always feasible but is not
     # always a grid point (its entries need not be multiples of the step),
@@ -771,6 +775,8 @@ def _outer_search(rp: RatePoint, opts: OptimizerOptions, cap: float,
         total = v + info - rp.rate
         if total < best[0] - 1e-15:
             best = (total, j2.probs, payload, info)
+    if cap == 0.0:
+        return best, (best[1], best[0]), n_feasible, 0
 
     poly = TransportPolytope(qx.probs, qx.probs)
     state = {"payload": best[2], "sig": _support_sig(best[1]), "val": best[0]}

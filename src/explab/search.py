@@ -373,10 +373,12 @@ class RowMesh:
         key = (kind, arr.shape, arr.tobytes())
         hit = self._stats.get(key)
         if hit is None:
-            hit = self._stats[key] = self._compute_stats(arr.tolist(), kind)
+            hit = self._stats[key] = self.compute_stats(arr.tolist(), kind)
         return hit
 
-    def _compute_stats(self, rows: list, kind: str) -> dict:
+    def compute_stats(self, rows: list, kind: str) -> dict:
+        """``stats_of`` without its memo, on rows as nested lists, for a
+        caller that keeps its own memo."""
         wr = [[w * p for p in row] for w, row in zip(self._w, rows)]
         qy = _vec_sum(wr)
         joints = [self._cells(wr, "x")] + ([] if self._same else [self._cells(wr, "xp")])

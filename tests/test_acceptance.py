@@ -39,8 +39,12 @@ UNIF = Dist.uniform(2)
 OPTS = OptimizerOptions()  # the default settings are the contract settings
 CHANNELS = {0.1: Channel.bsc(0.1), 0.25: Channel.bsc(0.25)}
 RATES = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
-# at the contract rates every primal value is E_0(1) - R, so criteria 1 and
-# 2 cannot tell the metrics apart; below these rates they differ from E_r
+# at the contract rates every primal value is E_r, so criteria 1 and 2
+# cannot tell the metrics apart: on BSC(0.1) 0.05 and 0.10 lie below
+# R_crit = 0.1308, where E_r = E_0(1) - R, and 0.15-0.30 above it, where
+# E_r = E_sp > E_0(1) - R; on BSC(0.25) (R_crit = 0.0363, C = 0.1308) all
+# six lie above R_crit and 0.15-0.30 at or above C, where every exponent is
+# 0. Below these rates the exponents differ from E_r
 LOW_RATES = (0.0, 0.005, 0.01, 0.02)
 Z_CHANNEL = Channel.from_rows([[1.0, 0.0], [0.2, 0.8]])
 

@@ -5,6 +5,7 @@ import pytest
 
 from explab.duals import (
     BoundReport,
+    _TiltedProblem,
     certify_theorem1,
     g_aux,
     lambda_bound,
@@ -279,6 +280,30 @@ class TestLambdaPhi:
 
     def test_phi_antidiag_rate_zero(self):
         assert phi_bound(ANTI, 0.0, BSC01, OPTS) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("ch", [BSC01, Channel.from_rows([[1.0, 0.0], [0.2, 0.8]])],
+                             ids=["bsc01", "z"])
+    @pytest.mark.parametrize("q", [PROD, Joint2(np.array([[0.3, 0.2], [0.2, 0.3]]))],
+                             ids=["product", "tilted"])
+    def test_probe_memo_changes_no_bit(self, ch, q, monkeypatch):
+        class NeverHits(dict):
+            writes = 0
+
+            def __contains__(self, key):
+                return False
+
+            def __setitem__(self, key, value):
+                self.writes += 1
+                super().__setitem__(key, value)
+
+        def solve(prob):
+            return prob.solve("balance"), prob.solve("rate", 0.01)
+
+        memo = _TiltedProblem(q, ch, OPTS)
+        bypass = _TiltedProblem(q, ch, OPTS)
+        monkeypatch.setattr(bypass, "_probes", NeverHits())
+        assert solve(memo) == solve(bypass)
+        assert len(memo._probes) < bypass._probes.writes  # the memo did hit
 
     def test_permutation_equivariance(self):
         # relabel X symbols consistently in coupling, composition, channel

@@ -253,6 +253,24 @@ class TestExpurgatedExponent:
             assert e_ex >= e_r - 1e-6
 
 
+class TestZeroRateClosedForm:
+    # at R = 0 both caps (2R, R) leave only the product coupling, where at
+    # the uniform binary composition Gamma = d_B/2 under either metric
+    @pytest.mark.parametrize("ch", [Channel.bsc(0.1), Channel.bsc(0.25),
+                                    Channel.from_rows([[1.0, 0.0], [0.2, 0.8]])],
+                             ids=["bsc01", "bsc025", "z"])
+    def test_half_bhattacharyya_at_product(self, ch):
+        half_db = -0.5 * math.log(float(np.sqrt(ch.w[0] * ch.w[1]).sum()))
+        rp = RatePoint(0.0, UNIF)
+        for exponent in (trc_exponent, expurgated_exponent):
+            for metric in (ML, MMI):
+                res = exponent(rp, metric, ch, OPTS)
+                assert res.value == pytest.approx(half_db, abs=1e-12)
+                assert np.array_equal(res.argmin_coupling.probs, PROD.probs)
+                assert res.diagnostics["coupling_information"] == 0.0
+                assert res.diagnostics["outer_refine_evals"] == 0
+
+
 class TestRandomCoding:
     def test_zero_at_mutual_information(self):
         # choosing the true channel makes both terms vanish at R >= I(Q_X; W)

@@ -22,6 +22,7 @@ from explab.cli import run as cli_run
 SNAPSHOT = pathlib.Path(__file__).parent / "data" / "golden_bsc01.json"
 CHANNEL = "dmc 2 2\n0.9 0.1\n0.1 0.9\n"
 COMMANDS = {
+    "certify-theorem1-0": ["certify", "theorem1", "--rate", "0"],
     "certify-theorem1-0.01": ["certify", "theorem1", "--rate", "0.01"],
     **{f"exponent-{which}-{metric}-0": ["exponent", which, "--metric", metric, "--rates", "0"]
        for which in ("trc", "expurgated") for metric in ("ml", "mmi")},

@@ -234,8 +234,8 @@ class TestStatsMemo:
     @staticmethod
     def _counted(mesh):
         calls = []
-        compute = mesh._compute_stats
-        mesh._compute_stats = lambda rows, kind: calls.append(kind) or compute(rows, kind)
+        compute = mesh.compute_stats
+        mesh.compute_stats = lambda rows, kind: calls.append(kind) or compute(rows, kind)
         return calls
 
     def test_hit_bit_identical_to_fresh_mesh(self):
