@@ -554,6 +554,10 @@ def run(argv: list[str] | None = None, echo=print) -> int:
             cfg.rates = [args.rate]
             cfg.certify_tol = args.certify_tol
             return cmd_certify(cfg, args.out, echo)
+        if args.samples < 1:
+            raise CliError(f"--samples must be at least 1, got {args.samples}")
+        if args.seed < 0:
+            raise CliError(f"--seed must be >= 0, got {args.seed}")
         cfg.n, cfg.m_count = args.n, args.M
         cfg.samples, cfg.seed = args.samples, args.seed
         cfg.decoder, cfg.beta = args.decoder, args.beta

@@ -13,12 +13,13 @@ grouped into classes of equal counts, and each class is scored once, in
 blocks of at most 2^12 classes: its likelihoods, decisions, GLD posterior
 and competing sums. A class code is linear in the digits of y, so the codes
 of all outputs come from one low/high digit split, blocks of |Y|^k outputs
-at a time, and the per-class values are gathered into one (M, |Y|^n)
-float64 array: the per-output error mass, summed once at the end so that
-the result is bit-identical to scoring every output (and
-``competing_sum_log`` returns an array of that shape). Memory is at most
-two O(M |Y|^n) float64 arrays, that buffer and the per-class table (the
-code space is at most |Y|^n), plus a few O(M |X| |Y| 2^12) block arrays.
+at a time. The error profiles sum the per-output error mass in numpy's
+pairwise order, gathering one leaf of at most max(|Y|^k, 128) outputs at a
+time, so the result is bit-identical to scoring every output and summing
+each row once. Memory is one O(M |Y|^n) float64 array, the per-class table
+(the code space is at most |Y|^n), plus a few O(M |X| |Y| 2^12) block
+arrays. Only ``competing_sum_log``, which returns an (M, |Y|^n) array,
+gathers every output at once.
 
 Decoders:
 
@@ -161,6 +162,9 @@ def sample_codebook(n: int, m_count: int, q_x: Dist, seed) -> Codebook:
 # at 2^14 they lifted simulate-bsc's peak RSS by up to 12 MiB, at 2^12 by
 # under 2 MiB, with no loss of speed.
 _BLOCK_OUTPUTS = 2**12
+# numpy sums a contiguous float64 run of at most this many values in one
+# unrolled loop, and splits a longer run in two (``_OutputClasses.row_sums``).
+_PAIRWISE_LEAF = 128
 # Tie band of ``_decisions``. At one output, distinct empirical-MI scores of
 # count tables with up to 6 cells and n <= 20 differ by more than 1e-4;
 # log-likelihoods differ by sums of k log W(b|a) with integer |k| <= n, which
@@ -215,6 +219,15 @@ class _OutputClasses:
             stride *= space
         self.size = stride
         self.count = math.prod(len(local) for _, _, local in self.types)
+        # the codes of the k low digits of every output, for the largest k
+        # with |Y|^k <= _BLOCK_OUTPUTS
+        self.k = 0
+        while self.k < n and ny ** (self.k + 1) <= _BLOCK_OUTPUTS:
+            self.k += 1
+        t = np.arange(ny**self.k)
+        self.low = np.zeros(t.size, dtype=np.int64)
+        for i in range(self.k):
+            self.low += self.weights[i, (t // ny**i) % ny]
 
     def blocks(self, kind: str):
         """Iterator of (codes, counts, scores, ll) over blocks of at most
@@ -235,29 +248,49 @@ class _OutputClasses:
             scores = ll if kind == "ml" else _empirical_mi(counts, cb.n)
             yield codes, counts, scores, ll
 
-    def gather(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out[:, t] = table[:, code(y_t)] for every output t = sum_i y_i |Y|^i.
+    def gather(self, table: np.ndarray, out: np.ndarray, start: int = 0) -> np.ndarray:
+        """out[:, t - start] = table[:, code(y_t)] for the outputs t = sum_i
+        y_i |Y|^i from ``start`` on, one per column of ``out``.
 
-        The outputs go in blocks of |Y|^k (the largest k with |Y|^k <=
-        ``_BLOCK_OUTPUTS``): the codes of the k low digits are summed once,
-        and each block adds the code of its n - k high digits.
+        The outputs go in blocks of |Y|^k: each block adds the code of its
+        n - k high digits to the precomputed codes of the k low digits.
         """
-        ny, n = self.ch.n_out, self.cb.n
-        k = 0
-        while k < n and ny ** (k + 1) <= _BLOCK_OUTPUTS:
-            k += 1
-        size = ny**k
-        t = np.arange(size)
-        low = np.zeros(size, dtype=np.int64)
-        for i in range(k):
-            low += self.weights[i, (t // ny**i) % ny]
-        for j in range(ny ** (n - k)):
+        ny, n, size = self.ch.n_out, self.cb.n, self.low.size
+        stop = start + out.shape[1]
+        for j in range(start // size, -(-stop // size)):
             rest, high = j, 0
-            for i in range(k, n):
+            for i in range(self.k, n):
                 rest, b = divmod(rest, ny)
                 high += int(self.weights[i, b])
-            np.take(table, low + high, axis=1, out=out[:, j * size:(j + 1) * size])
+            lo, hi = max(start - j * size, 0), min(stop - j * size, size)
+            at = j * size + lo - start
+            np.take(table, self.low[lo:hi] + high, axis=1, out=out[:, at:at + hi - lo])
         return out
+
+    def row_sums(self, table: np.ndarray) -> np.ndarray:
+        """``gather(table, out).sum(axis=1)`` for all |Y|^n outputs, bit for
+        bit, without the (M, |Y|^n) ``out``.
+
+        numpy sums a row pairwise: a run of more than ``_PAIRWISE_LEAF``
+        values splits at h = size // 2 less h % 8, and the two halves' sums
+        are added. This recursion splits the same way down to runs of at most
+        max(|Y|^k, ``_PAIRWISE_LEAF``) outputs; each such leaf is gathered
+        into one reused buffer and summed by numpy, in numpy's own order.
+        """
+        cap = max(self.low.size, _PAIRWISE_LEAF)
+        buf = np.empty(table.shape[0] * cap)
+        return self._pairwise_sum(table, 0, self.ch.n_out**self.cb.n, cap, buf)
+
+    def _pairwise_sum(self, table: np.ndarray, start: int, stop: int, cap: int,
+                      buf: np.ndarray) -> np.ndarray:
+        size = stop - start
+        if size <= cap:
+            leaf = buf[:table.shape[0] * size].reshape(table.shape[0], size)
+            return self.gather(table, leaf, start).sum(axis=1)
+        h = size // 2
+        h -= h % 8
+        return (self._pairwise_sum(table, start, start + h, cap, buf)
+                + self._pairwise_sum(table, start + h, stop, cap, buf))
 
 
 def _log_likelihoods(counts: np.ndarray, ch: Channel) -> np.ndarray:
@@ -307,11 +340,10 @@ def exact_error_profile(cb: Codebook, ch: Channel,
     msgs = np.arange(cb.m_count)[:, None]
     for codes, _, scores, ll in classes.blocks(decoder.kind):
         table[:, codes] = np.exp(ll) * (_decisions(scores)[None, :] != msgs)
-    # one value per output, each row reduced once: per-class sums weighted by
-    # class size would change numpy's pairwise summation order, and so the
-    # last bits
-    weighted = classes.gather(table, np.empty((cb.m_count, ch.n_out**cb.n)))
-    return ErrorProfile(per_message=weighted.sum(axis=1))
+    # one value per output, summed in numpy's pairwise order over all
+    # outputs: per-class sums weighted by class size would change that order,
+    # and so the last bits
+    return ErrorProfile(per_message=classes.row_sums(table))
 
 
 def _gld_exponents(scores: np.ndarray, n: int, cfg: GldConfig) -> np.ndarray:
@@ -347,8 +379,7 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
         tot = expg.sum(axis=0)
         post = expg / np.where(tot > 0.0, tot, 1.0)
         table[:, codes] = np.exp(ll) * (1.0 - post)
-    weighted = classes.gather(table, np.empty((cb.m_count, ch.n_out**cb.n)))
-    return ErrorProfile(per_message=weighted.sum(axis=1))
+    return ErrorProfile(per_message=classes.row_sums(table))
 
 
 def competing_sum_log(cb: Codebook, ch: Channel,

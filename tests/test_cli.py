@@ -173,6 +173,23 @@ class TestSimulateCommand:
         assert code == 2
         assert "cap" in text
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_rejected(self, bsc_file, tmp_path, samples):
+        # with no sample run, the summary would claim all_zero_error and an
+        # infinite exponent
+        out = tmp_path / "s.json"
+        code, text = collect(["simulate", "--channel", bsc_file, "--n", "4", "--M", "2",
+                              "--samples", samples, "--out", str(out)])
+        assert code == 2
+        assert "--samples" in text
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, bsc_file):
+        code, text = collect(["simulate", "--channel", bsc_file, "--n", "4", "--M", "2",
+                              "--samples", "1", "--seed", "-1"])
+        assert code == 2
+        assert "--seed" in text
+
     def test_threads_agree_with_serial(self, bsc_file, tmp_path):
         a, b = str(tmp_path / "t1.json"), str(tmp_path / "t2.json")
         argv = ["simulate", "--channel", bsc_file, "--n", "6", "--M", "2",

@@ -26,6 +26,9 @@ COMMANDS = {
     "certify-theorem1-0.01": ["certify", "theorem1", "--rate", "0.01"],
     **{f"exponent-{which}-{metric}-0": ["exponent", which, "--metric", metric, "--rates", "0"]
        for which in ("trc", "expurgated") for metric in ("ml", "mmi")},
+    **{f"simulate-{decoder}": ["simulate", "--n", "14", "--M", "4", "--samples", "2",
+                               "--seed", "7", "--decoder", decoder]
+       for decoder in ("ml", "mmi", "gld")},
 }
 
 

@@ -338,6 +338,22 @@ BLOCK_CASES = {
 }
 
 
+def record_row_sums(monkeypatch):
+    """Make every ``_OutputClasses.row_sums`` call append (its value, the
+    row sums of the materialized ``gather``) to the returned list."""
+    pairs = []
+    row_sums = sim._OutputClasses.row_sums
+
+    def recording(self, table):
+        got = row_sums(self, table)
+        full = self.gather(table, np.empty((table.shape[0], self.ch.n_out**self.cb.n)))
+        pairs.append((got, full.sum(axis=1)))
+        return got
+
+    monkeypatch.setattr(sim._OutputClasses, "row_sums", recording)
+    return pairs
+
+
 class TestBlockEnumeration:
     """Blocks of |Y| and |Y|^2 classes and outputs, so that every codebook
     spans many blocks, give the same bits as one block and as the full-array
@@ -387,41 +403,74 @@ class TestBlockEnumeration:
             assert sum(scored) == 10 * 6 * 3 * 3
             assert sim._OutputClasses(cb, ch, 2**20).size == 16 * 9 * 3 * 3
 
+    @pytest.mark.parametrize("kind", ["ml", "mmi"])
+    def test_row_sums_equal_the_materialized_sum(self, monkeypatch, kind):
+        # the benchmark's size: 2^20 outputs, summed in 256 leaves of 2^12
+        cb = sample_codebook(20, 4, UNIF, seed=11)
+        metric, cfg = (ML, GldConfig(metric=ML, beta=1.0)) if kind == "ml" else (MMI, GldConfig(metric=MMI))
+        pairs = record_row_sums(monkeypatch)
+        profiles = (exact_error_profile(cb, BSC01, metric), exact_error_profile_gld(cb, BSC01, cfg))
+        assert len(pairs) == 2
+        for prof, (got, want) in zip(profiles, pairs):
+            assert np.array_equal(got, want)
+            assert np.array_equal(prof.per_message, np.clip(want, 0.0, 1.0))
+
+    @pytest.mark.parametrize("power", [2, 4, None])
+    @pytest.mark.parametrize("kind", ["ml", "mmi"])
+    def test_row_sums_across_block_edges(self, monkeypatch, power, kind):
+        # 3^9 = 19683 outputs first split at 9840, which no block of 3^2,
+        # 3^4 or (by default) 3^7 outputs divides: leaves straddle blocks
+        cb = sample_codebook(9, 4, Dist(np.array([1 / 3, 2 / 3])), seed=12)
+        metric, cfg = (ML, GldConfig(metric=ML, beta=1.0)) if kind == "ml" else (MMI, GldConfig(metric=MMI))
+        if power is not None:
+            monkeypatch.setattr(sim, "_BLOCK_OUTPUTS", 3**power)
+        pairs = record_row_sums(monkeypatch)
+        exact_error_profile(cb, CH23, metric)
+        exact_error_profile_gld(cb, CH23, cfg)
+        assert len(pairs) == 2
+        for got, want in pairs:
+            assert np.array_equal(got, want)
+
     def test_memory_is_one_float_row_per_message_plus_blocks(self):
         # n = 18, M = 4 under MMI peaked at 148 MiB with every output's
-        # (M, |X|, |Y|, |Y|^n) counts built at once. The block enumeration
-        # keeps one (M, |Y|^n) float64 buffer plus the temporaries of a
-        # block; a block float array is M |X| |Y| |Y|^k float64 (2 MiB here)
-        # and the scoring of one block holds under six of them (19.3 MiB
-        # peak measured). Bound: the buffer (8 MiB) plus 8 block arrays.
+        # (M, |X|, |Y|, |Y|^n) counts built at once. The per-class table, one
+        # float row per message (1 MiB here), is the only array that grows
+        # with the outputs; a block float array is M |X| |Y| |Y|^k float64
+        # (0.5 MiB) and the scoring of one block holds under six of them.
+        # Bound: the table plus 8 block arrays, which any (M, |Y|^n) float64
+        # array (8 MiB) exceeds.
         n, m = 18, 4
         cb = sample_codebook(n, m, UNIF, seed=1)
-        buffer = m * 2**n * 8
+        table = m * sim._OutputClasses(cb, BSC01, 2**20).size * 8
         block = m * 2 * 2 * sim._BLOCK_OUTPUTS * 8
-        bound = buffer + 8 * block
-        tracemalloc.start()
-        try:
-            prof = exact_error_profile(cb, BSC01, MMI)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert prof.per_message.shape == (m,)
-        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > bound {bound / 2**20:.1f} MiB"
+        bound = table + 8 * block
+        assert m * 2**n * 8 > bound
+        for profile in (lambda: exact_error_profile(cb, BSC01, MMI),
+                        lambda: exact_error_profile_gld(cb, BSC01, GldConfig())):
+            tracemalloc.start()
+            try:
+                prof = profile()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert prof.per_message.shape == (m,)
+            assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > bound {bound / 2**20:.1f} MiB"
 
     def test_memory_of_an_incompressible_codebook(self):
         # n = 16 distinct columns: every type class holds one position, so
         # there are as many classes as outputs and the per-class table is as
-        # large as the (M, |Y|^n) buffer. Bound: the buffer (4 MiB), the
-        # table (4 MiB) and 8 block arrays of M |X| |Y| 2^14 float64 (4 MiB).
+        # large as an (M, |Y|^n) array. Bound: the table (4 MiB) and 8 block
+        # arrays of M |X| |Y| 2^12 float64 (8 MiB). The scoring of a block
+        # under MMI (9.6 MiB peak measured) outweighs the table plus one more
+        # (M, |Y|^n) array, so here the bound checks the scoring.
         n, m = 16, 8
         patterns = list(range(8)) + [255 - p for p in range(8)]
         cb = Codebook(n=n, codewords=np.array(
             [[(p >> msg) & 1 for p in patterns] for msg in range(m)]))
         assert len({tuple(col) for col in cb.codewords.T}) == n
-        buffer = m * 2**n * 8
         table = m * 2**n * 8
         block = m * 2 * 2 * sim._BLOCK_OUTPUTS * 8
-        bound = buffer + table + 8 * block
+        bound = table + 8 * block
         tracemalloc.start()
         try:
             prof = exact_error_profile(cb, BSC01, MMI)
