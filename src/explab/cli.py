@@ -47,7 +47,7 @@ from .simulate import (
     sample_codebook,
 )
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 LN2 = math.log(2.0)
 
 
@@ -221,7 +221,6 @@ class RunConfig:
     grid_step: float = 0.125
     refine_iters: int = 20
     refine_shrink: float = 0.5
-    value_tol: float = 1e-6
     certify_tol: float = 1e-4
     n: int = 0
     m_count: int = 0
@@ -235,7 +234,7 @@ class RunConfig:
 
     def opts(self) -> OptimizerOptions:
         return OptimizerOptions(grid_step=self.grid_step, refine_iters=self.refine_iters,
-                                refine_shrink=self.refine_shrink, value_tol=self.value_tol)
+                                refine_shrink=self.refine_shrink)
 
     def to_dict(self) -> dict:
         return {
@@ -250,7 +249,6 @@ class RunConfig:
             "grid_step": self.grid_step,
             "refine_iters": self.refine_iters,
             "refine_shrink": self.refine_shrink,
-            "value_tol": self.value_tol,
             "certify_tol": self.certify_tol,
             "n": self.n, "M": self.m_count, "samples": self.samples,
             "seed": self.seed, "beta": self.beta, "decoder": self.decoder,

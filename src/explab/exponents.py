@@ -25,14 +25,18 @@ capped at R, and E_ex >= E_trc. At the uniform binary composition it is the
 Csiszar-Korner expurgated exponent under both metrics, as the ML = MMI
 corollary of Tamir & Merhav (arXiv:2007.12225) asserts.
 
-All searches follow one scheme (see search.py): exhaustive coarse grid, then
-nested zoom meshes around the incumbent (full local grids with shrinking
-half-width, which keep the thin feasible shells of active score constraints
-covered), then a coordinate shrink-and-probe polish. The score constraint
-carries a grid-resolution slack that is graded away with the zoom scale, so
-reported witnesses are exactly feasible. None of the feasible sets here are
-convex for the MMI metric, so no solver certificate is claimed beyond the
-grid resolution.
+Two problems need no grid: on a binary channel (zeros of W included) the
+thresholds a(R, Q_Y) are solved on a lattice of output laws in one pass,
+and E_r is Gallager's rho-form (``random_coding_exponent``).
+
+Every other problem is searched with one scheme (see search.py): an
+exhaustive coarse grid, then nested zoom meshes around the incumbent (full
+local grids with shrinking half-width, which keep the thin feasible shells
+of active score constraints covered), then a coordinate shrink-and-probe
+polish. The score constraint carries a grid-resolution slack that is graded
+away with the zoom scale, so reported witnesses are exactly feasible. None
+of the feasible sets here are convex for the MMI metric, so no solver
+certificate is claimed beyond the grid resolution.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .search import (
     RowMesh,
     TransportPolytope,
     elog_batch,
+    golden_max,
     mi_batch,
     pattern_min,
     row_grid,
@@ -99,7 +104,6 @@ class OptimizerOptions:
     refine_iters: int = 20
     refine_shrink: float = 0.5
     constraint_slack: float | None = None
-    value_tol: float = 1e-6
     budget_cap: int = 2_000_000
 
     def __post_init__(self) -> None:
@@ -109,8 +113,8 @@ class OptimizerOptions:
             raise ProbError(f"grid_step must be 1/k for integer k, got {self.grid_step}")
         if self.refine_iters < 0 or not (0 < self.refine_shrink < 1):
             raise ProbError("refine_iters must be >= 0 and refine_shrink in (0,1)")
-        if self.value_tol <= 0 or self.budget_cap <= 0:
-            raise ProbError("value_tol and budget_cap must be positive")
+        if self.budget_cap <= 0:
+            raise ProbError("budget_cap must be positive")
         if self.constraint_slack is not None and self.constraint_slack < 0:
             raise ProbError("constraint_slack must be nonnegative")
 
@@ -195,10 +199,7 @@ class _MetricCtx:
         self.logw = ch.log_matrix
         self._memo: dict[tuple, float] = {}
         self._tables: dict[float, np.ndarray] = {}
-        self._fast_1d = (
-            ch.n_in == 2 and ch.n_out == 2
-            and (self.kind == "mmi" or bool(ch.support.all()))
-        )
+        self._fast_1d = ch.n_in == 2 and ch.n_out == 2
 
     # g over a batch of joints on X x Y
     def g_batch(self, j: np.ndarray) -> np.ndarray:
@@ -275,7 +276,8 @@ class _MetricCtx:
         c_hi = edge(np.minimum(b01, b10))
         if self.kind == "mmi":
             return np.maximum(info(c_lo), info(c_hi))
-        # full channel support: g is affine on the interval, ends win
+        # g is affine on the interval, so the ends win; a zero of W makes g -inf
+        # where its cell has mass, and that cell is 0 only at an end of the segment
         return np.maximum(*(elog_batch(np.stack(cells(c), axis=-1).reshape(-1, 2, 2), self.logw)
                             for c in (c_lo, c_hi)))
 
@@ -286,56 +288,7 @@ class _MetricCtx:
             if mutual_information(Joint2(j)) > rate + self.opts.slack:
                 return -math.inf
             return self.g_batch(j[None])[0]
-        if poly.dim == 1:
-            return self._solve_threshold_1d(poly, rate)
         return self._solve_threshold_grid(poly, rate)
-
-    def _solve_threshold_1d(self, poly: TransportPolytope, rate: float) -> float:
-        # One free coordinate: the I <= R region is an exact interval around
-        # the product coupling (I is convex with I(0) = 0), so locate its
-        # endpoints by bisection and optimize on a dense 1-d grid inside.
-        b = poly.basis[0]
-        pos = b > 0
-        neg = b < 0
-        lo = float(np.max(-poly.base[pos] / b[pos]))
-        hi = float(np.min(poly.base[neg] / -b[neg]))
-
-        def info(c: float) -> float:
-            return float(mi_batch(poly.joints(np.array([c]))[None])[0])
-
-        def edge(c_out: float) -> float:
-            # largest |c| on the segment [0, c_out] with I(c) <= rate
-            if info(c_out) <= rate:
-                return c_out
-            a, bb = 0.0, c_out
-            for _ in range(80):
-                mid = 0.5 * (a + bb)
-                if info(mid) <= rate:
-                    a = mid
-                else:
-                    bb = mid
-            return a
-
-        c_lo = edge(lo)
-        c_hi = edge(hi)
-        if self.kind == "mmi":
-            return max(info(c_lo), info(c_hi))
-        cs = np.linspace(c_lo, c_hi, 129)
-        joints = poly.joints(cs[:, None])
-        ok = poly.feasible(joints)
-        obj = np.where(ok, self.g_batch(np.clip(joints, 0.0, None)), -np.inf)
-        best = int(np.argmax(obj))
-        c_best, v_best = cs[best], obj[best]
-        span = (c_hi - c_lo) / 128 if c_hi > c_lo else 0.0
-
-        if span > 0:
-            c_ref, v_ref, _ = pattern_min(
-                np.array([c_best]), lambda c: self._neg_g(poly, c, rate + 1e-12), span,
-                self.opts.refine_iters, self.opts.refine_shrink
-            )
-            if -v_ref > v_best:
-                v_best = -v_ref
-        return float(v_best)
 
     def _solve_threshold_grid(self, poly: TransportPolytope, rate: float) -> float:
         slack = self.opts.slack
@@ -871,50 +824,47 @@ def expurgated_exponent(rp: RatePoint, metric: DecodingMetric, ch: Channel,
     return _outer_minimize(rp, metric, ch, opts, rp.rate)
 
 
-def random_coding_exponent(rp: RatePoint, ch: Channel,
-                           opts: OptimizerOptions = OptimizerOptions()) -> float:
-    """Baseline ensemble-average exponent of the fixed-composition ensemble:
-    min over Q_{Y|X} of D(Q_{Y|X} || W | Q_X) + [I(X;Y) - R]_+."""
+_E0_TOL = 1e-13  # E_0's allowed excess over its minimum over Q_Y
+
+
+def _gallager_e0(rho: float, q: np.ndarray, w: np.ndarray) -> float:
+    """Gallager's E_0(rho, Q) = min over Q_Y of
+    -(1+rho) sum_x Q(x) log sum_y W(y|x)^{1/(1+rho)} Q_Y(y)^{rho/(1+rho)}, by
+    alternating minimization of the jointly convex D(V||W|Q) + rho D(V||Q_Y|Q):
+    V is proportional to W^{1/(1+rho)} Q_Y^{rho/(1+rho)}, then Q_Y becomes the
+    output law of (Q, V). It stops once the Frank-Wolfe gap
+    rho (max_y Q_Y'(y) / Q_Y(y) - 1), which bounds the excess over the
+    minimum, is below _E0_TOL. q > 0 and every output of w is reachable."""
+    a = w ** (1.0 / (1.0 + rho))
+    qy = q @ w
+    for _ in range(10_000):
+        tilt = a * qy ** (rho / (1.0 + rho))
+        z = tilt.sum(axis=1)
+        new = q @ (tilt / z[:, None])
+        if rho * (float(np.max(new / qy)) - 1.0) <= _E0_TOL:
+            break
+        qy = new
+    return -(1.0 + rho) * float(q @ np.log(z))
+
+
+def random_coding_exponent(rp: RatePoint, ch: Channel) -> float:
+    """Baseline ensemble-average exponent of the fixed-composition ensemble,
+    min over Q_{Y|X} of D(Q_{Y|X} || W | Q_X) + [I(X;Y) - R]_+, as
+    max over rho in [0, 1] of E_0(rho, Q) - rho R (Gallager 1968, ch. 5;
+    Arimoto, IEEE T-IT 1976). That is concave in rho: a golden section finds
+    an interior maximum, and the ends are exact (the value at rho = 0 is 0)."""
     qx = rp.composition
     if qx.size != ch.n_in:
         raise ProbError(f"composition has {qx.size} symbols, channel accepts {ch.n_in}")
-    support = np.nonzero(qx.probs > MASS_TOL)[0]
-    mesh = RowMesh(qx.probs[support], support, support,
-                   row_grid(ch.n_out, opts.k, opts.budget_cap), ch.n_in, ch.log_matrix)
+    support = qx.probs > MASS_TOL
+    q, w = qx.probs[support], ch.w[support]
+    w = w[:, q @ w > 0]  # outputs no used input reaches add nothing
 
-    def objective(arrs: dict) -> np.ndarray:
-        return arrs["kl"] + np.maximum(arrs["gx"] - rp.rate, 0.0)
+    def objective(rho: float) -> float:
+        return _gallager_e0(rho, q, w) - rho * rp.rate
 
-    if mesh.size() * mesh.nx * mesh.ny <= opts.budget_cap:
-        obj = objective(mesh.build("mmi"))
-        best = int(np.argmin(obj))
-        rows0, v0 = mesh.rows_of(best), float(obj[best])
-    else:
-        rows0 = ch.w[support]
-        v0 = math.inf
-
-    # zoom refinement, same scheme as the coupled inner problems
-    h = opts.grid_step
-    budget = opts.budget_cap // (4 * mesh.nx * mesh.ny)
-    for _ in range(max(4, opts.refine_iters // 3)):
-        local = RowMesh(mesh.weights, mesh.x_of, mesh.xp_of,
-                        zoom_slot_grids(rows0, h, budget), ch.n_in, ch.log_matrix)
-        obj = objective(local.build("mmi"))
-        best = int(np.argmin(obj))
-        if obj[best] < v0 - 1e-15:
-            rows0, v0 = local.rows_of(best), float(obj[best])
-        h *= opts.refine_shrink
-
-    def f(params: np.ndarray) -> float:
-        rows = mesh.params_to_rows(params)
-        if rows is None:
-            return math.inf
-        st = mesh.stats_of(rows, "mmi")
-        return st["kl"] + max(st["gx"] - rp.rate, 0.0)
-
-    _, v_ref, _ = pattern_min(mesh.rows_to_params(rows0), f, opts.grid_step / 2**4,
-                              opts.refine_iters, opts.refine_shrink)
-    return max(0.0, min(v0, float(v_ref)))
+    _, v = golden_max(objective, 0.0, 1.0)
+    return max(0.0, objective(1.0), v)
 
 
 def sweep(rates, composition: Dist, metric: DecodingMetric, ch: Channel,
@@ -933,7 +883,7 @@ def sweep(rates, composition: Dist, metric: DecodingMetric, ch: Channel,
         try:
             rp = RatePoint(r, composition)
             if which == "random":
-                val, diag = random_coding_exponent(rp, ch, opts), {}
+                val, diag = random_coding_exponent(rp, ch), {}
             else:
                 fn = trc_exponent if which == "trc" else expurgated_exponent
                 res = fn(rp, metric, ch, opts)

@@ -262,7 +262,7 @@ class TestExponentCommand:
         collect(["exponent", "random", "--channel", bsc_file, "--rates", "0.1",
                  "--out", out])
         payload = json.loads(open(out).read())
-        assert payload["version"] == "2"
+        assert payload["version"] == "3"
         assert payload["config"]["channel"]["rows"] == [[0.9, 0.1], [0.1, 0.9]]
         assert payload["config"]["rates"] == [0.1]
 

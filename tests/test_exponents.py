@@ -161,6 +161,10 @@ class TestLattice:
         ([[0.75, 0.25], [0.1, 0.9]], "ml"),
         ([[0.75, 0.25], [0.1, 0.9]], "mmi"),
         ([[1.0, 0.0], [0.2, 0.8]], "mmi"),
+        # zeros of W: g_ML is -inf wherever a zero cell carries mass
+        ([[1.0, 0.0], [0.2, 0.8]], "ml"),
+        ([[0.8, 0.2], [0.0, 1.0]], "ml"),
+        ([[1.0, 0.0], [0.0, 1.0]], "ml"),
     ])
     @pytest.mark.parametrize("comp", [[0.5, 0.5], [0.25, 0.75], [0.0, 1.0]])
     def test_matches_joint_form(self, rows, kind, comp):
@@ -232,7 +236,7 @@ class TestTrcExponent:
         for r in (0.05, 0.15, 0.25):
             rp = RatePoint(r, UNIF)
             e_trc = trc_exponent(rp, MMI, BSC01, OPTS).value
-            e_r = random_coding_exponent(rp, BSC01, OPTS)
+            e_r = random_coding_exponent(rp, BSC01)
             assert e_trc >= e_r - 1e-6
 
 
@@ -249,7 +253,7 @@ class TestExpurgatedExponent:
         for r in (0.05, 0.15):
             rp = RatePoint(r, UNIF)
             e_ex = expurgated_exponent(rp, ML, BSC01, OPTS).value
-            e_r = random_coding_exponent(rp, BSC01, OPTS)
+            e_r = random_coding_exponent(rp, BSC01)
             assert e_ex >= e_r - 1e-6
 
 
@@ -271,18 +275,48 @@ class TestZeroRateClosedForm:
                 assert res.diagnostics["outer_refine_evals"] == 0
 
 
+def _bsc_random_coding(p: float, rate: float) -> float:
+    """E_r of BSC(p) at the uniform composition in closed form: E_0(1) - R
+    up to R_crit, D(delta || p) with log 2 - h(delta) = R up to capacity,
+    and 0 from there on."""
+    def h(d):
+        return -sum(v * math.log(v) for v in (d, 1.0 - d) if v > 0)
+
+    r_crit = LOG2 - h(math.sqrt(p) / (math.sqrt(p) + math.sqrt(1.0 - p)))
+    if rate <= r_crit:
+        return LOG2 - 2.0 * math.log(math.sqrt(p) + math.sqrt(1.0 - p)) - rate
+    if rate >= LOG2 - h(p):
+        return 0.0
+    lo, hi = p, 0.5  # log 2 - h falls on [p, 1/2]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if LOG2 - h(mid) > rate else (lo, mid)
+    return lo * math.log(lo / p) + (1.0 - lo) * math.log((1.0 - lo) / (1.0 - p))
+
+
 class TestRandomCoding:
+    @pytest.mark.parametrize("p, rate", [
+        (0.1, 0.0), (0.1, 0.05), (0.1, 0.15), (0.1, 0.2), (0.1, 0.3),
+        (0.25, 0.01), (0.25, 0.05), (0.25, 0.1), (0.25, 0.15),
+    ])
+    def test_bsc_closed_form(self, p, rate):
+        # R_crit = 0.1308 and C = 0.3681 on BSC(0.1); 0.0363 and 0.1308 on
+        # BSC(0.25), so 0.15 lies above its capacity
+        val = random_coding_exponent(RatePoint(rate, UNIF), Channel.bsc(p))
+        assert val == pytest.approx(_bsc_random_coding(p, rate), abs=1e-9)
+        assert math.copysign(1.0, val) == 1.0
+
     def test_zero_at_mutual_information(self):
         # choosing the true channel makes both terms vanish at R >= I(Q_X; W)
         rp = RatePoint(0.37, UNIF)
-        assert random_coding_exponent(rp, BSC01, OPTS) <= 1e-9
+        assert random_coding_exponent(rp, BSC01) <= 1e-9
 
     def test_rate_zero_oracle(self):
-        val = random_coding_exponent(RatePoint(0.0, UNIF), BSC01, OPTS)
+        val = random_coding_exponent(RatePoint(0.0, UNIF), BSC01)
         assert val == pytest.approx(ER_ZERO_K128, abs=1e-6)
 
     def test_nonincreasing(self):
-        vals = [random_coding_exponent(RatePoint(r, UNIF), BSC01, OPTS)
+        vals = [random_coding_exponent(RatePoint(r, UNIF), BSC01)
                 for r in (0.0, 0.1, 0.2, 0.3, 0.4)]
         assert all(b <= a + 1e-6 for a, b in zip(vals, vals[1:]))
 
@@ -308,7 +342,7 @@ class TestNonBinaryAlphabets:
         assert res.value >= 0.0
         assert np.allclose(res.argmin_coupling.probs.sum(axis=0), comp.probs, atol=1e-9)
         assert np.allclose(res.argmin_coupling.probs.sum(axis=1), comp.probs, atol=1e-9)
-        er = random_coding_exponent(RatePoint(0.08, comp), ch, coarse)
+        er = random_coding_exponent(RatePoint(0.08, comp), ch)
         assert er >= 0.0
 
 
@@ -323,7 +357,7 @@ class TestSweep:
         rec = curve.records[0]
         assert rec.ok
         assert rec.value == pytest.approx(
-            random_coding_exponent(RatePoint(0.1, UNIF), BSC01, OPTS), abs=1e-12)
+            random_coding_exponent(RatePoint(0.1, UNIF), BSC01), abs=1e-12)
 
     def test_unsorted_rejected(self):
         with pytest.raises(ProbError):
