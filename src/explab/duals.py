@@ -149,13 +149,13 @@ def _log_g_aux_mesh(sigmas: np.ndarray, taus: np.ndarray, vs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _pair_logsum(logw_x: np.ndarray, logw_xp: np.ndarray, s: float) -> float:
-    """log sum_y W(y|x)^(1-s) W(y|x')^s with the 0-support conventions."""
+def _pair_logsum(logw_x: list, logw_xp: list, s: float) -> float:
+    """log sum_y W(y|x)^(1-s) W(y|x')^s with the 0-support conventions; the
+    log rows are lists of floats."""
     coef_a, coef_b = 1.0 - s, s
-    terms = np.full(logw_x.size, -np.inf)
-    for yi in range(logw_x.size):
-        la, lb = logw_x[yi], logw_xp[yi]
-        dead_a, dead_b = np.isneginf(la), np.isneginf(lb)
+    terms = np.full(len(logw_x), -np.inf)
+    for yi, (la, lb) in enumerate(zip(logw_x, logw_xp)):
+        dead_a, dead_b = la == -math.inf, lb == -math.inf
         if (dead_a and coef_a > 0) or (dead_b and coef_b > 0):
             continue  # zero factor with positive exponent kills the term
         if (dead_a and coef_a < 0) or (dead_b and coef_b < 0):
@@ -164,7 +164,7 @@ def _pair_logsum(logw_x: np.ndarray, logw_xp: np.ndarray, s: float) -> float:
         vb = 0.0 if (dead_b and coef_b == 0) else coef_b * lb
         terms[yi] = va + vb
     m = terms.max()
-    if np.isneginf(m):
+    if m == -math.inf:
         return -math.inf
     return float(m + np.log(np.exp(terms - m).sum()))
 
@@ -181,7 +181,7 @@ def psi(q_xx: Joint2, ch: Channel) -> float:
 
 def _psi_full(q_xx: Joint2, ch: Channel) -> tuple[float, float, bool]:
     weights, xs, xps = _support_slots(q_xx.probs)
-    logw = ch.log_matrix
+    logw = ch.log_matrix.tolist()
     for x, xp in zip(xs, xps):
         if not (ch.support[x] & ch.support[xp]).any():
             return math.inf, math.nan, True
@@ -251,13 +251,22 @@ def theta(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
 def _lower_front(kl: np.ndarray, drive: np.ndarray) -> np.ndarray:
     """Indices of the candidates that can attain min(kl + rho*drive) at some
     rho >= 0: the Pareto front in (kl, drive), cut to its lower convex hull
-    in the (drive, kl) plane (kept whole when some drive is -inf)."""
+    in the (drive, kl) plane (kept whole when some drive is -inf). Neither
+    input holds NaN."""
+    # a superset of the Pareto front first: a point whose drive exceeds the
+    # least drive before it in any kl-ascending order is weakly dominated by
+    # a point ahead of it in (kl, drive, index) order, so dropping it moves
+    # no running minimum below
+    order = np.argsort(kl)
+    ds = drive[order]
+    keep = np.sort(order[ds <= np.minimum.accumulate(ds)])
+    kl, drive = kl[keep], drive[keep]
     order = np.lexsort((drive, kl))
     ds = drive[order]
     prev = np.minimum.accumulate(np.concatenate([[np.inf], ds[:-1]]))
     front = order[ds < prev][::-1]  # drive ascending, kl descending
     if np.isneginf(drive[front]).any():
-        return front
+        return keep[front]
     # the hull in plain floats: the same products and differences as on
     # numpy scalars, so the same decisions
     kl_l, drive_l = kl.tolist(), drive.tolist()
@@ -271,7 +280,7 @@ def _lower_front(kl: np.ndarray, drive: np.ndarray) -> np.ndarray:
                 break
             hull.pop()
         hull.append(t)
-    return np.array(hull, dtype=int)
+    return keep[np.array(hull, dtype=int)]
 
 
 def _envelope_sup(kl: np.ndarray, drive: np.ndarray) -> tuple[float, float, int, int]:
@@ -354,7 +363,8 @@ class _ThetaProblem:
             # nor lower the running minimum of drive that filters the rest
             return
         ok = np.flatnonzero(np.isfinite(kl) & ~np.isposinf(drive))
-        new = ok[_lower_front(kl[ok], drive[ok])]
+        # one candidate is its own front
+        new = ok if ok.size <= 1 else ok[_lower_front(kl[ok], drive[ok])]
         kl = np.concatenate([self.kl, kl[new]])
         drive = np.concatenate([self.drive, drive[new]])
         rows = np.concatenate([self.rows, rows_of(new)])
@@ -459,6 +469,9 @@ class _TiltedProblem:
         # bytes of the parameter vector: its stats, or None off the simplex.
         # It stands in for the mesh's own stats_of memo, which it bypasses
         self._probes: dict[bytes, dict | None] = {}
+        # _inner's values, on (mu, penalty, rate); mu = 0 is one key for both
+        # penalties, whose drives are finite, so kl + 0.0*drive is kl
+        self._inners: dict[tuple, float] = {}
 
     def _drive(self, penalty: str, rate: float) -> np.ndarray:
         if penalty == "balance":
@@ -466,6 +479,13 @@ class _TiltedProblem:
         return rate - self.i_xp
 
     def _inner(self, mu: float, penalty: str, rate: float) -> float:
+        key = (0.0,) if mu == 0.0 else (mu, penalty, rate)
+        hit = self._inners.get(key)
+        if hit is None:
+            hit = self._inners[key] = self._solve_inner(mu, penalty, rate)
+        return hit
+
+    def _solve_inner(self, mu: float, penalty: str, rate: float) -> float:
         mesh, opts = self.mesh, self.opts
         obj = self.kl + mu * self._drive(penalty, rate)
         best = int(np.argmin(obj))
@@ -474,9 +494,8 @@ class _TiltedProblem:
         def f(params: np.ndarray) -> float:
             key = params.tobytes()
             if key not in self._probes:
-                rows = mesh.params_to_rows(params)
-                self._probes[key] = (None if rows is None
-                                     else mesh.compute_stats(rows.tolist(), "mmi"))
+                rows = mesh.param_rows(params)
+                self._probes[key] = None if rows is None else mesh.compute_stats(rows, "mmi")
             st = self._probes[key]
             if st is None:
                 return math.inf

@@ -7,10 +7,16 @@ an exhaustive coarse grid over the search domain followed by derivative-free
 local refinement (coordinate shrink-and-probe) around the incumbent. The
 helpers here implement both stages once so the exponent and dual modules
 share one tuned engine.
+
+The grid stage scores whole meshes with numpy (``RowMesh.build``); the
+refinement scores one candidate at a time (``RowMesh.stats_of``) with a
+plain-float kernel generated and compiled per mesh structure, which repeats
+build's float operations in build's order, so both stages see the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -250,7 +256,10 @@ class RowMesh:
     ``elog_batch`` / ``mi_batch`` would take it on the summed joint, so the
     scores equal theirs bit for bit: the searches that break ties on exact
     score margins then take the same path. ``stats_of(rows, kind)`` returns
-    the same values for one candidate in plain floats.
+    the same values for one candidate in plain floats, from a straight-line
+    kernel compiled once per mesh structure (``_stats_kernel``): the same
+    float operations in the same order, with the loops over slots, cells and
+    symbols unrolled.
     """
 
     def __init__(self, weights: np.ndarray, x_of: np.ndarray, xp_of: np.ndarray,
@@ -274,12 +283,11 @@ class RowMesh:
         self._groups = {"x": _slot_groups(self.x_of), "xp": _slot_groups(self.xp_of)}
         self._dead = np.isneginf(logw)
         self._fin = np.where(self._dead, 0.0, logw)
-        # plain-float copies for the scores and stats_of
+        # plain-float copies for the scores and the stats kernel
         self._w = self.weights.tolist()
         self._fin_l = self._fin.tolist()
         self._dead_l = self._dead.tolist()
-        self._fin_x = [self._fin_l[x] for x in self.x_of.tolist()]
-        self._dead_x = [self._dead_l[x] for x in self.x_of.tolist()]
+        self._kernels: dict[str, Callable] = {}  # per kind, from _stats_kernel
         self._stats: dict[tuple, dict] = {}  # stats_of memo
 
     def size(self) -> int:
@@ -302,28 +310,20 @@ class RowMesh:
             _seq_sum([mass[r][y] for r in range(s)], out=qy[y])
         kl = _seq_sum([self._axis_view(self.weights[r] * self._row_kl(self.slot_grids[r], self.x_of[r]), r)
                        for r in range(s)])
-        gx = self._score(kind, self._cells(mass, "x"), xlogx)
-        gxp = gx if self._same else self._score(kind, self._cells(mass, "xp"), xlogx)
+        gx = self._score(kind, self._cells(mass, "x"))
+        gxp = gx if self._same else self._score(kind, self._cells(mass, "xp"))
         n = self.n
         return {"qy": qy.reshape(ny, n).T, "kl": kl.reshape(n),
                 "gx": gx.reshape(n), "gxp": gxp.reshape(n)}
 
     def _cells(self, mass: list, sym: str) -> list:
         """[(x, [Q(x, y) for each y])] from mass[r][y], the weighted row
-        entries: sub-mesh arrays of x's slots in build, floats in stats_of."""
+        entries on the mesh axes."""
         return [(x, _vec_sum([mass[r] for r in slots])) for x, slots in self._groups[sym]]
 
-    @staticmethod
-    def _margins(cells: list) -> tuple[list, list]:
-        """The cells' row sums over y and column sums over x, each in
-        mi_batch's order of summation."""
-        return [_np_sum(col) for _, col in cells], _vec_sum([col for _, col in cells])
-
-    def _score(self, kind: str, cells: list, xlx, margins: tuple | None = None):
+    def _score(self, kind: str, cells: list) -> np.ndarray:
         """elog_batch (kind 'ml') or mi_batch of the joint with these cells,
-        in their order of summation; xlx is x*log(x) for the cells' type,
-        margins the cells' ``_margins`` if already taken. Arrays in build,
-        floats in stats_of."""
+        in their order of summation."""
         nx, ny = self.nx, self.ny
         terms = [0.0] * (nx * ny)
         if kind == "ml":
@@ -336,21 +336,15 @@ class RowMesh:
                     else:
                         terms[x * ny + y] = q * fin[y]
             total = _np_sum(terms)
-            if isinstance(charged, bool):  # floats, or no dead cell
-                return -math.inf if charged else total
-            return np.where(charged, -np.inf, total)
-        row_sums, col_sums = margins or self._margins(cells)
-        h_y = [xlx(q) for q in col_sums]
-        del col_sums  # in build, whole-mesh arrays: free them before the cells' terms
+            return total if charged is False else np.where(charged, -np.inf, total)
+        row_sums = [_np_sum(col) for _, col in cells]
+        h_y = [xlogx(q) for q in _vec_sum([col for _, col in cells])]
         h_x = [0.0] * nx
         for (x, col), tot in zip(cells, row_sums):
             for y, q in enumerate(col):
-                terms[x * ny + y] = xlx(q)
-            h_x[x] = xlx(tot)
-        v = _np_sum(terms) - _np_sum(h_x) - _np_sum(h_y)
-        if isinstance(v, float):  # np.maximum(v, 0.0) on a float: v if NaN
-            return v if v > 0.0 or v != v else 0.0
-        return np.maximum(v, 0.0)
+                terms[x * ny + y] = xlogx(q)
+            h_x[x] = xlogx(tot)
+        return np.maximum(_np_sum(terms) - _np_sum(h_x) - _np_sum(h_y), 0.0)
 
     def _row_kl(self, rows: np.ndarray, x: int) -> np.ndarray:
         """D(row || W(.|x)) per grid row; +inf on support violations."""
@@ -365,8 +359,9 @@ class RowMesh:
     def stats_of(self, rows: np.ndarray, kind: str) -> dict:
         """The ``build`` values of one candidate, rows shape (s, ny), in plain
         floats summed in build's order: ``qy`` is a list, ``kl``, ``gx`` and
-        ``gxp`` are floats. Logarithms come from one ``np.log`` call, whose
-        last bits can differ from ``math.log``'s. Results are memoized per
+        ``gxp`` are floats. They come from the structure's compiled kernel
+        (``compute_stats``), whose logarithms come from one ``np.log`` call:
+        its last bits can differ from ``math.log``'s. Results are memoized per
         mesh on (kind, the exact bytes of rows): a repeated probe returns the
         same dict, which callers must not modify."""
         arr = np.ascontiguousarray(rows, dtype=np.float64)
@@ -378,38 +373,18 @@ class RowMesh:
 
     def compute_stats(self, rows: list, kind: str) -> dict:
         """``stats_of`` without its memo, on rows as nested lists, for a
-        caller that keeps its own memo."""
-        wr = [[w * p for p in row] for w, row in zip(self._w, rows)]
-        qy = _vec_sum(wr)
-        joints = [self._cells(wr, "x")] + ([] if self._same else [self._cells(wr, "xp")])
-        need = [p for row in rows for p in row]
-        margins = [None] * len(joints)
-        if kind == "mmi":
-            margins = [self._margins(cells) for cells in joints]
-            for cells, (row_sums, col_sums) in zip(joints, margins):
-                for _, col in cells:
-                    need += col
-                need += row_sums + col_sums
-        pos = [v for v in need if v > 0.0]
-        # x*log(x) of every value needed, as xlogx takes it
-        xl = {v: v * g for v, g in zip(pos, np.log(pos).tolist())}
-        xl[0.0] = 0.0
+        caller that keeps its own memo. It runs the mesh structure's
+        compiled kernel (``_stats_kernel``), made on first use."""
+        kernel = self._kernels.get(kind)
+        if kernel is None:
+            kernel = self._kernels[kind] = _stats_kernel(
+                kind, self.nx, self.ny, tuple(self.x_of.tolist()),
+                tuple(self.xp_of.tolist()), tuple(map(tuple, self._dead_l)))
+        return kernel(rows, self._w, self._fin_l)
 
-        per_slot = []
-        for row, fin, dead in zip(rows, self._fin_x, self._dead_x):
-            d = 0.0
-            for p, f, z in zip(row, fin, dead):
-                if p > 0.0:
-                    d = math.inf if z else d + (xl[p] - p * f)
-            per_slot.append(d)
-        kl = math.inf if math.inf in per_slot else _seq_sum([w * d for w, d in zip(self._w, per_slot)])
-
-        gs = [self._score(kind, cells, xl.__getitem__, m) for cells, m in zip(joints, margins)]
-        return {"qy": qy, "kl": kl, "gx": gs[0], "gxp": gs[-1]}
-
-    def params_to_rows(self, params: np.ndarray) -> np.ndarray | None:
-        """Free coordinates (first ny-1 entries per slot) -> full rows, or
-        None when outside the simplex."""
+    def param_rows(self, params: np.ndarray) -> list | None:
+        """Free coordinates (first ny-1 entries per slot) -> full rows as
+        nested lists, or None when outside the simplex."""
         k = self.ny - 1
         flat = params.tolist()
         if min(flat, default=0.0) < -1e-12:
@@ -424,7 +399,12 @@ class RowMesh:
             if last < -1e-12:
                 return None
             rows.append([min(max(v, 0.0), 1.0) for v in free] + [min(max(last, 0.0), 1.0)])
-        return np.array(rows)
+        return rows
+
+    def params_to_rows(self, params: np.ndarray) -> np.ndarray | None:
+        """``param_rows`` as an (s, ny) array."""
+        rows = self.param_rows(params)
+        return None if rows is None else np.array(rows)
 
     def rows_to_params(self, rows: np.ndarray) -> np.ndarray:
         return rows[:, : self.ny - 1].reshape(-1)
@@ -449,7 +429,7 @@ def _seq_sum(terms: list, out: np.ndarray | None = None):
 def _np_sum(terms: list):
     """Sum in the order of numpy's add-reduction over len(terms) contiguous
     elements: from the left below 8 terms, else numpy's pairwise scheme of
-    eight interleaved partial sums. Terms may be arrays or floats."""
+    eight interleaved partial sums."""
     n = len(terms)
     if n < 8:
         acc = terms[0]
@@ -470,7 +450,7 @@ def _np_sum(terms: list):
 
 def _vec_sum(vecs: list) -> list:
     """vecs[0] + vecs[1] + ... entry by entry, from the left: the order of
-    _seq_sum. Entries may be arrays or floats."""
+    _seq_sum."""
     acc = list(vecs[0])
     for v in vecs[1:]:
         acc = list(map(operator.add, acc, v))
@@ -480,6 +460,134 @@ def _vec_sum(vecs: list) -> list:
 def _slot_groups(of: np.ndarray) -> list[tuple[int, list[int]]]:
     """(symbol, the slots aggregating into it), in symbol order."""
     return [(x, np.flatnonzero(of == x).tolist()) for x in np.unique(of).tolist()]
+
+
+class _Expr(str):
+    """Python source of a float expression. ``+`` and ``-`` between two of
+    them give the source of the sum or difference, so ``_seq_sum``,
+    ``_np_sum`` and ``_vec_sum`` applied to them write out their order of
+    summation."""
+
+    def __add__(self, other: str) -> _Expr:
+        return _Expr(f"{self} + {_operand(other)}")
+
+    def __sub__(self, other: str) -> _Expr:
+        return _Expr(f"{self} - {_operand(other)}")
+
+
+def _operand(e: str) -> str:
+    # + and - group to the left: only a compound right operand needs parentheses
+    return e if e.isidentifier() else f"({e})"
+
+
+@functools.lru_cache(maxsize=256)
+def _stats_kernel(kind: str, nx: int, ny: int, x_of: tuple, xp_of: tuple,
+                  dead: tuple) -> Callable:
+    """The compiled ``_kernel_source`` of one mesh structure, shared by every
+    mesh of that structure; the least recently used past 256 structures are
+    dropped. Two threads may both compile a missing kernel; either result
+    is the same function."""
+    scope = {"_0": 0.0, "_1": 1.0, "_INF": math.inf, "_NINF": -math.inf, "_log": np.log}
+    exec(compile(_kernel_source(kind, nx, ny, x_of, xp_of, dead),
+                 f"<stats kernel {kind} {x_of} {xp_of}>", "exec"), scope)
+    return scope["kernel"]
+
+
+def _kernel_source(kind: str, nx: int, ny: int, x_of: tuple, xp_of: tuple,
+                   dead: tuple) -> str:
+    """Source of ``kernel(rows, w, fin)``, the straight-line form of
+    ``RowMesh.build``'s arithmetic for one candidate: rows are the s rows as
+    nested lists, w the slot weights, fin log W with 0.0 at the dead cells
+    (dead[x][y], W(y|x) = 0). It returns ``stats_of``'s dict. The structure
+    (kind, slots, dead cells) is unrolled; every float, constants included,
+    comes in through arguments or names, so the source holds none.
+
+    Sums are written out by ``_seq_sum``, ``_np_sum`` and ``_vec_sum`` on
+    ``_Expr`` terms, so each adds in build's order, 0.0 placeholders
+    included. The x log x of every value needed comes from one ``np.log``
+    call, with 1.0 standing in for values <= 0, whose x log x is 0.0."""
+    s = len(x_of)
+    zero = _Expr("_0")
+    body: list[str] = []
+    lets: dict[str, _Expr] = {}
+    logs: dict[str, None] = {}  # the values whose log is taken, in order
+    xlogs: dict[str, None] = {}  # those whose x log x is taken
+
+    def let(expr: str) -> _Expr:
+        # one variable per distinct expression
+        if expr.isidentifier():
+            return _Expr(expr)
+        if expr not in lets:
+            lets[expr] = _Expr(f"v{len(lets)}")
+            body.append(f"{lets[expr]} = {expr}")
+        return lets[expr]
+
+    def xlx(q: str) -> _Expr:
+        q = let(q)
+        logs[q] = xlogs[q] = None
+        return _Expr(f"h_{q}")
+
+    p = [[_Expr(f"p{r}_{y}") for y in range(ny)] for r in range(s)]
+    mass = [[let(f"w{r} * {p[r][y]}") for y in range(ny)] for r in range(s)]
+    qy = _vec_sum(mass)
+
+    # the terms of kl: a dead cell with mass makes it +inf
+    kl_lines, hits = [], []
+    for r, x in enumerate(x_of):
+        kl_lines.append(f"d{r} = _0")
+        for y, q in enumerate(p[r]):
+            if dead[x][y]:
+                hits.append(f"{q} > _0")
+            else:
+                logs[q] = None
+                kl_lines.append(f"if {q} > _0: d{r} = d{r} + ({q} * l_{q} - {q} * f{x}_{y})")
+    kl = _seq_sum([_Expr(f"w{r} * d{r}") for r in range(s)])
+    if hits:
+        kl = f"_INF if {' or '.join(hits)} else {kl}"
+
+    def score(of: tuple) -> str:
+        cells = [(x, [let(e) for e in _vec_sum([mass[r] for r in slots])])
+                 for x, slots in _slot_groups(np.asarray(of))]
+        terms = [zero] * (nx * ny)
+        if kind == "ml":
+            charged = []
+            for x, col in cells:
+                for y, q in enumerate(col):
+                    if dead[x][y]:
+                        charged.append(f"{q} > _0")
+                    else:
+                        terms[x * ny + y] = _Expr(f"{q} * f{x}_{y}")
+            total = _np_sum(terms)
+            return f"_NINF if {' or '.join(charged)} else {total}" if charged else total
+        h_y = [xlx(q) for q in _vec_sum([col for _, col in cells])]
+        h_x = [zero] * nx
+        for x, col in cells:
+            for y, q in enumerate(col):
+                terms[x * ny + y] = xlx(q)
+            h_x[x] = xlx(_np_sum(col))
+        return _np_sum(terms) - _np_sum(h_x) - _np_sum(h_y)
+
+    gs = [score(x_of)] + ([] if x_of == xp_of else [score(xp_of)])
+
+    def unpack(names) -> str:
+        return "".join(f"{n}, " for n in names)
+
+    fin = [[f"f{x}_{y}" for y in range(ny)] for x in range(nx)]
+    lines = ["def kernel(rows, w, fin):",
+             f"{unpack(f'({unpack(row)})' for row in p)}= rows",
+             f"{unpack(f'w{r}' for r in range(s))}= w",
+             f"{unpack(f'({unpack(row)})' for row in fin)}= fin"]
+    lines += body
+    positive = unpack(f"{q} if {q} > _0 else _1" for q in logs)
+    lines.append(f"{unpack(f'l_{q}' for q in logs)}= _log([{positive}]).tolist()")
+    lines += [f"h_{q} = {q} * l_{q} if {q} > _0 else _0" for q in xlogs]
+    lines += kl_lines
+    for j, g in enumerate(gs):
+        lines.append(f"g{j} = {g}")
+        if kind == "mmi":  # np.maximum(g, 0.0): g itself when NaN
+            lines.append(f"g{j} = g{j} if g{j} > _0 or g{j} != g{j} else _0")
+    lines.append(f"return {{'qy': [{unpack(qy)}], 'kl': {kl}, 'gx': g0, 'gxp': g{len(gs) - 1}}}")
+    return "\n    ".join(lines) + "\n"
 
 
 def row_grid(ny: int, k: int, cap: int) -> np.ndarray:

@@ -208,8 +208,51 @@ def _front_reference(kl, drive):
     return [m for m in front if below_chord(m)]
 
 
+def _lexsort_front(kl, drive):
+    """_lower_front without the argsort prefilter: the Pareto filter on the
+    full (kl, drive, index) lexsort, then the hull in plain floats."""
+    order = np.lexsort((drive, kl))
+    ds = drive[order]
+    prev = np.minimum.accumulate(np.concatenate([[np.inf], ds[:-1]]))
+    front = order[ds < prev][::-1]
+    if np.isneginf(drive[front]).any():
+        return front
+    kl_l, drive_l = kl.tolist(), drive.tolist()
+    hull = []
+    for t in front.tolist():
+        kt, dt = kl_l[t], drive_l[t]
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            ko, do = kl_l[o], drive_l[o]
+            if ((drive_l[a] - do) * (kt - ko) - (kl_l[a] - ko) * (dt - do)) > 0:
+                break
+            hull.pop()
+        hull.append(t)
+    return np.array(hull, dtype=int)
+
+
 class TestLowerFront:
     """theta's pool: _lower_front and the dominated-probe shortcut of _add."""
+
+    def test_prefilter_keeps_the_lexsort_front(self):
+        """The argsort prefilter drops only points that cannot change the
+        lexsort front: same indices, in the same order, on inputs with ties
+        in kl and drive, duplicates and -inf drives."""
+        from explab.duals import _lower_front
+        rng = np.random.default_rng(29)
+        for trial in range(2000):
+            n = int(rng.integers(0, 300))
+            if rng.random() < 0.5:  # integers: many ties
+                kl = rng.integers(0, 8, n).astype(float)
+                drive = rng.integers(-6, 6, n).astype(float)
+            else:  # floats drawn with or without repeats
+                pool = rng.random(max(1, n // 3))
+                kl = rng.choice(pool, n) if rng.random() < 0.5 else rng.random(n)
+                drive = rng.choice(pool - 0.5, n) if rng.random() < 0.5 else rng.normal(size=n)
+            if n and rng.random() < 0.3:
+                drive[rng.integers(0, n, int(rng.integers(1, 3)))] = -np.inf
+            got, want = _lower_front(kl, drive), _lexsort_front(kl, drive)
+            assert got.tolist() == want.tolist(), (trial, kl.tolist(), drive.tolist())
 
     @staticmethod
     def _random_set(rng, n):

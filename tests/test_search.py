@@ -140,6 +140,10 @@ MESH_CASES = {
     "zero-cell": ([[1.0, 0.0], [0.2, 0.8]], [[0.2, 0.3], [0.5, 0.0]], (8, 4, 2)),
     # 8 cells per joint: numpy sums them pairwise, not left to right
     "2x4": ([[0.7, 0.1, 0.1, 0.1], [0.0, 0.2, 0.3, 0.5]], [[0.5, 0.0], [0.2, 0.3]], (2, 2, 2)),
+    # 9 outputs: the row sums of Q_XY are pairwise too, with a remainder
+    "2x9": ([[0.3, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05, 0.1, 0.0],
+             [0.05, 0.05, 0.1, 0.1, 0.1, 0.1, 0.1, 0.2, 0.2]],
+            [[0.0, 0.4], [0.6, 0.0]], (1, 1)),
 }
 
 
@@ -179,7 +183,7 @@ class TestRowMesh:
                 # off-grid candidates too: their logs exercise the last bit
                 rng = np.random.default_rng(7)
                 for rows in rng.dirichlet(np.ones(ch.n_out), size=(500, mesh.s)):
-                    if name in ("z", "zero-cell"):
+                    if name in ("z", "zero-cell", "2x9"):
                         rows[rng.random(mesh.s) < 0.5, -1] = 0.0
                         rows /= rows.sum(axis=1, keepdims=True)
                     ref = _summed_joint_reference(mesh, rows)
@@ -188,7 +192,7 @@ class TestRowMesh:
                     assert np.array_equal(st["qy"], ref["qy"]), where
                     assert _same(st["kl"], ref["kl"]), where
                     assert (st["gx"], st["gxp"]) == ref[kind], where
-            if name in ("z", "zero-cell"):
+            if name in ("z", "zero-cell", "2x9"):
                 ml = mesh.build("ml")
                 assert np.isposinf(ml["kl"]).any() and np.isneginf(ml["gx"]).any()
 
@@ -282,25 +286,117 @@ class TestFloatKernel:
         # zero coupling cells: x_of and xp_of group the slots unevenly
         "3x2": ([[0.9, 0.1], [0.5, 0.5], [0.0, 1.0]],
                 [[0.2, 0.1, 0.0], [0.0, 0.2, 0.2], [0.1, 0.0, 0.2]], 2),
+        # 9 outputs and a dead cell: row sums of 9 cells and joints of 18
+        # are summed pairwise, with a remainder
+        "2x9": ([[0.3, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05, 0.1, 0.0],
+                 [0.05, 0.05, 0.1, 0.1, 0.1, 0.1, 0.1, 0.2, 0.2]],
+                [[0.0, 0.5], [0.5, 0.0]], 2),
     }
 
+    @staticmethod
+    def _mesh(w, coupling, k):
+        ch = Channel.from_rows(w)
+        q = np.array(coupling)
+        xs, xps = np.nonzero(q > 0)
+        return RowMesh(q[xs, xps], xs, xps, row_grid(ch.n_out, k, 10_000),
+                       ch.n_in, ch.log_matrix)
+
     def test_stats_equal_build_per_candidate(self):
-        for name, (w, coupling, k) in self.CASES.items():
-            ch = Channel.from_rows(w)
-            q = np.array(coupling)
-            xs, xps = np.nonzero(q > 0)
-            mesh = RowMesh(q[xs, xps], xs, xps, row_grid(ch.n_out, k, 10_000),
-                           ch.n_in, ch.log_matrix)
+        for name, case in self.CASES.items():
+            mesh = self._mesh(*case)
             assert not np.array_equal(mesh.x_of, mesh.xp_of)
             assert (mesh.slot_grids[0] == 0.0).any()  # rows with zero entries
             for kind in ("ml", "mmi"):
                 arrs = mesh.build(kind)
                 for i in range(mesh.size()):
-                    st = mesh.stats_of(mesh.rows_of(i), kind)
-                    where = f"{name}/{kind} candidate {i}"
-                    assert st["qy"] == arrs["qy"][i].tolist(), where
-                    assert st["gx"] == arrs["gx"][i], where
-                    assert st["gxp"] == arrs["gxp"][i], where
-                    assert st["kl"] == arrs["kl"][i], where
-                if name == "z" and kind == "ml":
+                    rows = mesh.rows_of(i)
+                    # -0.0 entries, as params_to_rows makes them, count as zeros
+                    negzero = np.where(rows == 0.0, -0.0, rows)
+                    for st in (mesh.stats_of(rows, kind), mesh.stats_of(negzero, kind)):
+                        where = f"{name}/{kind} candidate {i}"
+                        assert st["qy"] == arrs["qy"][i].tolist(), where
+                        assert st["gx"] == arrs["gx"][i], where
+                        assert st["gxp"] == arrs["gxp"][i], where
+                        assert st["kl"] == arrs["kl"][i], where
+                if name in ("z", "2x9") and kind == "ml":
                     assert np.isneginf(arrs["gx"]).any() and np.isposinf(arrs["kl"]).any()
+
+    def test_params_to_rows_makes_negative_zeros(self):
+        mesh = self._mesh(*self.CASES["bsc"])
+        rows = mesh.params_to_rows(np.array([-0.0, 0.5, 1.0, 0.25]))
+        assert rows[0, 0] == 0.0 and math.copysign(1.0, rows[0, 0]) < 0
+        assert math.copysign(1.0, rows[2, 1]) > 0  # 1.0 - 1.0
+
+    def test_kernel_source_has_no_float_and_compiles_once(self, monkeypatch):
+        """The kernel is generated from the mesh structure alone: weights and
+        log W come in as arguments, and two meshes of one structure share
+        one compiled kernel per kind."""
+        import ast
+
+        from explab import search
+
+        w, coupling, k = self.CASES["2x9"]
+        mesh = self._mesh(w, coupling, k)
+        structure = (mesh.nx, mesh.ny, tuple(mesh.x_of.tolist()),
+                     tuple(mesh.xp_of.tolist()), tuple(map(tuple, mesh._dead_l)))
+        for kind in ("ml", "mmi"):
+            tree = ast.parse(search._kernel_source(kind, *structure))
+            floats = [node.value for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))]
+            assert floats == [], kind
+
+        made = []
+        source = search._kernel_source
+        monkeypatch.setattr(search, "_kernel_source", lambda *a: made.append(a[0]) or source(*a))
+        search._stats_kernel.cache_clear()
+        # same structure (slots, dead cell), other weights and channel values
+        w2 = [[0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.2, 0.2, 0.0],
+              [0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]]
+        other = self._mesh(w2, [[0.0, 0.3], [0.7, 0.0]], 2)
+        rng = np.random.default_rng(5)
+        for kind in ("ml", "mmi"):
+            for m in (mesh, other, mesh):
+                for rows in rng.dirichlet(np.ones(m.ny), size=(3, m.s)):
+                    m.stats_of(rows, kind)
+            assert mesh._kernels[kind] is other._kernels[kind]
+        assert made == ["ml", "mmi"]
+        assert mesh.stats_of(mesh.rows_of(3), "ml") != other.stats_of(mesh.rows_of(3), "ml")
+
+    def test_threads_racing_for_a_kernel_agree(self):
+        """Threads that find a structure's kernel missing may compile it
+        twice; every probe still returns the single-thread stats."""
+        import sys
+        import threading
+
+        from explab import search
+
+        cases = [self.CASES[name] for name in ("z", "2x3", "3x2")]
+        probes = [(i, kind, rows) for i, case in enumerate(cases)
+                  for kind in ("ml", "mmi") for rows in (1, 4, 6)]
+        want = [self._mesh(*cases[i]).stats_of(self._mesh(*cases[i]).rows_of(j), kind)
+                for i, kind, j in probes]
+        errors = []
+
+        def worker():
+            try:
+                meshes = [self._mesh(*case) for case in cases]
+                got = [meshes[i].stats_of(meshes[i].rows_of(j), kind) for i, kind, j in probes]
+                if got != want:
+                    errors.append(got)
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                search._stats_kernel.cache_clear()
+                threads = [threading.Thread(target=worker) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
