@@ -8,10 +8,11 @@ Three subcommands drive the compute modules:
 
 Result files embed the fully resolved run configuration and a format
 version, numbers are emitted at 9 significant digits (identically in JSON
-and CSV), infinities become the strings "+inf"/"-inf", and writes are
-atomic (temp file + rename). Repeated runs with the same configuration and
-seed produce byte-identical JSON: nothing time- or host-dependent is ever
-written.
+and CSV), infinities become the strings "+inf"/"-inf", a value that does
+not exist is JSON null and an empty CSV cell, and writes are atomic (temp
+file + rename). Repeated runs with the same configuration and seed produce
+byte-identical JSON: nothing time- or host-dependent is ever written, and
+neither is the worker count, which changes no result.
 
 Rates are nats per channel use throughout; --bits only converts the printed
 summary table, never the files.
@@ -47,7 +48,7 @@ from .simulate import (
     sample_codebook,
 )
 
-FORMAT_VERSION = "3"
+FORMAT_VERSION = "4"
 LN2 = math.log(2.0)
 
 
@@ -201,7 +202,8 @@ def atomic_write(path: str, text: str) -> None:
 def csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else "" if v is None else str(v)
+                              for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -220,7 +222,6 @@ class RunConfig:
     metric: str = "mmi"
     grid_step: float = 0.125
     refine_iters: int = 20
-    refine_shrink: float = 0.5
     certify_tol: float = 1e-4
     n: int = 0
     m_count: int = 0
@@ -233,10 +234,10 @@ class RunConfig:
     bits: bool = False
 
     def opts(self) -> OptimizerOptions:
-        return OptimizerOptions(grid_step=self.grid_step, refine_iters=self.refine_iters,
-                                refine_shrink=self.refine_shrink)
+        return OptimizerOptions(grid_step=self.grid_step, refine_iters=self.refine_iters)
 
     def to_dict(self) -> dict:
+        """Every setting that can change a result; ``threads`` cannot."""
         return {
             "command": self.command,
             "channel_path": self.channel_path,
@@ -248,11 +249,10 @@ class RunConfig:
             "metric": self.metric,
             "grid_step": self.grid_step,
             "refine_iters": self.refine_iters,
-            "refine_shrink": self.refine_shrink,
             "certify_tol": self.certify_tol,
             "n": self.n, "M": self.m_count, "samples": self.samples,
             "seed": self.seed, "beta": self.beta, "decoder": self.decoder,
-            "threads": self.threads, "strict": self.strict, "bits": self.bits,
+            "strict": self.strict, "bits": self.bits,
         }
 
 
@@ -280,18 +280,6 @@ def parse_rates(spec: str) -> list[float]:
     if rates[-1] > stop + step * 1e-9:
         rates.pop()
     return rates
-
-
-def _resolve_threads(arg: int | None) -> int:
-    if arg is not None:
-        return max(1, arg)
-    env = os.environ.get("EXPLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(f"EXPLAB_THREADS={env!r} is not an integer") from None
-    return 1
 
 
 def _resolve_composition(arg: str | None, nx: int, grid_step: float,
@@ -384,8 +372,10 @@ def cmd_exponent(cfg: RunConfig, which: str, out, csv_path, gnuplot, echo) -> in
             "value": rec.value,
             "ok": rec.ok,
             "error": rec.error or "",
-            "raw_value": rec.diagnostics.get("raw_value", rec.value),
-            "coupling_information": rec.diagnostics.get("coupling_information", 0.0),
+            # None (null, an empty CSV cell) where the exponent has no
+            # coupling search: E_r, and failed records
+            "raw_value": rec.diagnostics.get("raw_value"),
+            "coupling_information": rec.diagnostics.get("coupling_information"),
         }
         results.append(row)
         csv_rows.append([row["rate"], row["value"], row["ok"],
@@ -486,9 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--composition", help="comma-separated composition (default uniform), snapped to the grid")
         p.add_argument("--grid-step", type=float, default=0.125, help="search grid step 1/k (default 1/8)")
         p.add_argument("--refine-iters", type=int, default=20)
-        p.add_argument("--refine-shrink", type=float, default=0.5)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker pool cap (default: EXPLAB_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker pool cap (default 1); results do not depend on it")
         p.add_argument("--out", help="JSON output path")
         p.add_argument("--bits", action="store_true", help="print values in bits (files stay in nats)")
         p.add_argument("--strict", action="store_true", help="exit nonzero on any flagged failure")
@@ -535,8 +524,7 @@ def run(argv: list[str] | None = None, echo=print) -> int:
             metric=getattr(args, "metric", "mmi"),
             grid_step=args.grid_step,
             refine_iters=args.refine_iters,
-            refine_shrink=args.refine_shrink,
-            threads=_resolve_threads(args.threads),
+            threads=args.threads,
             strict=args.strict,
             bits=args.bits,
         )

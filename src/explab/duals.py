@@ -59,18 +59,18 @@ from .prob import (
     coupling_grid,
     entropy,
     mutual_information,
-    simplex_grid_size,
 )
 from .search import (
+    BUDGET,
+    RAY_HI,
+    SHRINK,
     RowMesh,
+    global_mesh,
     golden_max,
     pattern_min,
-    row_grid,
     sup_ray,
     zoom_slot_grids,
 )
-
-RAY_HI = 8.0  # scalar parameters are searched on [0, RAY_HI], doubled on boundary hits
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def _psi_full(q_xx: Joint2, ch: Channel) -> tuple[float, float, bool]:
             tot -= w * ls
         return tot
 
-    res = sup_ray(f, hi=RAY_HI, n_grid=25)
+    res = sup_ray(f)
     return max(res.value, f(0.0)), res.arg, res.hit_boundary
 
 
@@ -335,15 +335,8 @@ class _ThetaProblem:
         self.ctx = _metric_ctx(ch, q_x, ML, opts)
         self.rate = rate
         weights, xs, xps = _support_slots(q_xx.probs)
-        # the global mesh coarsens until it fits the budget; the zoom
-        # stages start at its step
-        self.k = opts.k
-        while (self.k > 1 and simplex_grid_size(ch.n_out, self.k) ** weights.size
-               * ch.n_in * ch.n_out > opts.budget_cap):
-            self.k -= 1
-        self.mesh = RowMesh(weights, xs, xps,
-                            row_grid(ch.n_out, self.k, opts.budget_cap),
-                            ch.n_in, ch.log_matrix)
+        # the zoom stages start at the global mesh's step
+        self.mesh, self.k = global_mesh(weights, xs, xps, ch.n_in, ch.log_matrix, opts.k)
         self.kl = np.empty(0)
         self.drive = np.empty(0)
         self.rows = np.empty((0, self.mesh.s, self.mesh.ny))
@@ -406,7 +399,7 @@ class _ThetaProblem:
         starts = [self.rows[i], self.rows[j]] + [
             mesh.rows_of(idx) for idx in _spread_minima(_lagrangian(kl, drive, rho),
                                                         _N_STARTS, mesh.gs)]
-        budget = opts.budget_cap // (4 * mesh.nx * mesh.ny)
+        budget = BUDGET // (4 * mesh.nx * mesh.ny)
         for rows in starts:
             h = 1.0 / self.k
             for _ in range(max(4, opts.refine_iters // 3)):
@@ -416,7 +409,7 @@ class _ThetaProblem:
                 kl, drive = self._add_mesh(local)
                 _, rho, _, _ = _envelope_sup(self.kl, self.drive)
                 rows = local.rows_of(int(np.argmin(_lagrangian(kl, drive, rho))))
-                h *= opts.refine_shrink
+                h *= SHRINK
         _, rho, i, j = _envelope_sup(self.kl, self.drive)
 
         def f(params: np.ndarray) -> float:
@@ -428,7 +421,7 @@ class _ThetaProblem:
 
         for c in {i, j}:
             pattern_min(mesh.rows_to_params(self.rows[c]), f,
-                        opts.grid_step / 2**4, opts.refine_iters, opts.refine_shrink)
+                        opts.grid_step / 2**4, opts.refine_iters)
         value, rho, _, _ = _envelope_sup(self.kl, self.drive)
         return {"value": max(value, 0.0), "rho": rho, "hit_boundary": False}
 
@@ -450,19 +443,19 @@ def _theta_full(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
 
 
 class _TiltedProblem:
-    """Shared mesh state for the multiplier-tilted inner minimizations.
+    """Shared mesh state for the multiplier-tilted inner minimizations of one
+    coupling.
 
     solve('balance') is the I(X;Y) - I(X';Y) penalty, solve('rate', R) the
     R - I(X';Y) one; both bracket the sup over the multiplier with a
     vectorized grid-only scan and refine only inside the winning bracket.
+    The global mesh is ``global_mesh``'s.
     """
 
     def __init__(self, q_xx: Joint2, ch: Channel, opts: OptimizerOptions):
         self.opts = opts
         weights, xs, xps = _support_slots(q_xx.probs)
-        self.mesh = RowMesh(weights, xs, xps,
-                            row_grid(ch.n_out, opts.k, opts.budget_cap),
-                            ch.n_in, ch.log_matrix)
+        self.mesh, _ = global_mesh(weights, xs, xps, ch.n_in, ch.log_matrix, opts.k)
         arrs = self.mesh.build("mmi")
         self.i_x, self.i_xp, self.kl = arrs["gx"], arrs["gxp"], arrs["kl"]
         # polish probes of every multiplier and penalty, keyed on the exact
@@ -502,8 +495,7 @@ class _TiltedProblem:
             drive = st["gx"] - st["gxp"] if penalty == "balance" else rate - st["gxp"]
             return st["kl"] + mu * drive
 
-        _, fp, _ = pattern_min(mesh.rows_to_params(rows0), f, opts.grid_step,
-                               opts.refine_iters, opts.refine_shrink)
+        _, fp, _ = pattern_min(mesh.rows_to_params(rows0), f, opts.grid_step, opts.refine_iters)
         return min(v0, fp)
 
     def solve(self, penalty: str, rate: float = 0.0) -> dict:
@@ -530,29 +522,36 @@ class _TiltedProblem:
         return {"value": float(value), "mu": best_mu, "hit_boundary": hit_boundary}
 
 
+def _tilted_value(q_xx: Joint2, ch: Channel, opts: OptimizerOptions,
+                  penalty: str, rate: float) -> float:
+    """``_TiltedProblem(q_xx, ch, opts).solve(penalty, rate)``'s value,
+    memoized per channel on (the coupling's bytes, penalty, rate). Only the
+    latest coupling's problem is kept, so lambda and phi there share one
+    mesh evaluation and probe memo: kept for every coupling, the probe
+    memos would hold most of a certify run's memory."""
+    values = _channel_memo(ch, "tilted", opts)
+    key = q_xx.probs.tobytes()
+    hit = values.get((key, penalty, rate))
+    if hit is None:
+        latest = _channel_memo(ch, "tilted problem", opts)
+        prob = latest.get(key)
+        if prob is None:
+            latest.clear()
+            prob = latest[key] = _TiltedProblem(q_xx, ch, opts)
+        hit = values[(key, penalty, rate)] = prob.solve(penalty, rate)["value"]
+    return hit
+
+
 def lambda_bound(q_xx: Joint2, ch: Channel,
                  opts: OptimizerOptions = OptimizerOptions()) -> float:
     """Multiplier-tilted inner channel minimum with penalty I(X;Y) - I(X';Y)."""
-    return _TiltedProblem(q_xx, ch, opts).solve("balance")["value"]
+    return _tilted_value(q_xx, ch, opts, "balance", 0.0)
 
 
 def phi_bound(q_xx: Joint2, rate: float, ch: Channel,
               opts: OptimizerOptions = OptimizerOptions()) -> float:
     """Multiplier-tilted inner channel minimum with penalty rate - I(X';Y)."""
-    return _TiltedProblem(q_xx, ch, opts).solve("rate", rate)["value"]
-
-
-def _tilted_pair(q_xx: Joint2, rate: float, ch: Channel,
-                 opts: OptimizerOptions) -> tuple[float, float]:
-    """lambda_bound and phi_bound sharing one mesh evaluation, memoized per
-    channel on (rate, the coupling's bytes)."""
-    memo = _channel_memo(ch, "tilted", opts)
-    key = (rate, q_xx.probs.tobytes())
-    hit = memo.get(key)
-    if hit is None:
-        prob = _TiltedProblem(q_xx, ch, opts)
-        hit = memo[key] = (prob.solve("balance")["value"], prob.solve("rate", rate)["value"])
-    return hit
+    return _tilted_value(q_xx, ch, opts, "rate", rate)
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +560,18 @@ def _tilted_pair(q_xx: Joint2, rate: float, ch: Channel,
 
 
 def _outer_bound(rp: RatePoint, opts: OptimizerOptions, per_coupling) -> float:
-    """min over couplings {I <= 2R} of per_coupling(q) + I - R, clamped at 0."""
-    best, (_, v_ref), _, _ = _outer_search(rp, opts, 2.0 * rp.rate,
-                                           lambda q, warm: (per_coupling(q), None))
+    """min over couplings {I <= 2R} of per_coupling(Q_XX') + I - R, clamped
+    at 0. per_coupling is memoized on the coupling rounded to the 1/4096
+    lattice, so nearby polish probes share one value."""
+    memo: dict[tuple, float] = {}
+
+    def value(q: np.ndarray, warm) -> tuple[float, None]:
+        key = tuple(np.rint(q.reshape(-1) * 4096).astype(np.int64))
+        if key not in memo:
+            memo[key] = per_coupling(Joint2(q / q.sum()))
+        return memo[key], None
+
+    best, (_, v_ref), _, _ = _outer_search(rp, opts, 2.0 * rp.rate, value)
     return max(float(min(best[0], v_ref)), 0.0)
 
 
@@ -575,16 +583,8 @@ def ml_upper_bound(rp: RatePoint, ch: Channel,
     bounds of Gamma_ML at every coupling, so in exact arithmetic this value
     cannot exceed the ML-decoding TRC exponent.
     """
-    memo: dict[tuple, float] = {}
-
-    def per_coupling(q: np.ndarray) -> float:
-        key = tuple(np.rint(q.reshape(-1) * 4096).astype(np.int64))
-        if key not in memo:
-            j2 = Joint2(q / q.sum())
-            memo[key] = max(psi(j2, ch), theta(j2, rp.rate, ch, rp.composition, opts))
-        return memo[key]
-
-    return _outer_bound(rp, opts, per_coupling)
+    return _outer_bound(rp, opts, lambda j2: max(
+        psi(j2, ch), theta(j2, rp.rate, ch, rp.composition, opts)))
 
 
 def mmi_lower_bound(rp: RatePoint, ch: Channel,
@@ -592,16 +592,11 @@ def mmi_lower_bound(rp: RatePoint, ch: Channel,
     """Lower bound on the MMI-decoding TRC exponent:
     min over {I <= 2R} of max{lambda, phi} + I - R, with lambda alone at
     rates where phi does not relax Gamma_MMI (``_phi_relaxes``)."""
-    memo: dict[tuple, float] = {}
     use_phi = _phi_relaxes(rp, ch)
 
-    def per_coupling(q: np.ndarray) -> float:
-        key = tuple(np.rint(q.reshape(-1) * 4096).astype(np.int64))
-        if key not in memo:
-            j2 = Joint2(q / q.sum())
-            lm, ph = _tilted_pair(j2, rp.rate, ch, opts)
-            memo[key] = max(lm, ph) if use_phi else lm
-        return memo[key]
+    def per_coupling(j2: Joint2) -> float:
+        lm = lambda_bound(j2, ch, opts)
+        return max(lm, phi_bound(j2, rp.rate, ch, opts)) if use_phi else lm
 
     return _outer_bound(rp, opts, per_coupling)
 
@@ -784,11 +779,10 @@ def _clears(margins, tol: float) -> bool:
 
 def certify_theorem1(rp: RatePoint, ch: Channel,
                      opts: OptimizerOptions = OptimizerOptions(),
-                     certify_tol: float = 1e-4,
-                     margin_grid_k: int = 4) -> BoundReport:
+                     certify_tol: float = 1e-4) -> BoundReport:
     """Measure the full bound chain at one rate point and report margins.
 
-    Per coupling of coupling_grid(composition, margin_grid_k), each dual
+    Per coupling of the 1/4 grid coupling_grid(composition, 4), each dual
     functional is judged against the primal inner value it relaxes:
     psi, theta <= Gamma_ML and lambda <= Gamma_MMI, and phi <= Gamma_MMI
     while the rate is below I(Q_X;W). lambda - psi and phi - theta are
@@ -805,10 +799,10 @@ def certify_theorem1(rp: RatePoint, ch: Channel,
                       "threshold can fall below R, so phi is not judged"})
     worst_lp, worst_pt = math.inf, math.inf
     worst_vals = [math.nan] * 4
-    for j2 in coupling_grid(qx, margin_grid_k):
+    for j2 in coupling_grid(qx, 4):
         p = psi(j2, ch)
         t = theta(j2, rp.rate, ch, qx, opts)
-        lm, ph = _tilted_pair(j2, rp.rate, ch, opts)
+        lm, ph = lambda_bound(j2, ch, opts), phi_bound(j2, rp.rate, ch, opts)
         g_ml = gamma(j2, rp.rate, ML, ch, qx, opts)
         g_mmi = gamma(j2, rp.rate, MMI, ch, qx, opts)
         if math.isinf(p):

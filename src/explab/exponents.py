@@ -48,15 +48,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prob import Channel, CondDist, Dist, Joint2, ProbError, coupling_grid, mutual_information
+from .prob import (
+    Channel,
+    CondDist,
+    Dist,
+    Joint2,
+    ProbError,
+    coupling_grid,
+    mutual_information,
+    simplex_grid_array,
+)
 from .search import (
+    BUDGET,
+    SHRINK,
     RowMesh,
     TransportPolytope,
     elog_batch,
     golden_max,
     mi_batch,
     pattern_min,
-    row_grid,
     xlogx,
     zoom_slot_grids,
 )
@@ -92,31 +102,26 @@ MMI = DecodingMetric("mmi")
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs shared by every grid-plus-refinement search in the package.
+    """The resolution of every grid-plus-refinement search in the package:
+    the coarse grid step 1/k and the number of refinement iterations. The
+    other search parameters are constants of ``search.py`` or of the one
+    search that reads them.
 
-    ``constraint_slack`` is the additive slack applied to inequality
-    constraints so that coarse-grid points near a boundary are not spuriously
-    rejected; when left None it resolves to 1e-3 scaled with the grid step
-    (1e-3 at the default 1/8 step).
+    ``slack`` is the additive slack applied to the score constraints so that
+    coarse-grid points near a boundary are not spuriously rejected: 1e-3
+    scaled with the grid step (1e-3 at the default 1/8 step).
     """
 
     grid_step: float = 0.125
     refine_iters: int = 20
-    refine_shrink: float = 0.5
-    constraint_slack: float | None = None
-    budget_cap: int = 2_000_000
 
     def __post_init__(self) -> None:
         if not (0 < self.grid_step <= 1):
             raise ProbError(f"grid_step must be in (0,1], got {self.grid_step}")
         if abs(round(1.0 / self.grid_step) - 1.0 / self.grid_step) > 1e-9:
             raise ProbError(f"grid_step must be 1/k for integer k, got {self.grid_step}")
-        if self.refine_iters < 0 or not (0 < self.refine_shrink < 1):
-            raise ProbError("refine_iters must be >= 0 and refine_shrink in (0,1)")
-        if self.budget_cap <= 0:
-            raise ProbError("budget_cap must be positive")
-        if self.constraint_slack is not None and self.constraint_slack < 0:
-            raise ProbError("constraint_slack must be nonnegative")
+        if self.refine_iters < 0:
+            raise ProbError("refine_iters must be >= 0")
 
     @property
     def k(self) -> int:
@@ -124,8 +129,6 @@ class OptimizerOptions:
 
     @property
     def slack(self) -> float:
-        if self.constraint_slack is not None:
-            return self.constraint_slack
         return 1e-3 * (8.0 * self.grid_step)
 
 
@@ -292,7 +295,7 @@ class _MetricCtx:
 
     def _solve_threshold_grid(self, poly: TransportPolytope, rate: float) -> float:
         slack = self.opts.slack
-        cs = poly.grid(2 * self.opts.k + 1, self.opts.budget_cap // 8)
+        cs = poly.grid(2 * self.opts.k + 1, BUDGET // 8)
         joints = poly.joints(cs)
         ok = poly.feasible(joints)
         joints = np.clip(joints, 0.0, None)
@@ -303,10 +306,8 @@ class _MetricCtx:
             ok = np.concatenate([ok, [True]])  # product coupling, I = 0
         obj = np.where(ok, self.g_batch(joints), -np.inf)
         best = int(np.argmax(obj))
-        c_ref, v_ref, _ = pattern_min(
-            cs[best], lambda c: self._neg_g(poly, c, rate + slack), self.opts.grid_step,
-            self.opts.refine_iters, self.opts.refine_shrink
-        )
+        c_ref, v_ref, _ = pattern_min(cs[best], lambda c: self._neg_g(poly, c, rate + slack),
+                                      self.opts.grid_step, self.opts.refine_iters)
         return float(max(obj[best], -v_ref))
 
     def _neg_g(self, poly: TransportPolytope, c: np.ndarray, info_cap: float) -> float:
@@ -433,7 +434,7 @@ class _InnerSolve:
         weights, xs, xps = _support_slots(q_xx)
         ch = ctx.ch
         self.mesh = RowMesh(weights, xs, xps,
-                            row_grid(ch.n_out, ctx.opts.k, ctx.opts.budget_cap),
+                            simplex_grid_array(ch.n_out, ctx.opts.k, BUDGET),
                             ch.n_in, ch.log_matrix)
 
     def _objective(self, arrs: dict) -> np.ndarray:
@@ -464,7 +465,7 @@ class _InnerSolve:
         feasible anchor repairs any residual boundary violation).
         """
         mesh, ctx = self.mesh, self.ctx
-        budget_ok = mesh.size() * mesh.nx * mesh.ny <= ctx.opts.budget_cap
+        budget_ok = mesh.size() * mesh.nx * mesh.ny <= BUDGET
         starts: list[tuple[np.ndarray, float]] = []
         n_feasible = -1
         evals = 0
@@ -507,10 +508,8 @@ class _InnerSolve:
                 return math.inf
             return self._objective_single(rows, slack=0.0)
 
-        p_ref, v_ref, ev = pattern_min(
-            mesh.rows_to_params(rows_best), f,
-            ctx.opts.grid_step / 2**4, ctx.opts.refine_iters, ctx.opts.refine_shrink
-        )
+        p_ref, v_ref, ev = pattern_min(mesh.rows_to_params(rows_best), f,
+                                       ctx.opts.grid_step / 2**4, ctx.opts.refine_iters)
         evals += ev
         if v_ref < v_best:
             rows_best, v_best = mesh.params_to_rows(p_ref), v_ref
@@ -539,7 +538,7 @@ class _InnerSolve:
             cap = 9  # warm probes rank couplings; the final cold solve decides
         rows, val = rows0, v0
         evals = 0
-        budget = ctx.opts.budget_cap // (4 * self.mesh.nx * self.mesh.ny)
+        budget = BUDGET // (4 * self.mesh.nx * self.mesh.ny)
         for _ in range(stages):
             grids = zoom_slot_grids(rows, h, budget, points_cap=cap)
             local = RowMesh(self.mesh.weights, self.mesh.x_of, self.mesh.xp_of,
@@ -563,7 +562,7 @@ class _InnerSolve:
             if np.isfinite(strict[sbest]) and strict[sbest] < anchor["kl"]:
                 anchor["rows"] = local.rows_of(sbest)
                 anchor["kl"] = float(strict[sbest])
-            h *= ctx.opts.refine_shrink
+            h *= SHRINK
         return rows, val, evals
 
     def _exact_feasible(self, rows: np.ndarray, anchor: dict) -> tuple[np.ndarray, float]:
@@ -611,13 +610,12 @@ class _InnerSolve:
         params = mesh.rows_to_params(self.ctx.ch.w[mesh.x_of])
         stage_iters = max(8, ctx.opts.refine_iters // 2)
         for lam in (8.0, 64.0, 1024.0):
-            params, _, ev = pattern_min(params, penalized(lam), ctx.opts.grid_step,
-                                        stage_iters, ctx.opts.refine_shrink)
+            params, _, ev = pattern_min(params, penalized(lam), ctx.opts.grid_step, stage_iters)
             evals += ev
         params, v_hard, ev = pattern_min(
             params, lambda p: math.inf if mesh.params_to_rows(p) is None
             else self._objective_single(mesh.params_to_rows(p)),
-            ctx.opts.grid_step / 2, ctx.opts.refine_iters, ctx.opts.refine_shrink)
+            ctx.opts.grid_step / 2, ctx.opts.refine_iters)
         evals += ev
         if not math.isfinite(v_hard):
             return None, evals
@@ -749,9 +747,7 @@ def _outer_search(rp: RatePoint, opts: OptimizerOptions, cap: float,
             state.update(payload=payload, sig=sig, val=val)
         return val
 
-    c_ref, v_ref, evals = pattern_min(
-        poly.param_of(best[1]), f, opts.grid_step, opts.refine_iters, opts.refine_shrink
-    )
+    c_ref, v_ref, evals = pattern_min(poly.param_of(best[1]), f, opts.grid_step, opts.refine_iters)
     return best, (np.clip(poly.joints(c_ref), 0.0, None), v_ref), n_feasible, evals
 
 

@@ -6,7 +6,11 @@ Every optimizer in this package is built from the same two-stage recipe:
 an exhaustive coarse grid over the search domain followed by derivative-free
 local refinement (coordinate shrink-and-probe) around the incumbent. The
 helpers here implement both stages once so the exponent and dual modules
-share one tuned engine.
+share one tuned engine. Its only settings are the grid step and the
+refinement iteration count (``OptimizerOptions``); every other search
+parameter is a constant here or at the one place that reads it: the
+candidate budget ``BUDGET``, the step ratio ``SHRINK``, and the ray
+domain ``RAY_HI``.
 
 The grid stage scores whole meshes with numpy (``RowMesh.build``); the
 refinement scores one candidate at a time (``RowMesh.stats_of``) with a
@@ -24,9 +28,12 @@ from typing import Callable
 
 import numpy as np
 
-from .prob import simplex_grid_array
+from .prob import simplex_grid_array, simplex_grid_size
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+BUDGET = 2_000_000  # most mesh candidates, times |X|*|Y|, scored in one build
+SHRINK = 0.5  # pattern steps and zoom half-widths shrink by this per stage
+RAY_HI = 8.0  # ray suprema search [0, RAY_HI] first, doubling on boundary hits
 
 
 # ---------------------------------------------------------------------------
@@ -75,44 +82,43 @@ def pattern_min(
     f: Callable[[np.ndarray], float],
     step: float,
     iters: int,
-    shrink: float,
-    steps: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Minimize f by probing +-step along each coordinate of x0.
 
-    f must return +inf for infeasible points. Per-coordinate step sizes may be
-    supplied via ``steps``; all shrink together when a full sweep fails to
-    improve. Returns (argmin, min, evaluation count).
+    f must return +inf for infeasible points. The step shrinks by SHRINK
+    whenever a full sweep fails to improve. Returns (argmin, min, evaluation
+    count).
     """
     x = np.array(x0, dtype=float)
     fx = float(f(x))
-    h = np.full(x.size, step, dtype=float) if steps is None else np.array(steps, dtype=float)
+    h = step
     evals = 1
     for _ in range(iters):
         improved = False
         for i in range(x.size):
             for sgn in (1.0, -1.0):
                 y = x.copy()
-                y[i] += sgn * h[i]
+                y[i] += sgn * h
                 fy = float(f(y))
                 evals += 1
                 if fy < fx - 1e-15:
                     x, fx = y, fy
                     improved = True
         if not improved:
-            h *= shrink
+            h *= SHRINK
     return x, fx, evals
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-10, max_iter: int = 200) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
+               tol: float = 1e-10) -> tuple[float, float]:
+    """Golden-section maximization of a unimodal f on [lo, hi], until the
+    bracket is at most tol wide: lo and hi must be finite, and tol wider
+    than the float spacing near them."""
     a, b = float(lo), float(hi)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    it = 0
-    while b - a > tol and it < max_iter:
+    while b - a > tol:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
@@ -121,7 +127,6 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float,
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             f2 = f(x2)
-        it += 1
     xm = 0.5 * (a + b)
     return xm, f(xm)
 
@@ -134,28 +139,17 @@ class RayResult:
     domain_hi: float
 
 
-def sup_ray(
-    f: Callable[[float], float],
-    hi: float = 8.0,
-    n_grid: int = 17,
-    lo_pos: float = 1e-3,
-    include_zero: bool = True,
-    doublings: int = 3,
-    refine: bool = True,
-    tol: float | None = None,
-) -> RayResult:
-    """Supremum of f over the ray [0, inf), searched on [0, hi].
+def sup_ray(f: Callable[[float], float]) -> RayResult:
+    """Supremum of f over the ray [0, inf), searched on [0, RAY_HI].
 
-    Log-spaced grid plus the endpoint 0, golden refinement between the
-    neighbors of the best grid point. If the maximum sits at the upper end the
-    domain is doubled, at most ``doublings`` times; a maximum still at the
+    A grid of 0 and 25 log-spaced points from 1e-3, then golden refinement
+    between the neighbors of the best grid point. If the maximum sits at the
+    upper end the domain is doubled, at most 3 times; a maximum still at the
     boundary is reported via ``hit_boundary`` rather than chased further.
     """
-    top = float(hi)
-    for _ in range(doublings + 1):
-        xs = list(np.geomspace(lo_pos, top, n_grid))
-        if include_zero:
-            xs = [0.0] + xs
+    top = RAY_HI
+    for _ in range(4):
+        xs = [0.0] + list(np.geomspace(1e-3, top, 25))
         vals = [f(x) for x in xs]
         best = int(np.argmax(vals))
         if best < len(xs) - 1:
@@ -163,9 +157,8 @@ def sup_ray(
         top *= 2.0
     lo_n = xs[best - 1] if best > 0 else xs[0]
     hi_n = xs[best + 1] if best < len(xs) - 1 else xs[-1]
-    if refine and hi_n > lo_n:
-        gtol = tol if tol is not None else 1e-9 * max(1.0, hi_n)
-        xg, vg = golden_max(f, lo_n, hi_n, tol=gtol)
+    if hi_n > lo_n:
+        xg, vg = golden_max(f, lo_n, hi_n, tol=1e-9 * max(1.0, hi_n))
         if vg > vals[best]:
             return RayResult(xg, vg, best == len(xs) - 1, top)
     return RayResult(xs[best], vals[best], best == len(xs) - 1, top)
@@ -209,8 +202,8 @@ class TransportPolytope:
         """Materialize joints for parameter rows c, shape (..., dim)."""
         return self.base + np.tensordot(c, self.basis, axes=(-1, 0))
 
-    def feasible(self, j: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        return (j >= -tol).all(axis=(-2, -1))
+    def feasible(self, j: np.ndarray) -> np.ndarray:
+        return (j >= -1e-12).all(axis=(-2, -1))
 
     def grid(self, n_per_axis: int, budget: int) -> np.ndarray:
         """Parameter mesh covering [-1, 1]^dim, thinned to respect budget."""
@@ -590,8 +583,15 @@ def _kernel_source(kind: str, nx: int, ny: int, x_of: tuple, xp_of: tuple,
     return "\n    ".join(lines) + "\n"
 
 
-def row_grid(ny: int, k: int, cap: int) -> np.ndarray:
-    return simplex_grid_array(ny, k, cap)
+def global_mesh(weights: np.ndarray, x_of: np.ndarray, xp_of: np.ndarray,
+                nx: int, logw: np.ndarray, k: int) -> tuple[RowMesh, int]:
+    """The product mesh of the 1/k row grid over every slot, with k lowered
+    until the mesh's size * |X| * |Y| fits BUDGET (or k = 1). Returns the
+    mesh and the k it uses; the mesh is not built."""
+    ny = logw.shape[1]
+    while k > 1 and simplex_grid_size(ny, k) ** len(weights) * nx * ny > BUDGET:
+        k -= 1
+    return RowMesh(weights, x_of, xp_of, simplex_grid_array(ny, k, BUDGET), nx, logw), k
 
 
 def zoom_slot_grids(centers: np.ndarray, h: float, budget: int,

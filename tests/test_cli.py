@@ -199,13 +199,21 @@ class TestSimulateCommand:
         ja, jb = json.loads(open(a).read()), json.loads(open(b).read())
         assert ja["results"] == jb["results"]
 
-    def test_env_threads(self, bsc_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("EXPLAB_THREADS", "2")
-        out = str(tmp_path / "e.json")
-        code, _ = collect(["simulate", "--channel", bsc_file, "--n", "4", "--M", "2",
-                           "--samples", "3", "--seed", "0", "--out", out])
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "6", "--M", "2", "--samples", "4", "--seed", "5"],
+    ["exponent", "trc", "--rates", "0,0.05", "--grid-step", "0.25", "--refine-iters", "4"],
+], ids=["simulate", "exponent"])
+def test_thread_count_changes_no_byte(bsc_file, tmp_path, argv):
+    # the worker count is not part of the recorded configuration
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.json"
+        code, _ = collect(argv + ["--channel", bsc_file, "--threads", threads,
+                                  "--out", str(out)])
         assert code == 0
-        assert json.loads(open(out).read())["config"]["threads"] == 2
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 class TestExponentCommand:
@@ -219,6 +227,21 @@ class TestExponentCommand:
         rows = open(csvp).read().strip().splitlines()
         assert rows[0].startswith("rate,value,ok")
         assert len(rows) == 1 + 9
+
+    def test_random_has_no_coupling_fields(self, bsc_file, tmp_path):
+        # E_r has no coupling search: no unclamped minimum, no coupling
+        out, csvp = tmp_path / "r.json", tmp_path / "r.csv"
+        code, _ = collect(["exponent", "random", "--channel", bsc_file,
+                           "--rates", "0,0.5", "--out", str(out), "--csv", str(csvp)])
+        assert code == 0
+        for rec in json.loads(out.read_text())["results"]:
+            assert rec["ok"] and rec["value"] >= 0
+            assert rec["raw_value"] is None
+            assert rec["coupling_information"] is None
+        rows = csvp.read_text().splitlines()
+        assert rows[0] == "rate,value,ok,raw_value,coupling_information,error"
+        for row in rows[1:]:
+            assert row.split(",")[3:] == ["", "", ""]
 
     def test_gnuplot_script(self, bsc_file, tmp_path):
         csvp = str(tmp_path / "e.csv")
@@ -262,7 +285,7 @@ class TestExponentCommand:
         collect(["exponent", "random", "--channel", bsc_file, "--rates", "0.1",
                  "--out", out])
         payload = json.loads(open(out).read())
-        assert payload["version"] == "3"
+        assert payload["version"] == "4"
         assert payload["config"]["channel"]["rows"] == [[0.9, 0.1], [0.1, 0.9]]
         assert payload["config"]["rates"] == [0.1]
 

@@ -154,7 +154,7 @@ class TestTheta:
                 return math.inf
             return float(form(z[:1], z[1:2], z[2:]).min())
 
-        _, best, _ = pattern_min(np.array([ray[i], ray[j], v0[k]]), f, 0.05, 80, 0.5)
+        _, best, _ = pattern_min(np.array([ray[i], ray[j], v0[k]]), f, 0.05, 80)
         assert best == pytest.approx(want, abs=1e-3)
 
     @pytest.mark.parametrize("q, rate", [(ANTI, 0.0), (ANTI, 0.2), (ANTI, 0.4),

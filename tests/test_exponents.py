@@ -55,7 +55,7 @@ class TestOptions:
         with pytest.raises(ProbError):
             OptimizerOptions(grid_step=0.3)
         with pytest.raises(ProbError):
-            OptimizerOptions(refine_shrink=1.5)
+            OptimizerOptions(refine_iters=-1)
         with pytest.raises(ProbError):
             RatePoint(-0.1, UNIF)
 
@@ -493,17 +493,18 @@ class TestSharedContext:
                     assert val == fresh[key], key
 
     def test_memos_freed_with_channel(self):
-        from explab.duals import _tilted_pair, theta
+        from explab.duals import lambda_bound, phi_bound, theta
         ch = Channel.bsc(0.2)
         opts = OptimizerOptions(refine_iters=4)
         alive = weakref.ref(ch)
         key = id(ch)
         gamma(PROD, 0.05, ML, ch, UNIF, opts)
         theta(PROD, 0.05, ch, UNIF, opts)
-        _tilted_pair(PROD, 0.05, ch, opts)
+        lambda_bound(PROD, ch, opts)
+        phi_bound(PROD, 0.05, ch, opts)
         entries = exponents._CTX_CACHE[key]
         memos = [k[1] for k in entries if k[0] == "memo"]
-        assert sorted(memos) == ["gamma", "theta", "tilted"]
+        assert sorted(memos) == ["gamma", "theta", "tilted", "tilted problem"]
         assert all(entries[k] for k in entries)  # each holds its solve
         del ch, entries
         gc.collect()

@@ -2,7 +2,10 @@
 rule, kept without a linter). ``__init__.py`` is left out: its imports are
 the public re-exports. Every private (``_name``) function, class or method
 defined in the package is referenced somewhere in the package, so a solver
-whose last caller is deleted does not linger."""
+whose last caller is deleted does not linger. Every search setting, a field
+of ``OptimizerOptions`` or a defaulted parameter of a function or method in
+``search.py``, is passed at some call site in the package, so a knob that
+no caller turns becomes a constant."""
 
 import ast
 import pathlib
@@ -69,3 +72,78 @@ def test_detects_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert _unreferenced_private(sources) == []
+
+
+def _settings(search_src: str, options_src: str) -> list[tuple[str, str, int | None]]:
+    """(callable name, parameter, positional index or None) of every
+    defaulted parameter in search_src and every OptimizerOptions field in
+    options_src. Methods are called through an attribute, so self is not
+    counted, and __init__ is called by its class name."""
+    out = []
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                pos = a.posonlyargs + a.args
+                skip = 1 if cls is not None and pos and pos[0].arg in ("self", "cls") else 0
+                name = cls if child.name == "__init__" else child.name
+                first = len(pos) - len(a.defaults)
+                out.extend((name, p.arg, i - skip) for i, p in enumerate(pos) if i >= first)
+                out.extend((name, p.arg, None)
+                           for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(child)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(search_src))
+    for node in ast.walk(ast.parse(options_src)):
+        if isinstance(node, ast.ClassDef) and node.name == "OptimizerOptions":
+            fields = [f.target.id for f in node.body if isinstance(f, ast.AnnAssign)]
+            out.extend(("OptimizerOptions", f, i) for i, f in enumerate(fields))
+    return out
+
+
+def _unpassed_settings(settings, sources: list[str]) -> list[str]:
+    """The settings that no call in sources passes, by keyword or position."""
+    calls: dict[str, list[tuple[int, set, bool]]] = {}
+    for src in sources:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                kws = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((len(node.args), kws, star or None in kws))
+    return [f"{name}({param})" for name, param, index in settings
+            if not any(param in kws or star or (index is not None and n > index)
+                       for n, kws, star in calls.get(name, []))]
+
+
+def test_detects_an_unpassed_setting():
+    search = ("def f(x, step=1.0, *, tol=1e-9): pass\n"
+              "class P:\n"
+              "    def __init__(self, p, q=None): pass\n"
+              "    def feasible(self, j, tol=1e-12): pass\n")
+    options = ("class OptimizerOptions:\n"
+               "    grid_step: float = 0.125\n"
+               "    budget_cap: int = 2\n")
+    settings = _settings(search, options)
+    assert settings == [("f", "step", 1), ("f", "tol", None), ("P", "q", 1),
+                        ("feasible", "tol", 1), ("OptimizerOptions", "grid_step", 0),
+                        ("OptimizerOptions", "budget_cap", 1)]
+    uses = "f(0, 2.0)\nP(1).feasible(j)\nOptimizerOptions(grid_step=0.5)\n"
+    assert _unpassed_settings(settings, [uses]) == [
+        "f(tol)", "P(q)", "feasible(tol)", "OptimizerOptions(budget_cap)"]
+    uses = "f(0, tol=1)\nP(1, 2).feasible(j, 0)\nOptimizerOptions(0.5, 3)\n"
+    assert _unpassed_settings(settings, [uses]) == ["f(step)"]
+
+
+def test_every_search_setting_is_passed():
+    settings = _settings((PACKAGE / "search.py").read_text(encoding="utf-8"),
+                         (PACKAGE / "exponents.py").read_text(encoding="utf-8"))
+    assert ("OptimizerOptions", "grid_step", 0) in settings
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert _unpassed_settings(settings, sources) == []

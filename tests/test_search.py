@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from explab.prob import Channel
+from explab.prob import Channel, simplex_grid_array
 from explab.search import (
+    BUDGET,
     RowMesh,
     TransportPolytope,
     elog_batch,
     entropy_batch,
+    global_mesh,
     golden_max,
     mi_batch,
     pattern_min,
-    row_grid,
     sup_ray,
     xlogx,
     zoom_slot_grids,
@@ -27,7 +28,7 @@ def test_golden_max_parabola():
 
 def test_pattern_min_quadratic():
     f = lambda z: float((z[0] - 0.3) ** 2 + (z[1] + 0.7) ** 2)
-    x, fx, evals = pattern_min(np.zeros(2), f, step=0.5, iters=40, shrink=0.5)
+    x, fx, evals = pattern_min(np.zeros(2), f, step=0.5, iters=40)
     assert fx < 1e-10
     assert np.allclose(x, [0.3, -0.7], atol=1e-5)
     assert evals > 0
@@ -35,18 +36,18 @@ def test_pattern_min_quadratic():
 
 def test_pattern_min_respects_infeasible():
     f = lambda z: float(z[0] ** 2) if z[0] >= 1.0 else math.inf
-    x, fx, _ = pattern_min(np.array([2.0]), f, step=0.5, iters=30, shrink=0.5)
+    x, fx, _ = pattern_min(np.array([2.0]), f, step=0.5, iters=30)
     assert fx == pytest.approx(1.0, abs=1e-6)
 
 
 def test_sup_ray_boundary_doubling():
-    res = sup_ray(lambda t: -((t - 20.0) ** 2), hi=8.0, doublings=3)
+    res = sup_ray(lambda t: -((t - 20.0) ** 2))
     assert res.arg == pytest.approx(20.0, rel=1e-3)
     assert res.domain_hi >= 20.0
 
 
 def test_sup_ray_interior():
-    res = sup_ray(lambda t: t * math.exp(-t), hi=8.0)
+    res = sup_ray(lambda t: t * math.exp(-t))
     assert res.arg == pytest.approx(1.0, abs=1e-3)
     assert not res.hit_boundary
 
@@ -163,7 +164,7 @@ class TestRowMesh:
             ch = Channel.from_rows(w)
             q = np.array(coupling)
             xs, xps = np.nonzero(q > 0)
-            grids = [row_grid(ch.n_out, k, 10_000) for k in steps]
+            grids = [simplex_grid_array(ch.n_out, k, 10_000) for k in steps]
             mesh = RowMesh(q[xs, xps], xs, xps, grids, ch.n_in, ch.log_matrix)
             assert len(set(mesh.gs)) == len(set(steps))
             for kind in ("ml", "mmi"):
@@ -212,6 +213,24 @@ def test_zoom_grids_contain_center():
         assert np.all(g >= -1e-12)
 
 
+@pytest.mark.parametrize("w, k", [
+    ([[0.9, 0.1], [0.1, 0.9]], 8),
+    ([[0.8, 0.15, 0.05], [0.05, 0.15, 0.8]], 5),
+    ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]], 1),
+], ids=["2x2", "2x3", "3x3"])
+def test_global_mesh_fits_the_budget(w, k):
+    # every slot of the product coupling is charged: 4 slots, 4 and 9. At
+    # the 1/8 step the 3x3 mesh would hold 45**9 candidates; it is not built
+    nx, ny = len(w), len(w[0])
+    q = np.full((nx, nx), 1.0 / nx**2)
+    xs, xps = np.nonzero(q > 0)
+    mesh, got = global_mesh(q[xs, xps], xs, xps, nx, np.log(np.array(w)), 8)
+    assert got == k
+    assert mesh.s == nx * nx
+    assert mesh.size() * nx * ny <= BUDGET
+    assert mesh.gs[0] == simplex_grid_array(ny, k).shape[0]
+
+
 def test_xlogx_and_entropy_batch():
     v = np.array([0.0, 0.5, 1.0])
     assert np.allclose(xlogx(v), [0.0, 0.5 * math.log(0.5), 0.0])
@@ -232,7 +251,7 @@ class TestStatsMemo:
         ch = Channel.from_rows(w)
         q = np.array(coupling)
         xs, xps = np.nonzero(q > 0)
-        return RowMesh(q[xs, xps], xs, xps, row_grid(ch.n_out, 4, 10_000),
+        return RowMesh(q[xs, xps], xs, xps, simplex_grid_array(ch.n_out, 4, 10_000),
                        ch.n_in, ch.log_matrix)
 
     @staticmethod
@@ -298,7 +317,7 @@ class TestFloatKernel:
         ch = Channel.from_rows(w)
         q = np.array(coupling)
         xs, xps = np.nonzero(q > 0)
-        return RowMesh(q[xs, xps], xs, xps, row_grid(ch.n_out, k, 10_000),
+        return RowMesh(q[xs, xps], xs, xps, simplex_grid_array(ch.n_out, k, 10_000),
                        ch.n_in, ch.log_matrix)
 
     def test_stats_equal_build_per_candidate(self):
