@@ -32,7 +32,9 @@ flagged records, never as NaN.
 
 from __future__ import annotations
 
+import bisect
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,7 +329,9 @@ class _ThetaProblem:
     candidates' lower envelope is exact (``_envelope_sup``), so the search
     only has to supply candidates: the global row grid, nested zoom meshes
     from the active candidates and from distinct basins of the grid
-    Lagrangian, then a pattern polish of the active ones.
+    Lagrangian, then a pattern polish of the active ones. The pool of
+    candidates is their ``_lower_front``, in ascending drive: ``kl`` and
+    ``drive`` as lists of floats, ``rows`` as (s, ny) arrays.
     """
 
     def __init__(self, q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
@@ -337,10 +341,12 @@ class _ThetaProblem:
         weights, xs, xps = _support_slots(q_xx.probs)
         # the zoom stages start at the global mesh's step
         self.mesh, self.k = global_mesh(weights, xs, xps, ch.n_in, ch.log_matrix, opts.k)
-        self.kl = np.empty(0)
-        self.drive = np.empty(0)
-        self.rows = np.empty((0, self.mesh.s, self.mesh.ny))
-        self._seen: dict[bytes, tuple[float, float]] = {}  # _add_rows' probes
+        self.kl: list[float] = []
+        self.drive: list[float] = []
+        self.rows: list[np.ndarray] = []
+        # _add_stats' probes, on the exact bytes of their rows
+        self._seen: dict[bytes, tuple[float, float]] = {}
+        self._pack = struct.Struct(f"{self.mesh.s * self.mesh.ny}d").pack
 
     def _drive(self, qy: np.ndarray, gxp: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
@@ -348,49 +354,86 @@ class _ThetaProblem:
         # -inf on both sides is a feasible tie, as in gamma
         return np.where(np.isnan(d), 0.0, d)
 
-    def _add(self, kl: np.ndarray, drive: np.ndarray, rows_of) -> None:
-        """Merge candidates into the pool, keeping its lower front; rows_of
-        maps candidate indices to their rows (only survivors are built)."""
-        if kl.size == 1 and ((self.kl <= kl[0]) & (self.drive <= drive[0])).any():
-            # weakly dominated by a pool member: it cannot enter the front,
-            # nor lower the running minimum of drive that filters the rest
-            return
+    def _envelope(self) -> tuple[float, float, int, int]:
+        return _envelope_sup(np.array(self.kl), np.array(self.drive))
+
+    def _insert(self, k: float, d: float, rows) -> None:
+        """Make the pool the ``_lower_front`` of the pool and one more
+        candidate; rows() makes its rows, called only if it enters the pool.
+
+        The pool is a staircase (kl falls as drive rises), so bisection on
+        drive finds whether a member weakly dominates the candidate, where
+        it goes, and the run of members it dominates. A -inf drive keeps
+        that front whole. Otherwise every consecutive triple of the pool
+        passed _lower_front's hull test already, so the test, in the same
+        floats, runs from the candidate on until two old neighbours top the
+        hull again."""
+        kl, drive = self.kl, self.drive
+        r = bisect.bisect_right(drive, d)
+        if (r and kl[r - 1] <= k) or not math.isfinite(k) or d == math.inf:
+            return  # weakly dominated, or no candidate
+        pos = j = bisect.bisect_left(drive, d)
+        while j < len(kl) and kl[j] >= k:  # weakly dominated by the candidate
+            j += 1
+        ks, ds = kl[:pos] + [k] + kl[j:], drive[:pos] + [d] + drive[j:]
+        rs = self.rows[:pos] + [None] + self.rows[j:]
+        hull = list(range(len(ks) if ds[0] == -math.inf else pos))
+        for t in range(len(hull), len(ks)):
+            while len(hull) >= 2:
+                o, a = hull[-2], hull[-1]
+                if ((ds[a] - ds[o]) * (ks[t] - ks[o]) - (ks[a] - ks[o]) * (ds[t] - ds[o])) > 0:
+                    break
+                hull.pop()
+            hull.append(t)
+            if t > pos + 1 and hull[-2] == t - 1:
+                hull += range(t + 1, len(ks))  # the rest passes as it is
+                break
+        self.kl, self.drive = [ks[i] for i in hull], [ds[i] for i in hull]
+        self.rows = [rows() if i == pos else rs[i] for i in hull]
+
+    def _add_mesh(self, mesh: RowMesh) -> tuple[np.ndarray, np.ndarray]:
+        """Merge a mesh's candidates into the pool, keeping its lower front
+        (only survivors' rows are built); returns their (kl, drive)."""
+        arrs = mesh.build("ml")
+        kl, drive = arrs["kl"], self._drive(arrs["qy"], arrs["gxp"])
         ok = np.flatnonzero(np.isfinite(kl) & ~np.isposinf(drive))
         # one candidate is its own front
         new = ok if ok.size <= 1 else ok[_lower_front(kl[ok], drive[ok])]
-        kl = np.concatenate([self.kl, kl[new]])
-        drive = np.concatenate([self.drive, drive[new]])
-        rows = np.concatenate([self.rows, rows_of(new)])
-        keep = _lower_front(kl, drive)
-        self.kl, self.drive, self.rows = kl[keep], drive[keep], rows[keep]
-
-    def _add_mesh(self, mesh: RowMesh) -> tuple[np.ndarray, np.ndarray]:
-        arrs = mesh.build("ml")
-        kl, drive = arrs["kl"], self._drive(arrs["qy"], arrs["gxp"])
-        self._add(kl, drive, lambda idx: np.array([mesh.rows_of(i) for i in idx]).reshape(
-            -1, mesh.s, mesh.ny))
+        picks = np.unravel_index(new, mesh.gs)
+        rows = self.rows + list(np.stack([g[i] for g, i in zip(mesh.slot_grids, picks)], axis=1))
+        pool_kl = np.concatenate([self.kl, kl[new]])
+        pool_drive = np.concatenate([self.drive, drive[new]])
+        keep = _lower_front(pool_kl, pool_drive).tolist()
+        self.kl, self.drive = pool_kl[keep].tolist(), pool_drive[keep].tolist()
+        self.rows = [rows[i] for i in keep]
         return kl, drive
 
     def _add_rows(self, rows: np.ndarray) -> tuple[float, float]:
-        """(kl, drive) of one candidate, merged into the pool on its first
-        probe only: the pool then holds it or an envelope at or below it, so
-        a repeat cannot move the envelope that theta reads."""
-        st = self.mesh.stats_of(rows, "ml")
-        key = np.ascontiguousarray(rows, dtype=np.float64).tobytes()
+        """``_add_stats`` of an (s, ny) array of rows."""
+        return self._add_stats(rows.reshape(-1).tolist(),
+                               self.mesh.compute_stats(rows.tolist(), "ml"))
+
+    def _add_stats(self, flat_rows, st: dict) -> tuple[float, float]:
+        """(kl, drive) of one candidate, from its rows (flat) and stats,
+        merged into the pool on its first probe only: the pool then holds it
+        or an envelope at or below it, so a repeat cannot move the envelope
+        that theta reads."""
+        key = self._pack(*flat_rows)
         hit = self._seen.get(key)
         if hit is not None:
             return hit
         d = self.ctx.threshold(st["qy"], self.rate) - st["gxp"]
         d = 0.0 if math.isnan(d) else d  # as in _drive
-        self._add(np.array([st["kl"]]), np.array([d]), lambda idx: rows[None][idx])
-        self._seen[key] = (st["kl"], d)
-        return st["kl"], d
+        mesh = self.mesh
+        self._insert(st["kl"], d, lambda: np.array(flat_rows).reshape(mesh.s, mesh.ny))
+        hit = self._seen[key] = (st["kl"], d)
+        return hit
 
     def solve(self) -> dict:
         mesh, opts = self.mesh, self.ctx.opts
         self._add_rows(self.ctx.ch.w[mesh.x_of])  # the true channel: kl = 0
         kl, drive = self._add_mesh(mesh)
-        _, rho, i, j = _envelope_sup(self.kl, self.drive)
+        _, rho, i, j = self._envelope()
         if i < 0:
             return {"value": math.inf, "rho": math.inf, "hit_boundary": True}
         # zoom chains from the active candidates and from distinct basins of
@@ -403,26 +446,25 @@ class _ThetaProblem:
         for rows in starts:
             h = 1.0 / self.k
             for _ in range(max(4, opts.refine_iters // 3)):
-                local = RowMesh(mesh.weights, mesh.x_of, mesh.xp_of,
-                                zoom_slot_grids(rows, h, budget, points_cap=9),
-                                mesh.nx, mesh.logw)
+                local = mesh.regrid(zoom_slot_grids(rows, h, budget, points_cap=9))
                 kl, drive = self._add_mesh(local)
-                _, rho, _, _ = _envelope_sup(self.kl, self.drive)
+                _, rho, _, _ = self._envelope()
                 rows = local.rows_of(int(np.argmin(_lagrangian(kl, drive, rho))))
                 h *= SHRINK
-        _, rho, i, j = _envelope_sup(self.kl, self.drive)
+        _, rho, i, j = self._envelope()
 
-        def f(params: np.ndarray) -> float:
-            rows = mesh.params_to_rows(params)
-            if rows is None:
+        def f(params: list) -> float:
+            st = mesh.param_stats(params, "ml")
+            if st is None:
                 return math.inf
-            kl, d = self._add_rows(rows)  # every probe joins the pool
-            return float(_lagrangian(np.array([kl]), np.array([d]), rho)[0])
+            kl, d = self._add_stats(st["rows"], st)  # every probe joins the pool
+            lag = kl + rho * d if rho > 0 else kl  # _lagrangian's, in floats
+            return math.inf if math.isnan(lag) else lag
 
         for c in {i, j}:
             pattern_min(mesh.rows_to_params(self.rows[c]), f,
                         opts.grid_step / 2**4, opts.refine_iters)
-        value, rho, _, _ = _envelope_sup(self.kl, self.drive)
+        value, rho, _, _ = self._envelope()
         return {"value": max(value, 0.0), "rho": rho, "hit_boundary": False}
 
 
@@ -459,9 +501,10 @@ class _TiltedProblem:
         arrs = self.mesh.build("mmi")
         self.i_x, self.i_xp, self.kl = arrs["gx"], arrs["gxp"], arrs["kl"]
         # polish probes of every multiplier and penalty, keyed on the exact
-        # bytes of the parameter vector: its stats, or None off the simplex.
-        # It stands in for the mesh's own stats_of memo, which it bypasses
-        self._probes: dict[bytes, dict | None] = {}
+        # bytes of the parameter vector: (kl, I(X;Y), I(X';Y)) from its
+        # param_stats, or None off the simplex
+        self._probes: dict[bytes, tuple | None] = {}
+        self._pack = struct.Struct(f"{self.mesh.s * (self.mesh.ny - 1)}d").pack
         # _inner's values, on (mu, penalty, rate); mu = 0 is one key for both
         # penalties, whose drives are finite, so kl + 0.0*drive is kl
         self._inners: dict[tuple, float] = {}
@@ -484,16 +527,16 @@ class _TiltedProblem:
         best = int(np.argmin(obj))
         rows0, v0 = mesh.rows_of(best), float(obj[best])
 
-        def f(params: np.ndarray) -> float:
-            key = params.tobytes()
+        def f(params: list) -> float:
+            key = self._pack(*params)
             if key not in self._probes:
-                rows = mesh.param_rows(params)
-                self._probes[key] = None if rows is None else mesh.compute_stats(rows, "mmi")
-            st = self._probes[key]
-            if st is None:
+                st = mesh.param_stats(params, "mmi")
+                self._probes[key] = None if st is None else (st["kl"], st["gx"], st["gxp"])
+            hit = self._probes[key]
+            if hit is None:
                 return math.inf
-            drive = st["gx"] - st["gxp"] if penalty == "balance" else rate - st["gxp"]
-            return st["kl"] + mu * drive
+            kl, i_x, i_xp = hit
+            return kl + mu * (i_x - i_xp if penalty == "balance" else rate - i_xp)
 
         _, fp, _ = pattern_min(mesh.rows_to_params(rows0), f, opts.grid_step, opts.refine_iters)
         return min(v0, fp)

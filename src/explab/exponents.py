@@ -310,7 +310,7 @@ class _MetricCtx:
                                       self.opts.grid_step, self.opts.refine_iters)
         return float(max(obj[best], -v_ref))
 
-    def _neg_g(self, poly: TransportPolytope, c: np.ndarray, info_cap: float) -> float:
+    def _neg_g(self, poly: TransportPolytope, c: list, info_cap: float) -> float:
         """-g at polytope coordinates c; +inf off the polytope or above info_cap."""
         j = poly.joints(c)
         if not poly.feasible(j[None])[0]:
@@ -444,7 +444,14 @@ class _InnerSolve:
         return np.where(feas, arrs["kl"], np.inf)
 
     def _objective_single(self, rows: np.ndarray, slack: float | None = None) -> float:
-        st = self.mesh.stats_of(rows, self.ctx.kind)
+        return self._objective_stats(self.mesh.stats_of(rows, self.ctx.kind), slack)
+
+    def _objective_params(self, params: list, slack: float | None = None) -> float:
+        """``_objective_single`` at a polish probe's free coordinates."""
+        st = self.mesh.param_stats(params, self.ctx.kind)
+        return math.inf if st is None else self._objective_stats(st, slack)
+
+    def _objective_stats(self, st: dict, slack: float | None) -> float:
         max_side = max(st["gx"], self.ctx.threshold(st["qy"], self.rate))
         feas = st["gxp"] >= max_side - (self.ctx.opts.slack if slack is None else slack)
         return st["kl"] if feas else math.inf
@@ -502,13 +509,8 @@ class _InnerSolve:
         # repair to exact feasibility before the exact-slack polish
         rows_best, v_best = self._exact_feasible(rows_best, anchor)
 
-        def f(params: np.ndarray) -> float:
-            rows = mesh.params_to_rows(params)
-            if rows is None:
-                return math.inf
-            return self._objective_single(rows, slack=0.0)
-
-        p_ref, v_ref, ev = pattern_min(mesh.rows_to_params(rows_best), f,
+        p_ref, v_ref, ev = pattern_min(mesh.rows_to_params(rows_best),
+                                       lambda p: self._objective_params(p, slack=0.0),
                                        ctx.opts.grid_step / 2**4, ctx.opts.refine_iters)
         evals += ev
         if v_ref < v_best:
@@ -540,9 +542,7 @@ class _InnerSolve:
         evals = 0
         budget = BUDGET // (4 * self.mesh.nx * self.mesh.ny)
         for _ in range(stages):
-            grids = zoom_slot_grids(rows, h, budget, points_cap=cap)
-            local = RowMesh(self.mesh.weights, self.mesh.x_of, self.mesh.xp_of,
-                            grids, self.mesh.nx, ctx.ch.log_matrix)
+            local = self.mesh.regrid(zoom_slot_grids(rows, h, budget, points_cap=cap))
             arrs = local.build(ctx.kind)
             evals += arrs["kl"].size
             # one pass serves both the graded-slack objective and the
@@ -597,11 +597,10 @@ class _InnerSolve:
         mesh, ctx = self.mesh, self.ctx
 
         def penalized(lam: float):
-            def f(params: np.ndarray) -> float:
-                rows = mesh.params_to_rows(params)
-                if rows is None:
+            def f(params: list) -> float:
+                st = mesh.param_stats(params, ctx.kind)
+                if st is None:
                     return math.inf
-                st = mesh.stats_of(rows, ctx.kind)
                 aval = ctx.threshold(st["qy"], self.rate)
                 return st["kl"] + lam * _clamp_penalty_single(max(st["gx"], aval), st["gxp"])
             return f
@@ -612,10 +611,8 @@ class _InnerSolve:
         for lam in (8.0, 64.0, 1024.0):
             params, _, ev = pattern_min(params, penalized(lam), ctx.opts.grid_step, stage_iters)
             evals += ev
-        params, v_hard, ev = pattern_min(
-            params, lambda p: math.inf if mesh.params_to_rows(p) is None
-            else self._objective_single(mesh.params_to_rows(p)),
-            ctx.opts.grid_step / 2, ctx.opts.refine_iters)
+        params, v_hard, ev = pattern_min(params, self._objective_params,
+                                         ctx.opts.grid_step / 2, ctx.opts.refine_iters)
         evals += ev
         if not math.isfinite(v_hard):
             return None, evals
@@ -732,7 +729,7 @@ def _outer_search(rp: RatePoint, opts: OptimizerOptions, cap: float,
     poly = TransportPolytope(qx.probs, qx.probs)
     state = {"payload": best[2], "sig": _support_sig(best[1]), "val": best[0]}
 
-    def f(c: np.ndarray) -> float:
+    def f(c: list) -> float:
         j = poly.joints(c)
         if not poly.feasible(j[None])[0]:
             return math.inf

@@ -13,9 +13,13 @@ candidate budget ``BUDGET``, the step ratio ``SHRINK``, and the ray
 domain ``RAY_HI``.
 
 The grid stage scores whole meshes with numpy (``RowMesh.build``); the
-refinement scores one candidate at a time (``RowMesh.stats_of``) with a
-plain-float kernel generated and compiled per mesh structure, which repeats
-build's float operations in build's order, so both stages see the same bits.
+refinement scores one candidate at a time with a plain-float kernel
+generated and compiled per mesh structure, which repeats build's float
+operations in build's order, so both stages see the same bits. A polish
+probe goes from its free coordinates to stats in one kernel call
+(``RowMesh.param_stats``), and a zoom stage's mesh shares its parent's
+structure, kernels included, and replaces only the slot grids
+(``RowMesh.regrid``).
 """
 
 from __future__ import annotations
@@ -79,23 +83,24 @@ def elog_batch(j: np.ndarray, logw: np.ndarray) -> np.ndarray:
 
 def pattern_min(
     x0: np.ndarray,
-    f: Callable[[np.ndarray], float],
+    f: Callable[[list], float],
     step: float,
     iters: int,
 ) -> tuple[np.ndarray, float, int]:
     """Minimize f by probing +-step along each coordinate of x0.
 
-    f must return +inf for infeasible points. The step shrinks by SHRINK
-    whenever a full sweep fails to improve. Returns (argmin, min, evaluation
-    count).
+    Each probe is a list of floats, one float addition away from the
+    incumbent, so the loop builds no array. f must return +inf for
+    infeasible points. The step shrinks by SHRINK whenever a full sweep
+    fails to improve. Returns (argmin as an array, min, evaluation count).
     """
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float).tolist()
     fx = float(f(x))
     h = step
     evals = 1
     for _ in range(iters):
         improved = False
-        for i in range(x.size):
+        for i in range(len(x)):
             for sgn in (1.0, -1.0):
                 y = x.copy()
                 y[i] += sgn * h
@@ -106,7 +111,7 @@ def pattern_min(
                     improved = True
         if not improved:
             h *= SHRINK
-    return x, fx, evals
+    return np.array(x), fx, evals
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float,
@@ -252,7 +257,12 @@ class RowMesh:
     the same values for one candidate in plain floats, from a straight-line
     kernel compiled once per mesh structure (``_stats_kernel``): the same
     float operations in the same order, with the loops over slots, cells and
-    symbols unrolled.
+    symbols unrolled. ``param_stats(params, kind)`` runs the structure's
+    other kernel, which first turns a polish probe's free coordinates into
+    rows, so a probe goes from parameters to stats in one call.
+    ``regrid(slot_grids)`` makes the mesh of a zoom stage: it shares this
+    mesh's structure (slot groups, dead cells, the plain-float weights and
+    log W, the kernels) and replaces only the slot grids.
     """
 
     def __init__(self, weights: np.ndarray, x_of: np.ndarray, xp_of: np.ndarray,
@@ -261,27 +271,37 @@ class RowMesh:
         self.x_of = np.asarray(x_of, dtype=int)
         self.xp_of = np.asarray(xp_of, dtype=int)
         self.nx = nx
+        self.ny = logw.shape[1]
         self.logw = logw
         self.s = self.weights.size
-        if isinstance(grid_rows, np.ndarray):
-            self.slot_grids = [grid_rows] * self.s
-        else:
-            self.slot_grids = list(grid_rows)
-        self.gs = tuple(g.shape[0] for g in self.slot_grids)
-        self.g = self.gs[0]
-        self.ny = self.slot_grids[0].shape[1]
-        self.n = int(np.prod(self.gs))
         # gxp is gx when every slot aggregates into the same X and X' symbol
         self._same = bool(np.array_equal(self.x_of, self.xp_of))
         self._groups = {"x": _slot_groups(self.x_of), "xp": _slot_groups(self.xp_of)}
         self._dead = np.isneginf(logw)
         self._fin = np.where(self._dead, 0.0, logw)
-        # plain-float copies for the scores and the stats kernel
+        # plain-float copies for the scores and the stats kernels
         self._w = self.weights.tolist()
         self._fin_l = self._fin.tolist()
         self._dead_l = self._dead.tolist()
-        self._kernels: dict[str, Callable] = {}  # per kind, from _stats_kernel
+        self._kernels: dict[tuple, Callable] = {}  # on (kind, params), from _stats_kernel
+        self._set_grids(grid_rows)
+
+    def _set_grids(self, grid_rows) -> None:
+        if isinstance(grid_rows, np.ndarray):
+            self.slot_grids = [grid_rows] * self.s
+        else:
+            self.slot_grids = list(grid_rows)
+        self.gs = tuple(g.shape[0] for g in self.slot_grids)
+        self.n = math.prod(self.gs)
         self._stats: dict[tuple, dict] = {}  # stats_of memo
+
+    def regrid(self, grid_rows) -> RowMesh:
+        """A mesh of this structure on other slot grids (one array for every
+        slot, or one per slot), with its own stats_of memo."""
+        mesh = object.__new__(RowMesh)
+        mesh.__dict__.update(self.__dict__)
+        mesh._set_grids(grid_rows)
+        return mesh
 
     def size(self) -> int:
         return self.n
@@ -346,8 +366,12 @@ class RowMesh:
         return np.where(bad, np.inf, val)
 
     def rows_of(self, flat_index: int) -> np.ndarray:
-        idx = np.unravel_index(flat_index, self.gs)
-        return np.stack([self.slot_grids[r][idx[r]] for r in range(self.s)])
+        """The (s, ny) rows of candidate flat_index, in C order over the slots."""
+        rest, picks = int(flat_index), []
+        for r in range(self.s - 1, -1, -1):
+            rest, i = divmod(rest, self.gs[r])
+            picks.append(self.slot_grids[r][i])
+        return np.array(picks[::-1])
 
     def stats_of(self, rows: np.ndarray, kind: str) -> dict:
         """The ``build`` values of one candidate, rows shape (s, ny), in plain
@@ -366,38 +390,32 @@ class RowMesh:
 
     def compute_stats(self, rows: list, kind: str) -> dict:
         """``stats_of`` without its memo, on rows as nested lists, for a
-        caller that keeps its own memo. It runs the mesh structure's
-        compiled kernel (``_stats_kernel``), made on first use."""
-        kernel = self._kernels.get(kind)
-        if kernel is None:
-            kernel = self._kernels[kind] = _stats_kernel(
-                kind, self.nx, self.ny, tuple(self.x_of.tolist()),
-                tuple(self.xp_of.tolist()), tuple(map(tuple, self._dead_l)))
-        return kernel(rows, self._w, self._fin_l)
+        caller that keeps its own memo."""
+        return self._kernel(kind, False)(rows, self._w, self._fin_l)
 
-    def param_rows(self, params: np.ndarray) -> list | None:
-        """Free coordinates (first ny-1 entries per slot) -> full rows as
-        nested lists, or None when outside the simplex."""
-        k = self.ny - 1
-        flat = params.tolist()
-        if min(flat, default=0.0) < -1e-12:
-            return None
-        rows = []
-        for r in range(self.s):
-            free = flat[r * k:(r + 1) * k]
-            tot = 0.0
-            for v in free:
-                tot += v
-            last = 1.0 - tot
-            if last < -1e-12:
-                return None
-            rows.append([min(max(v, 0.0), 1.0) for v in free] + [min(max(last, 0.0), 1.0)])
-        return rows
+    def param_stats(self, params: list, kind: str) -> dict | None:
+        """``compute_stats`` of the rows whose free coordinates (the first
+        ny-1 entries of each row, slot by slot) are the list params, without
+        a memo; None off the simplex, when a coordinate or a row's last entry
+        1 - (its free sum) is below -1e-12. Every entry is clamped into
+        [0, 1] by min(max(v, 0.0), 1.0), so -0.0 stays -0.0, and the dict's
+        ``rows`` holds the clamped entries as one flat tuple."""
+        return self._kernel(kind, True)(params, self._w, self._fin_l)
+
+    def _kernel(self, kind: str, params: bool) -> Callable:
+        """The structure's compiled kernel (``_stats_kernel``), made on first
+        use."""
+        kernel = self._kernels.get((kind, params))
+        if kernel is None:
+            kernel = self._kernels[kind, params] = _stats_kernel(
+                kind, self.nx, self.ny, tuple(self.x_of.tolist()),
+                tuple(self.xp_of.tolist()), tuple(map(tuple, self._dead_l)), params)
+        return kernel
 
     def params_to_rows(self, params: np.ndarray) -> np.ndarray | None:
-        """``param_rows`` as an (s, ny) array."""
-        rows = self.param_rows(params)
-        return None if rows is None else np.array(rows)
+        """``param_stats``' clamped rows as an (s, ny) array, or None."""
+        st = self.param_stats(params.tolist(), "ml")
+        return None if st is None else np.array(st["rows"]).reshape(self.s, self.ny)
 
     def rows_to_params(self, rows: np.ndarray) -> np.ndarray:
         return rows[:, : self.ny - 1].reshape(-1)
@@ -475,25 +493,33 @@ def _operand(e: str) -> str:
 
 @functools.lru_cache(maxsize=256)
 def _stats_kernel(kind: str, nx: int, ny: int, x_of: tuple, xp_of: tuple,
-                  dead: tuple) -> Callable:
+                  dead: tuple, params: bool) -> Callable:
     """The compiled ``_kernel_source`` of one mesh structure, shared by every
-    mesh of that structure; the least recently used past 256 structures are
-    dropped. Two threads may both compile a missing kernel; either result
-    is the same function."""
-    scope = {"_0": 0.0, "_1": 1.0, "_INF": math.inf, "_NINF": -math.inf, "_log": np.log}
-    exec(compile(_kernel_source(kind, nx, ny, x_of, xp_of, dead),
+    mesh of that structure; the least recently used past 256 are dropped.
+    Two threads may both compile a missing kernel; either result is the
+    same function."""
+    scope = {"_0": 0.0, "_1": 1.0, "_INF": math.inf, "_NINF": -math.inf,
+             "_NEG": -1e-12, "_log": np.log}
+    exec(compile(_kernel_source(kind, nx, ny, x_of, xp_of, dead, params),
                  f"<stats kernel {kind} {x_of} {xp_of}>", "exec"), scope)
     return scope["kernel"]
 
 
 def _kernel_source(kind: str, nx: int, ny: int, x_of: tuple, xp_of: tuple,
-                   dead: tuple) -> str:
+                   dead: tuple, params: bool) -> str:
     """Source of ``kernel(rows, w, fin)``, the straight-line form of
     ``RowMesh.build``'s arithmetic for one candidate: rows are the s rows as
     nested lists, w the slot weights, fin log W with 0.0 at the dead cells
     (dead[x][y], W(y|x) = 0). It returns ``stats_of``'s dict. The structure
     (kind, slots, dead cells) is unrolled; every float, constants included,
     comes in through arguments or names, so the source holds none.
+
+    With ``params``, it is ``kernel(params, w, fin)`` of ``param_stats``: a
+    prelude makes the rows from the free coordinates first, by the float
+    operations of a left fold from 0.0 for each row's free sum, 1.0 minus
+    that sum for its last entry, the rejections below -1e-12 (min over
+    params first, then each last entry) and min(max(v, 0.0), 1.0), written
+    as the comparisons those builtins make, so -0.0 and NaN pass as they do.
 
     Sums are written out by ``_seq_sum``, ``_np_sum`` and ``_vec_sum`` on
     ``_Expr`` terms, so each adds in build's order, 0.0 placeholders
@@ -566,10 +592,19 @@ def _kernel_source(kind: str, nx: int, ny: int, x_of: tuple, xp_of: tuple,
         return "".join(f"{n}, " for n in names)
 
     fin = [[f"f{x}_{y}" for y in range(ny)] for x in range(nx)]
-    lines = ["def kernel(rows, w, fin):",
-             f"{unpack(f'({unpack(row)})' for row in p)}= rows",
-             f"{unpack(f'w{r}' for r in range(s))}= w",
-             f"{unpack(f'({unpack(row)})' for row in fin)}= fin"]
+    if params:
+        free = [q for row in p for q in row[:-1]]
+        lines = ["def kernel(params, w, fin):",
+                 "if min(params) < _NEG: return None",
+                 f"{unpack(free)}= params"]
+        lines += [f"{row[-1]} = {_Expr('_1') - _seq_sum([zero] + row[:-1])}" for row in p]
+        lines.append(f"if {' or '.join(f'{row[-1]} < _NEG' for row in p)}: return None")
+        lines += [f"{q} = _0 if _0 > {q} else _1 if _1 < {q} else {q}" for row in p for q in row]
+    else:
+        lines = ["def kernel(rows, w, fin):",
+                 f"{unpack(f'({unpack(row)})' for row in p)}= rows"]
+    lines += [f"{unpack(f'w{r}' for r in range(s))}= w",
+              f"{unpack(f'({unpack(row)})' for row in fin)}= fin"]
     lines += body
     positive = unpack(f"{q} if {q} > _0 else _1" for q in logs)
     lines.append(f"{unpack(f'l_{q}' for q in logs)}= _log([{positive}]).tolist()")
@@ -579,7 +614,8 @@ def _kernel_source(kind: str, nx: int, ny: int, x_of: tuple, xp_of: tuple,
         lines.append(f"g{j} = {g}")
         if kind == "mmi":  # np.maximum(g, 0.0): g itself when NaN
             lines.append(f"g{j} = g{j} if g{j} > _0 or g{j} != g{j} else _0")
-    lines.append(f"return {{'qy': [{unpack(qy)}], 'kl': {kl}, 'gx': g0, 'gxp': g{len(gs) - 1}}}")
+    rows = f", 'rows': ({unpack(q for row in p for q in row)})" if params else ""
+    lines.append(f"return {{'qy': [{unpack(qy)}], 'kl': {kl}, 'gx': g0, 'gxp': g{len(gs) - 1}{rows}}}")
     return "\n    ".join(lines) + "\n"
 
 
@@ -597,7 +633,8 @@ def global_mesh(weights: np.ndarray, x_of: np.ndarray, xp_of: np.ndarray,
 def zoom_slot_grids(centers: np.ndarray, h: float, budget: int,
                     points_cap: int = 33) -> list[np.ndarray]:
     """Per-slot local row grids for zoom refinement: points of each row
-    simplex within an L-inf box of half-width h around that slot's center.
+    simplex within an L-inf box of half-width h > 0 around that slot's
+    center.
 
     The number of points per free axis is the largest of (33, 17, 9, 5, 3)
     within points_cap that keeps the full product mesh within budget. Each
@@ -610,16 +647,17 @@ def zoom_slot_grids(centers: np.ndarray, h: float, budget: int,
         if cand <= points_cap and cand ** (free * s) <= budget:
             p = cand
             break
+    # every free axis of every slot in one call: shape (s, free, p)
+    c = centers[:, :free]
+    axes = np.clip(np.linspace(c - h, c + h, p, axis=-1), 0.0, 1.0)
     grids = []
     for r in range(s):
-        axes = []
-        for j in range(free):
-            c = centers[r, j]
-            axes.append(np.unique(np.clip(np.linspace(c - h, c + h, p), 0.0, 1.0)))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        fc = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        if free == 1:
+            fc = np.unique(axes[r, 0])[:, None]
+        else:
+            mesh = np.meshgrid(*[np.unique(a) for a in axes[r]], indexing="ij")
+            fc = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         last = 1.0 - fc.sum(axis=1)
         ok = last >= -1e-12
         grids.append(np.concatenate([fc[ok], np.clip(last[ok], 0.0, 1.0)[:, None]], axis=1))
     return grids
-

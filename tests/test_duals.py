@@ -150,6 +150,7 @@ class TestTheta:
         i, j, k = np.unravel_index(np.argmin(vals), vals.shape)
 
         def f(z):
+            z = np.array(z)  # pattern_min probes with lists
             if z[0] < 0 or not 0 <= z[1] <= 8 or not 0 < z[2] < 1:
                 return math.inf
             return float(form(z[:1], z[1:2], z[2:]).min())
@@ -181,7 +182,7 @@ class TestTheta:
             assert twice._add_rows(rows.copy()) == got
             for attr in ("kl", "drive", "rows"):
                 assert np.array_equal(getattr(twice, attr), getattr(once, attr))
-        assert 1 < once.kl.size < len(probes)  # some probes were pruned
+        assert 1 < len(once.kl) < len(probes)  # some probes were pruned
 
 
 def _front_reference(kl, drive):
@@ -278,30 +279,62 @@ class TestLowerFront:
         assert _lower_front(kl, drive).tolist() == [0, 4]
 
     def test_dominated_probe_shortcut_equals_full_merge(self):
+        """_insert leaves the pool that _lower_front of the pool plus the
+        probe leaves, on each of its paths: a weakly dominated probe (ties
+        included) or one that is no candidate (infinite kl, +inf drive)
+        changes nothing; a -inf drive, in the probe or the pool, keeps the
+        front whole; every other probe takes the local hull repair. Probes
+        fall at either end of the pool and between, mostly on small
+        integers, so ties and collinear triples are common, and on floats,
+        whose hull tests round."""
         from explab.duals import _ThetaProblem, _lower_front
         rng = np.random.default_rng(23)
         prob = object.__new__(_ThetaProblem)
-        shortcuts = 0
-        for _ in range(400):
-            kl, drive = self._random_set(rng, int(rng.integers(1, 10)))
+        paths = {"dominated": 0, "no candidate": 0, "-inf drive": 0, "repair": 0}
+        for _ in range(3000):
+            floats = rng.random() < 0.3  # an affine map: the hull tests round
+            a, b, c = rng.random(3) + 0.1
+
+            def scaled(kl, drive):
+                return (kl * a + b, drive * c) if floats else (kl, drive)
+
+            kl, drive = scaled(*self._random_set(rng, int(rng.integers(1, 12))))
             rows = rng.random((kl.size, 2, 2))
             keep = _lower_front(kl, drive)
-            prob.kl, prob.drive, prob.rows = kl[keep], drive[keep], rows[keep]
-            k, d = (float(a[0]) for a in self._random_set(rng, 1))
-            if rng.random() < 0.5:  # force a weak domination, ties included
-                m = int(rng.integers(0, prob.kl.size))
+            prob.kl, prob.drive = kl[keep].tolist(), drive[keep].tolist()
+            prob.rows = list(rows[keep])
+            k, d = (float(v[0]) for v in scaled(*self._random_set(rng, 1)))
+            u = rng.random()
+            if u < 0.25:  # force a weak domination, ties included
+                m = int(rng.integers(0, len(prob.kl)))
                 k, d = prob.kl[m] + rng.integers(0, 2), prob.drive[m] + rng.integers(0, 2)
-            row = rng.random((1, 2, 2))
-            all_kl = np.concatenate([prob.kl, [k]])
-            all_drive = np.concatenate([prob.drive, [d]])
-            all_rows = np.concatenate([prob.rows, row])
-            full = _lower_front(all_kl, all_drive)
-            want = (all_kl[full], all_drive[full], all_rows[full])
-            shortcuts += bool(((prob.kl <= k) & (prob.drive <= d)).any())
-            prob._add(np.array([k]), np.array([d]), lambda idx: row[idx])
-            for got, exp in zip((prob.kl, prob.drive, prob.rows), want):
-                assert np.array_equal(got, exp)
-        assert shortcuts > 100
+            elif u < 0.35:  # beyond either end of the pool
+                k, d = (max(prob.kl) + rng.integers(0, 3), min(prob.drive) - 1.0) if rng.random() < 0.5 \
+                    else (min(prob.kl) - 1.0, max(prob.drive) + rng.integers(0, 3))
+            elif u < 0.40:  # not dominated, but no candidate
+                k, d = (math.inf, min(prob.drive) - 1.0) if rng.random() < 0.5 \
+                    else (min(prob.kl) - 1.0, math.inf)
+            row = rng.random((2, 2))
+            all_kl = np.array(prob.kl + [k])
+            all_drive = np.array(prob.drive + [d])
+            all_rows = np.array(prob.rows + [row])
+            cand = np.isfinite(all_kl) & (all_drive < math.inf)
+            ok = np.flatnonzero(cand)[_lower_front(all_kl[cand], all_drive[cand])]
+            want = (all_kl[ok].tolist(), all_drive[ok].tolist(), all_rows[ok])
+            if any(km <= k and dm <= d for km, dm in zip(prob.kl, prob.drive)):
+                paths["dominated"] += 1
+            elif not math.isfinite(k) or d == math.inf:
+                paths["no candidate"] += 1
+            elif d == -math.inf or -math.inf in prob.drive:
+                paths["-inf drive"] += 1
+            else:
+                paths["repair"] += 1
+            made = []
+            prob._insert(k, d, lambda: made.append(1) or row)
+            assert prob.kl == want[0] and prob.drive == want[1], (kl.tolist(), drive.tolist(), k, d)
+            assert np.array_equal(np.array(prob.rows).reshape(-1, 2, 2), want[2])
+            assert len(made) <= 1 and bool(made) <= any(r is row for r in prob.rows)
+        assert min(paths.values()) >= 100, paths
 
 
 class TestLambdaPhi:

@@ -213,6 +213,94 @@ def test_zoom_grids_contain_center():
         assert np.all(g >= -1e-12)
 
 
+def _zoom_slot_grids_reference(centers, h, budget, points_cap=33):
+    """zoom_slot_grids one slot and one free axis at a time: an np.linspace
+    per axis and an np.meshgrid per slot."""
+    s, ny = centers.shape
+    free = ny - 1
+    p = 3
+    for cand in (33, 17, 9, 5, 3):
+        if cand <= points_cap and cand ** (free * s) <= budget:
+            p = cand
+            break
+    grids = []
+    for r in range(s):
+        axes = []
+        for j in range(free):
+            c = centers[r, j]
+            axes.append(np.unique(np.clip(np.linspace(c - h, c + h, p), 0.0, 1.0)))
+        mesh = np.meshgrid(*axes, indexing="ij")
+        fc = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        last = 1.0 - fc.sum(axis=1)
+        ok = last >= -1e-12
+        grids.append(np.concatenate([fc[ok], np.clip(last[ok], 0.0, 1.0)[:, None]], axis=1))
+    return grids
+
+
+def test_zoom_grids_equal_per_slot_reference():
+    """One linspace for every axis of every slot, and no meshgrid for two
+    outputs, give the per-slot grids byte for byte: interior centers, centers
+    on the simplex boundary (vertices, zero entries), h from 1/1024 to 0.3."""
+    rng = np.random.default_rng(41)
+    checked = 0
+    for ny in (2, 3, 4):
+        for s in (1, 2, 4):
+            vertices = np.zeros((s, ny))
+            vertices[np.arange(s), rng.integers(0, ny, s)] = 1.0
+            first_zero = rng.dirichlet(np.ones(ny), size=s)
+            first_zero[:, 0] = 0.0
+            last_zero = rng.dirichlet(np.ones(ny), size=s)
+            last_zero[:, -1] = 0.0
+            for centers in (rng.dirichlet(np.ones(ny), size=s), vertices,
+                            first_zero / first_zero.sum(axis=1, keepdims=True),
+                            last_zero / last_zero.sum(axis=1, keepdims=True)):
+                for h in (1 / 1024, 1 / 300, 1 / 64, 0.05, 1 / 8, 0.3):
+                    for cap in (9, 33):
+                        for budget in (10_000, BUDGET // 16):
+                            got = zoom_slot_grids(centers, h, budget, points_cap=cap)
+                            want = _zoom_slot_grids_reference(centers, h, budget, points_cap=cap)
+                            assert len(got) == len(want) == s
+                            for g, w in zip(got, want):
+                                assert g.dtype == w.dtype and g.shape == w.shape
+                                assert g.tobytes() == w.tobytes(), (ny, s, h, cap, centers.tolist())
+                            checked += 1
+    assert checked == 3 * 3 * 4 * 6 * 2 * 2
+
+
+def test_regrid_builds_as_a_fresh_mesh():
+    """A zoom stage's mesh shares its parent's structure and kernels; it
+    builds, indexes and scores exactly as a RowMesh made from scratch on the
+    same grids, and keeps its own stats_of memo."""
+    for name, (w, coupling, steps) in MESH_CASES.items():
+        ch = Channel.from_rows(w)
+        q = np.array(coupling)
+        xs, xps = np.nonzero(q > 0)
+        parent = RowMesh(q[xs, xps], xs, xps, simplex_grid_array(ch.n_out, 2, 10_000),
+                         ch.n_in, ch.log_matrix)
+        center = parent.rows_of(parent.size() // 2)
+        if ch.n_out <= 4:
+            grids = zoom_slot_grids(center, 0.1, 2_000, points_cap=9)
+        else:  # a zoom mesh of 9 outputs would hold millions of candidates
+            grids = [simplex_grid_array(ch.n_out, k, 10_000) for k in steps]
+        for kind in ("ml", "mmi"):
+            parent.stats_of(center, kind)  # the parent's kernel and memo exist first
+            local = parent.regrid(grids)
+            fresh = RowMesh(q[xs, xps], xs, xps, grids, ch.n_in, ch.log_matrix)
+            assert local.gs == fresh.gs and local.size() == fresh.size()
+            got, want = local.build(kind), fresh.build(kind)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key].dtype == want[key].dtype, (name, kind, key)
+                assert got[key].tobytes() == want[key].tobytes(), (name, kind, key)
+            for i in (0, fresh.size() // 3, fresh.size() - 1):
+                rows = fresh.rows_of(i)
+                assert local.rows_of(i).tobytes() == rows.tobytes()
+                assert local.stats_of(rows, kind) == fresh.stats_of(rows, kind)
+            assert local._kernels is parent._kernels
+            assert local._stats is not parent._stats
+            assert parent.gs == (simplex_grid_array(ch.n_out, 2, 10_000).shape[0],) * parent.s
+
+
 @pytest.mark.parametrize("w, k", [
     ([[0.9, 0.1], [0.1, 0.9]], 8),
     ([[0.8, 0.15, 0.05], [0.05, 0.15, 0.8]], 5),
@@ -292,6 +380,25 @@ class TestStatsMemo:
         assert st == self._mesh(w, coupling).stats_of(bumped, "ml")
 
 
+def _param_rows_reference(mesh, params):
+    """param_stats' prelude in plain Python: free coordinates (a list) ->
+    the rows as nested lists, or None outside the simplex."""
+    k = mesh.ny - 1
+    if min(params, default=0.0) < -1e-12:
+        return None
+    rows = []
+    for r in range(mesh.s):
+        free = params[r * k:(r + 1) * k]
+        tot = 0.0
+        for v in free:
+            tot += v
+        last = 1.0 - tot
+        if last < -1e-12:
+            return None
+        rows.append([min(max(v, 0.0), 1.0) for v in free] + [min(max(last, 0.0), 1.0)])
+    return rows
+
+
 class TestFloatKernel:
     """stats_of's float kernel returns build's values, bit for bit, for
     every candidate."""
@@ -342,14 +449,109 @@ class TestFloatKernel:
 
     def test_params_to_rows_makes_negative_zeros(self):
         mesh = self._mesh(*self.CASES["bsc"])
-        rows = mesh.params_to_rows(np.array([-0.0, 0.5, 1.0, 0.25]))
+        params = [-0.0, 0.5, 1.0, 0.25]
+        rows = mesh.params_to_rows(np.array(params))
         assert rows[0, 0] == 0.0 and math.copysign(1.0, rows[0, 0]) < 0
         assert math.copysign(1.0, rows[2, 1]) > 0  # 1.0 - 1.0
+        for kind in ("ml", "mmi"):
+            flat = mesh.param_stats(params, kind)["rows"]
+            assert [v.hex() for v in flat] == [v.hex() for v in rows.reshape(-1).tolist()]
+            assert flat[0] == 0.0 and math.copysign(1.0, flat[0]) < 0
+            assert math.copysign(1.0, flat[5]) > 0
+
+    @staticmethod
+    def _random_structure(rng):
+        """A mesh of random structure: 2-4 inputs, 2-9 outputs, up to 6
+        slots, dead cells of W in some rows."""
+        nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 10))
+        w = rng.dirichlet(np.ones(ny), size=nx)
+        for x in range(nx):
+            if rng.random() < 0.5:  # dead cells, keeping one live cell
+                dead = rng.random(ny) < 0.4
+                dead[rng.integers(0, ny)] = False
+                w[x, dead] = 0.0
+                w[x] /= w[x].sum()
+        s = int(rng.integers(1, 7))
+        xs, xps = rng.integers(0, nx, s), rng.integers(0, nx, s)
+        with np.errstate(divide="ignore"):
+            logw = np.log(w)
+        return RowMesh(rng.dirichlet(np.ones(s)), xs, xps, simplex_grid_array(ny, 1),
+                       nx, logw)
+
+    @staticmethod
+    def _edge_params(rng, mesh):
+        """Free coordinates inside the simplex, on its boundary and just
+        outside it: -0.0 entries, entries within 1e-12 below 0 and just past
+        it, free sums within 1e-12 above 1 and just past it, NaN."""
+        k, s = mesh.ny - 1, mesh.s
+        tiny = [-0.0, 0.0, -5e-13, -1e-12, np.nextafter(-1e-12, -1.0), -3e-12]
+        out = []
+        for _ in range(40):
+            rows = rng.dirichlet(np.ones(mesh.ny), size=s)
+            free = rows[:, :k].copy()
+            case = int(rng.integers(0, 7))
+            if case == 1:  # a vertex or an edge: entries 0.0 / -0.0 / 1.0
+                free = np.where(rng.random(free.shape) < 0.5, 0.0, -0.0)
+                hit = rng.integers(0, mesh.ny, s)
+                for r in range(s):
+                    if hit[r] < k:
+                        free[r, hit[r]] = 1.0
+            elif case == 2:  # tiny negatives, accepted and rejected
+                free.flat[rng.integers(0, free.size)] = rng.choice(tiny)
+            elif case == 3:  # free sum on 1 or past it by a hair
+                r = int(rng.integers(0, s))
+                free[r] = free[r] / free[r].sum() if free[r].sum() > 0 else free[r]
+                free[r, 0] += rng.choice([0.0, 4e-13, 1e-12, 3e-12, 1e-9])
+            elif case == 4:  # one coordinate above 1, another slightly negative
+                r = int(rng.integers(0, s))
+                free[r] = 0.0
+                free[r, 0] = 1.0 + rng.choice([5e-13, 2e-12])
+                if k > 1:
+                    free[r, 1] = -rng.choice([5e-13, 2e-12])
+            elif case == 5:  # far outside
+                free.flat[rng.integers(0, free.size)] = rng.choice([-0.2, 1.3])
+            elif case == 6 and rng.random() < 0.3:
+                free.flat[rng.integers(0, free.size)] = math.nan
+            out.append(free.reshape(-1).tolist())
+        return out
+
+    def test_param_stats_equal_compute_stats_of_param_rows(self):
+        """The fused probe returns, float.hex for float.hex, what the plain
+        Python prelude (_param_rows_reference) followed by compute_stats
+        returns, and None on the same inputs: random structures and every
+        MESH_CASES channel, at edge-case free coordinates."""
+        rng = np.random.default_rng(43)
+        meshes = [self._random_structure(rng) for _ in range(60)]
+        for w, coupling, steps in MESH_CASES.values():
+            ch = Channel.from_rows(w)
+            q = np.array(coupling)
+            xs, xps = np.nonzero(q > 0)
+            meshes.append(RowMesh(q[xs, xps], xs, xps, simplex_grid_array(ch.n_out, 2, 10_000),
+                                  ch.n_in, ch.log_matrix))
+        nones = values = 0
+        for mesh in meshes:
+            for params in self._edge_params(rng, mesh):
+                rows = _param_rows_reference(mesh, params)
+                for kind in ("ml", "mmi"):
+                    got = mesh.param_stats(params, kind)
+                    if rows is None:
+                        assert got is None, (params, kind)
+                        nones += 1
+                        continue
+                    want = mesh.compute_stats(rows, kind)
+                    where = (params, kind)
+                    assert [v.hex() for v in got["qy"]] == [v.hex() for v in want["qy"]], where
+                    for key in ("kl", "gx", "gxp"):
+                        assert got[key].hex() == want[key].hex(), where
+                    assert [v.hex() for v in got["rows"]] == [v.hex() for row in rows for v in row]
+                    values += 1
+        assert nones > 200 and values > 2000
 
     def test_kernel_source_has_no_float_and_compiles_once(self, monkeypatch):
-        """The kernel is generated from the mesh structure alone: weights and
-        log W come in as arguments, and two meshes of one structure share
-        one compiled kernel per kind."""
+        """The kernels are generated from the mesh structure alone: weights,
+        log W and the constants, -1e-12 of the parameter prelude included,
+        come in as arguments or names, and two meshes of one structure
+        share one compiled kernel per kind and flavour."""
         import ast
 
         from explab import search
@@ -359,14 +561,19 @@ class TestFloatKernel:
         structure = (mesh.nx, mesh.ny, tuple(mesh.x_of.tolist()),
                      tuple(mesh.xp_of.tolist()), tuple(map(tuple, mesh._dead_l)))
         for kind in ("ml", "mmi"):
-            tree = ast.parse(search._kernel_source(kind, *structure))
-            floats = [node.value for node in ast.walk(tree)
-                      if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))]
-            assert floats == [], kind
+            for params in (False, True):
+                tree = ast.parse(search._kernel_source(kind, *structure, params))
+                floats = [node.value for node in ast.walk(tree)
+                          if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))]
+                assert floats == [], (kind, params)
+                names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                assert ("_NEG" in names) == params, (kind, params)
+        assert search._stats_kernel(*(("ml",) + structure + (True,))).__globals__["_NEG"] == -1e-12
 
         made = []
         source = search._kernel_source
-        monkeypatch.setattr(search, "_kernel_source", lambda *a: made.append(a[0]) or source(*a))
+        monkeypatch.setattr(search, "_kernel_source",
+                            lambda *a: made.append((a[0], a[-1])) or source(*a))
         search._stats_kernel.cache_clear()
         # same structure (slots, dead cell), other weights and channel values
         w2 = [[0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.2, 0.2, 0.0],
@@ -377,8 +584,10 @@ class TestFloatKernel:
             for m in (mesh, other, mesh):
                 for rows in rng.dirichlet(np.ones(m.ny), size=(3, m.s)):
                     m.stats_of(rows, kind)
-            assert mesh._kernels[kind] is other._kernels[kind]
-        assert made == ["ml", "mmi"]
+                    m.param_stats(m.rows_to_params(rows).tolist(), kind)
+            for params in (False, True):
+                assert mesh._kernels[kind, params] is other._kernels[kind, params]
+        assert made == [("ml", False), ("ml", True), ("mmi", False), ("mmi", True)]
         assert mesh.stats_of(mesh.rows_of(3), "ml") != other.stats_of(mesh.rows_of(3), "ml")
 
     def test_threads_racing_for_a_kernel_agree(self):
