@@ -12,7 +12,8 @@ and CSV), infinities become the strings "+inf"/"-inf", a value that does
 not exist is JSON null and an empty CSV cell, and writes are atomic (temp
 file + rename). Repeated runs with the same configuration and seed produce
 byte-identical JSON: nothing time- or host-dependent is ever written, and
-neither is the worker count, which changes no result.
+neither is ``--threads``, the worker count of ``simulate``'s sample pool
+(the only command that uses it), which changes no result.
 
 Rates are nats per channel use throughout; --bits only converts the printed
 summary table, never the files.
@@ -282,9 +283,9 @@ def parse_rates(spec: str) -> list[float]:
     return rates
 
 
-def _resolve_composition(arg: str | None, nx: int, grid_step: float,
-                         echo) -> list[float]:
-    """Default uniform; always snapped to the optimizer grid (with a notice)."""
+def _resolve_composition(arg: str | None, nx: int, k: int, echo) -> list[float]:
+    """Default uniform; always snapped to the optimizer's 1/k grid (with a
+    notice)."""
     if arg is None:
         comp = np.full(nx, 1.0 / nx)
     else:
@@ -295,7 +296,6 @@ def _resolve_composition(arg: str | None, nx: int, grid_step: float,
         if comp.size != nx or not np.all(comp >= 0) or not 0 < comp.sum() < math.inf:
             raise CliError(f"composition needs {nx} nonnegative entries")
         comp = comp / comp.sum()
-    k = round(1.0 / grid_step)
     counts = np.floor(comp * k).astype(int)
     while counts.sum() < k:  # largest-remainder rounding onto the grid
         rem = comp * k - counts
@@ -351,15 +351,8 @@ def cmd_exponent(cfg: RunConfig, which: str, out, csv_path, gnuplot, echo) -> in
     comp = Dist(np.array(cfg.composition))
     metric = ML if cfg.metric == "ml" else MMI
     opts = cfg.opts()
-
-    def solve_one(rate: float):
-        return sweep([rate], comp, metric, ch, opts, which).records[0]
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            records = list(ex.map(solve_one, cfg.rates))
-    else:
-        records = [solve_one(r) for r in cfg.rates]
+    # one rate at a time, so that the rates need not be sorted
+    records = [sweep([r], comp, metric, ch, opts, which).records[0] for r in cfg.rates]
 
     results = []
     csv_rows = []
@@ -477,7 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-step", type=float, default=0.125, help="search grid step 1/k (default 1/8)")
         p.add_argument("--refine-iters", type=int, default=20)
         p.add_argument("--threads", type=int, default=1,
-                       help="worker pool cap (default 1); results do not depend on it")
+                       help="simulate's worker pool cap (default 1; the other commands "
+                            "run in one thread); results do not depend on it")
         p.add_argument("--out", help="JSON output path")
         p.add_argument("--bits", action="store_true", help="print values in bits (files stay in nats)")
         p.add_argument("--strict", action="store_true", help="exit nonzero on any flagged failure")
@@ -528,8 +522,11 @@ def run(argv: list[str] | None = None, echo=print) -> int:
             strict=args.strict,
             bits=args.bits,
         )
+        if args.threads < 1:
+            raise CliError(f"--threads must be at least 1, got {args.threads}")
+        # the options check the grid step before the composition is snapped
         cfg.composition = _resolve_composition(args.composition, spec.n_in,
-                                               cfg.grid_step, echo)
+                                               cfg.opts().k, echo)
         if args.command == "exponent":
             cfg.rates = parse_rates(args.rates)
             return cmd_exponent(cfg, args.which, args.out, args.csv,

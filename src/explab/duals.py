@@ -64,12 +64,12 @@ from .prob import (
 )
 from .search import (
     BUDGET,
-    RAY_HI,
     SHRINK,
     RowMesh,
     global_mesh,
     golden_max,
     pattern_min,
+    ray_grid,
     sup_ray,
     zoom_slot_grids,
 )
@@ -410,8 +410,7 @@ class _ThetaProblem:
 
     def _add_rows(self, rows: np.ndarray) -> tuple[float, float]:
         """``_add_stats`` of an (s, ny) array of rows."""
-        return self._add_stats(rows.reshape(-1).tolist(),
-                               self.mesh.compute_stats(rows.tolist(), "ml"))
+        return self._add_stats(rows.reshape(-1).tolist(), self.mesh.stats_of(rows, "ml"))
 
     def _add_stats(self, flat_rows, st: dict) -> tuple[float, float]:
         """(kl, drive) of one candidate, from its rows (flat) and stats,
@@ -489,8 +488,9 @@ class _TiltedProblem:
     coupling.
 
     solve('balance') is the I(X;Y) - I(X';Y) penalty, solve('rate', R) the
-    R - I(X';Y) one; both bracket the sup over the multiplier with a
-    vectorized grid-only scan and refine only inside the winning bracket.
+    R - I(X';Y) one; both bracket the sup over the multiplier with
+    ``ray_grid`` on a vectorized grid-only scan and refine only inside the
+    winning bracket.
     The global mesh is ``global_mesh``'s.
     """
 
@@ -543,17 +543,11 @@ class _TiltedProblem:
 
     def solve(self, penalty: str, rate: float = 0.0) -> dict:
         drive = self._drive(penalty, rate)
-        top = RAY_HI
-        for _ in range(4):
-            mu_grid = np.concatenate([[0.0], np.geomspace(1e-3, top, 13)])
-            gvals = (self.kl[None, :] + mu_grid[:, None] * drive[None, :]).min(axis=1)
-            best = int(np.argmax(gvals))
-            if best < mu_grid.size - 1:
-                break
-            top *= 2.0
-        hit_boundary = best == mu_grid.size - 1
+        mu_grid, _, best = ray_grid(lambda grid: (
+            self.kl[None, :] + np.array(grid)[:, None] * drive[None, :]).min(axis=1), 13)
+        hit_boundary = best == len(mu_grid) - 1
         lo_b = mu_grid[best - 1] if best > 0 else mu_grid[best]
-        hi_b = mu_grid[best + 1] if best < mu_grid.size - 1 else mu_grid[best]
+        hi_b = mu_grid[best] if hit_boundary else mu_grid[best + 1]
         best_mu = float(mu_grid[best])
         value = self._inner(best_mu, penalty, rate)
         if hi_b > lo_b:
@@ -831,8 +825,10 @@ def certify_theorem1(rp: RatePoint, ch: Channel,
     while the rate is below I(Q_X;W). lambda - psi and phi - theta are
     reported but not judged: they have no sign at a single coupling. The
     outer chain compares trc(ml) <= ml_upper <= mmi_lower <= trc(mmi) plus
-    the primal gap.
+    the primal gap. certify_tol must be finite and >= 0.
     """
+    if not 0.0 <= certify_tol < math.inf:
+        raise ProbError(f"certify_tol must be finite and >= 0, got {certify_tol}")
     qx = rp.composition
     phi_judged = _phi_relaxes(rp, ch)
     per = []

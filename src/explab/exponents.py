@@ -464,31 +464,30 @@ class _InnerSolve:
         """Full solve: global grid -> zoom refinement -> pattern polish.
 
         A warm start (witness rows from a nearby coupling's solve) skips the
-        global stage; the thin feasible shells these problems develop near
-        active score constraints are handled by the zoom stages, which keep
-        full-dimensional local meshes instead of single-coordinate probes.
+        global stage, and so does a product mesh over BUDGET, which starts
+        from the soft-penalty ladder; the thin feasible shells these
+        problems develop near active score constraints are handled by the
+        zoom stages, which keep full-dimensional local meshes instead of
+        single-coordinate probes.
         The hard-constraint slack is graded down with the zoom scale, so the
         reported witness satisfies the score constraint exactly (a strictly
         feasible anchor repairs any residual boundary violation).
         """
         mesh, ctx = self.mesh, self.ctx
-        budget_ok = mesh.size() * mesh.nx * mesh.ny <= BUDGET
         starts: list[tuple[np.ndarray, float]] = []
         n_feasible = -1
         evals = 0
         if warm_rows is not None:
             starts.append((warm_rows, self._objective_single(warm_rows)))
-        elif budget_ok:
+        elif mesh.size() * mesh.nx * mesh.ny <= BUDGET:
             obj = self._objective(mesh.build(ctx.kind))
             n_feasible = int(np.isfinite(obj).sum())
             for idx in _spread_minima(obj, _N_STARTS, mesh.gs):
                 starts.append((mesh.rows_of(idx), float(obj[idx])))
-        else:
-            starts.append(self._sweep_start()[:2])
         if not starts or not math.isfinite(starts[0][1]):
-            # nothing feasible yet: manufacture a start with the soft-penalty
-            # ladder before giving up (the feasible set may be a thin shell
-            # the coarse grid misses entirely)
+            # nothing feasible yet, or a product mesh over BUDGET: manufacture
+            # a start with the soft-penalty ladder before giving up (the
+            # feasible set may be a thin shell the coarse grid misses entirely)
             rows_pen, ev = self._penalty_ladder()
             evals += ev
             if rows_pen is not None:
@@ -617,29 +616,6 @@ class _InnerSolve:
         if not math.isfinite(v_hard):
             return None, evals
         return mesh.params_to_rows(params), evals
-
-    def _sweep_start(self) -> tuple[np.ndarray, float, int]:
-        """Coordinate sweeps (one row at a time over its full grid) when the
-        product mesh would blow the budget."""
-        mesh = self.mesh
-        starts = [self.ctx.ch.w[mesh.x_of],
-                  np.full((mesh.s, mesh.ny), 1.0 / mesh.ny)]
-        best_rows, best_v = starts[0], math.inf
-        for rows in starts:
-            rows = rows.copy()
-            val = self._objective_single(rows)
-            for _ in range(3):
-                for r in range(mesh.s):
-                    grid_r = mesh.slot_grids[r]
-                    cand = np.repeat(rows[None], grid_r.shape[0], axis=0)
-                    cand[:, r, :] = grid_r
-                    vals = np.array([self._objective_single(c) for c in cand])
-                    i = int(np.argmin(vals))
-                    if vals[i] < val - 1e-15:
-                        rows, val = cand[i], float(vals[i])
-            if val < best_v:
-                best_rows, best_v = rows, val
-        return best_rows, best_v, -1
 
 
 def gamma(q_xx: Joint2, rate: float, metric: DecodingMetric, ch: Channel,

@@ -28,7 +28,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -144,29 +144,39 @@ class RayResult:
     domain_hi: float
 
 
+def ray_grid(values: Callable[[list], Sequence[float]],
+             n: int) -> tuple[list, Sequence[float], int]:
+    """The grid of 0 and n log-spaced points from 1e-3 to the top, values(grid)
+    and the index of its first maximum. The top starts at RAY_HI and doubles,
+    at most 3 times, while the maximum is the last point."""
+    top = RAY_HI
+    for _ in range(4):
+        xs = [0.0] + list(np.geomspace(1e-3, top, n))
+        vals = values(xs)
+        best = int(np.argmax(vals))
+        if best < n:
+            break
+        top *= 2.0
+    return xs, vals, best
+
+
 def sup_ray(f: Callable[[float], float]) -> RayResult:
     """Supremum of f over the ray [0, inf), searched on [0, RAY_HI].
 
-    A grid of 0 and 25 log-spaced points from 1e-3, then golden refinement
-    between the neighbors of the best grid point. If the maximum sits at the
-    upper end the domain is doubled, at most 3 times; a maximum still at the
-    boundary is reported via ``hit_boundary`` rather than chased further.
+    ``ray_grid`` of 25 points, then golden refinement between the neighbors
+    of the best grid point. A maximum still at the top of the last grid is
+    reported via ``hit_boundary`` rather than chased further; ``domain_hi``
+    is that top.
     """
-    top = RAY_HI
-    for _ in range(4):
-        xs = [0.0] + list(np.geomspace(1e-3, top, 25))
-        vals = [f(x) for x in xs]
-        best = int(np.argmax(vals))
-        if best < len(xs) - 1:
-            break
-        top *= 2.0
+    xs, vals, best = ray_grid(lambda grid: [f(x) for x in grid], 25)
+    hit, top = best == len(xs) - 1, float(xs[-1])
     lo_n = xs[best - 1] if best > 0 else xs[0]
-    hi_n = xs[best + 1] if best < len(xs) - 1 else xs[-1]
+    hi_n = xs[-1] if hit else xs[best + 1]
     if hi_n > lo_n:
         xg, vg = golden_max(f, lo_n, hi_n, tol=1e-9 * max(1.0, hi_n))
         if vg > vals[best]:
-            return RayResult(xg, vg, best == len(xs) - 1, top)
-    return RayResult(xs[best], vals[best], best == len(xs) - 1, top)
+            return RayResult(xg, vg, hit, top)
+    return RayResult(xs[best], vals[best], hit, top)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +303,10 @@ class RowMesh:
             self.slot_grids = list(grid_rows)
         self.gs = tuple(g.shape[0] for g in self.slot_grids)
         self.n = math.prod(self.gs)
-        self._stats: dict[tuple, dict] = {}  # stats_of memo
 
     def regrid(self, grid_rows) -> RowMesh:
         """A mesh of this structure on other slot grids (one array for every
-        slot, or one per slot), with its own stats_of memo."""
+        slot, or one per slot)."""
         mesh = object.__new__(RowMesh)
         mesh.__dict__.update(self.__dict__)
         mesh._set_grids(grid_rows)
@@ -376,27 +385,15 @@ class RowMesh:
     def stats_of(self, rows: np.ndarray, kind: str) -> dict:
         """The ``build`` values of one candidate, rows shape (s, ny), in plain
         floats summed in build's order: ``qy`` is a list, ``kl``, ``gx`` and
-        ``gxp`` are floats. They come from the structure's compiled kernel
-        (``compute_stats``), whose logarithms come from one ``np.log`` call:
-        its last bits can differ from ``math.log``'s. Results are memoized per
-        mesh on (kind, the exact bytes of rows): a repeated probe returns the
-        same dict, which callers must not modify."""
-        arr = np.ascontiguousarray(rows, dtype=np.float64)
-        key = (kind, arr.shape, arr.tobytes())
-        hit = self._stats.get(key)
-        if hit is None:
-            hit = self._stats[key] = self.compute_stats(arr.tolist(), kind)
-        return hit
-
-    def compute_stats(self, rows: list, kind: str) -> dict:
-        """``stats_of`` without its memo, on rows as nested lists, for a
-        caller that keeps its own memo."""
-        return self._kernel(kind, False)(rows, self._w, self._fin_l)
+        ``gxp`` are floats, in a new dict on every call. They come from the
+        structure's compiled kernel, whose logarithms come from one
+        ``np.log`` call: its last bits can differ from ``math.log``'s."""
+        return self._kernel(kind, False)(np.asarray(rows, float).tolist(), self._w, self._fin_l)
 
     def param_stats(self, params: list, kind: str) -> dict | None:
-        """``compute_stats`` of the rows whose free coordinates (the first
-        ny-1 entries of each row, slot by slot) are the list params, without
-        a memo; None off the simplex, when a coordinate or a row's last entry
+        """``stats_of`` of the rows whose free coordinates (the first
+        ny-1 entries of each row, slot by slot) are the list params; None
+        off the simplex, when a coordinate or a row's last entry
         1 - (its free sum) is below -1e-12. Every entry is clamped into
         [0, 1] by min(max(v, 0.0), 1.0), so -0.0 stays -0.0, and the dict's
         ``rows`` holds the clamped entries as one flat tuple."""

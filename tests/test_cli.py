@@ -325,6 +325,36 @@ class TestErrors:
         assert code == 2
         assert "row 1" in text
 
+    @pytest.mark.parametrize("step", ["0", "nan", "inf", "-0.125", "0.3"])
+    def test_bad_grid_step_exits_2(self, bsc_file, tmp_path, step, recwarn):
+        # the step is checked before the composition is snapped to its grid
+        out = tmp_path / "e.json"
+        code, text = collect(["exponent", "random", "--channel", bsc_file, "--rates", "0.1",
+                              "--grid-step", step, "--out", str(out)])
+        assert code == 2
+        assert "grid_step must be" in text
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_certify_tol_exits_2(self, bsc_file, tmp_path, tol):
+        out = tmp_path / "c.json"
+        code, text = collect(["certify", "theorem1", "--channel", bsc_file, "--rate", "0.01",
+                              "--certify-tol", tol, "--out", str(out)])
+        assert code == 2
+        assert "certify_tol must be finite and >= 0" in text
+        assert "FAILED" not in text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, bsc_file, tmp_path, threads):
+        out = tmp_path / "s.json"
+        code, text = collect(["simulate", "--channel", bsc_file, "--n", "4", "--M", "2",
+                              "--samples", "1", "--threads", threads, "--out", str(out)])
+        assert code == 2
+        assert "--threads must be at least 1" in text
+        assert not out.exists()
+
 
 def test_python_dash_m_entry_point():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

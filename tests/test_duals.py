@@ -19,7 +19,7 @@ from explab.duals import (
 )
 from explab.exponents import ML, MMI, OptimizerOptions, RatePoint, a_threshold, gamma, trc_exponent
 from explab.prob import Channel, Dist, Joint2, ProbError
-from explab.search import pattern_min
+from explab.search import RAY_HI, golden_max, pattern_min
 
 UNIF = Dist.uniform(2)
 BSC01 = Channel.bsc(0.1)
@@ -337,6 +337,36 @@ class TestLowerFront:
         assert min(paths.values()) >= 100, paths
 
 
+def _tilted_solve_reference(prob, penalty, rate=0.0):
+    """_TiltedProblem.solve with its own grid-and-doubling loop over the
+    multiplier, as it was before search.ray_grid."""
+    drive = prob._drive(penalty, rate)
+    top = RAY_HI
+    for _ in range(4):
+        mu_grid = np.concatenate([[0.0], np.geomspace(1e-3, top, 13)])
+        gvals = (prob.kl[None, :] + mu_grid[:, None] * drive[None, :]).min(axis=1)
+        best = int(np.argmax(gvals))
+        if best < mu_grid.size - 1:
+            break
+        top *= 2.0
+    hit_boundary = best == mu_grid.size - 1
+    lo_b = mu_grid[best - 1] if best > 0 else mu_grid[best]
+    hi_b = mu_grid[best + 1] if best < mu_grid.size - 1 else mu_grid[best]
+    best_mu = float(mu_grid[best])
+    value = prob._inner(best_mu, penalty, rate)
+    if hi_b > lo_b:
+        mu_ref, val_ref = golden_max(lambda m: prob._inner(m, penalty, rate),
+                                     lo_b, hi_b, tol=1e-3)
+        if val_ref > value:
+            value, best_mu = float(val_ref), float(mu_ref)
+    value = max(value, prob._inner(0.0, penalty, rate))
+    return {"value": float(value), "mu": best_mu, "hit_boundary": hit_boundary}
+
+
+def _types(d):
+    return {k: type(v) for k, v in d.items()}
+
+
 class TestLambdaPhi:
     def test_lambda_diagonal_zero(self):
         assert lambda_bound(DIAG, BSC01, OPTS) == pytest.approx(0.0, abs=1e-9)
@@ -380,6 +410,42 @@ class TestLambdaPhi:
         monkeypatch.setattr(bypass, "_probes", NeverHits())
         assert solve(memo) == solve(bypass)
         assert len(memo._probes) < bypass._probes.writes  # the memo did hit
+
+    @pytest.mark.parametrize("ch", [BSC01, Channel.from_rows([[1.0, 0.0], [0.2, 0.8]]),
+                                    Channel.from_rows([[1.0, 0.0], [0.0, 1.0]])],
+                             ids=["bsc01", "z", "noiseless"])
+    @pytest.mark.parametrize("q", [PROD, ANTI, Joint2(np.array([[0.3, 0.2], [0.2, 0.3]]))],
+                             ids=["product", "anti", "tilted"])
+    def test_bracket_equals_its_old_loop(self, ch, q):
+        """solve's multiplier bracket (search.ray_grid) returns what its own
+        loop did, for both penalties and rates on either side of I(Q_X;W)."""
+        new, old = _TiltedProblem(q, ch, OPTS), _TiltedProblem(q, ch, OPTS)
+        for penalty, rate in (("balance", 0.0), ("rate", 0.0), ("rate", 0.01), ("rate", 0.6)):
+            got, want = new.solve(penalty, rate), _tilted_solve_reference(old, penalty, rate)
+            assert got == want and _types(got) == _types(want), (penalty, rate)
+
+    @pytest.mark.parametrize("peak", [0.0, 3.0, 12.0, 20.0, 100.0],
+                             ids=["at 0", "interior", "past 8", "past 16", "past 64"])
+    def test_bracket_peaks_equal_the_old_loop(self, peak):
+        """The same, on a synthetic mesh whose inner minimum at multiplier
+        mu is min(mu, 2 peak - mu): two candidates, every other one far
+        above, and no polish. Past 64 is a boundary hit."""
+        results = []
+        for solve in (_TiltedProblem.solve, _tilted_solve_reference):
+            prob = _TiltedProblem(PROD, BSC01, OPTS)
+            prob.kl = np.full(prob.kl.size, 1e3)
+            prob.i_x, prob.i_xp = np.zeros(prob.kl.size), np.zeros(prob.kl.size)
+            prob.kl[[5, 9]] = 0.0, 2.0 * peak
+            prob.i_x[[5, 9]] = 1.0, -1.0
+            prob._solve_inner = lambda mu, penalty, rate, prob=prob: float(
+                (prob.kl + mu * prob._drive(penalty, rate)).min())
+            results.append(solve(prob, "balance"))
+        got, want = results
+        assert got == want and _types(got) == _types(want)
+        assert got["hit_boundary"] == (peak > 64.0)
+        if peak <= 64.0:
+            assert got["mu"] == pytest.approx(peak, abs=1e-2)
+            assert got["value"] == pytest.approx(peak, abs=1e-2)
 
     def test_permutation_equivariance(self):
         # relabel X symbols consistently in coupling, composition, channel

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from explab.prob import Channel, simplex_grid_array
 from explab.search import (
     BUDGET,
+    RAY_HI,
+    RayResult,
     RowMesh,
     TransportPolytope,
     elog_batch,
@@ -14,6 +17,7 @@ from explab.search import (
     golden_max,
     mi_batch,
     pattern_min,
+    ray_grid,
     sup_ray,
     xlogx,
     zoom_slot_grids,
@@ -50,6 +54,68 @@ def test_sup_ray_interior():
     res = sup_ray(lambda t: t * math.exp(-t))
     assert res.arg == pytest.approx(1.0, abs=1e-3)
     assert not res.hit_boundary
+
+
+def _sup_ray_reference(f):
+    """sup_ray with its own grid-and-doubling loop, as it was before
+    ray_grid: the reference for test_sup_ray_equals_its_old_loop."""
+    top = RAY_HI
+    for _ in range(4):
+        xs = [0.0] + list(np.geomspace(1e-3, top, 25))
+        vals = [f(x) for x in xs]
+        best = int(np.argmax(vals))
+        if best < len(xs) - 1:
+            break
+        top *= 2.0
+    lo_n = xs[best - 1] if best > 0 else xs[0]
+    hi_n = xs[best + 1] if best < len(xs) - 1 else xs[-1]
+    if hi_n > lo_n:
+        xg, vg = golden_max(f, lo_n, hi_n, tol=1e-9 * max(1.0, hi_n))
+        if vg > vals[best]:
+            return RayResult(xg, vg, best == len(xs) - 1, top)
+    return RayResult(xs[best], vals[best], best == len(xs) - 1, top)
+
+
+# concave functions of the ray, by where their maximum lies
+RAY_PEAKS = {
+    "at 0": lambda t: -t - t * t,
+    "interior": lambda t: t * math.exp(-t),
+    "past 8": lambda t: -((t - 12.0) ** 2),
+    "past 16": lambda t: -abs(t - 20.0),
+    "past 64": lambda t: math.log1p(t),  # increasing: a boundary hit
+}
+
+
+@pytest.mark.parametrize("name", list(RAY_PEAKS))
+def test_sup_ray_equals_its_old_loop(name):
+    f = RAY_PEAKS[name]
+    got, want = sup_ray(f), _sup_ray_reference(f)
+    if name == "past 64":
+        # the old loop doubled its top once more after the last grid, to
+        # 128, and reported that as the domain; the domain searched is 64
+        assert want.hit_boundary and want.domain_hi == 128.0
+        want = dataclasses.replace(want, domain_hi=64.0)
+    assert got == want
+    assert [type(v) for v in dataclasses.astuple(got)] == [type(v) for v in dataclasses.astuple(want)]
+    assert got.hit_boundary == (name == "past 64")
+
+
+def test_ray_grid_doubles_while_the_maximum_is_last():
+    for peak in (0.0, 0.5, 12.0, 20.0, 40.0, 100.0):
+        grids = []
+
+        def values(grid):
+            grids.append(grid)
+            return [-abs(x - peak) for x in grid]
+
+        xs, vals, best = ray_grid(values, 13)
+        assert 1 <= len(grids) <= 4 and xs is grids[-1]
+        assert [g[-1] for g in grids] == [RAY_HI * 2**i for i in range(len(grids))]
+        assert len(xs) == 14 and xs[:2] == [0.0, 1e-3]
+        for g in grids[:-1]:
+            assert int(np.argmax([-abs(x - peak) for x in g])) == 13
+        assert best == int(np.argmax(vals)) and (best == 13) == (peak > 64.0)
+        assert (best == 0) == (peak == 0.0)
 
 
 def test_mi_batch_matches_scalar():
@@ -270,7 +336,7 @@ def test_zoom_grids_equal_per_slot_reference():
 def test_regrid_builds_as_a_fresh_mesh():
     """A zoom stage's mesh shares its parent's structure and kernels; it
     builds, indexes and scores exactly as a RowMesh made from scratch on the
-    same grids, and keeps its own stats_of memo."""
+    same grids."""
     for name, (w, coupling, steps) in MESH_CASES.items():
         ch = Channel.from_rows(w)
         q = np.array(coupling)
@@ -283,7 +349,7 @@ def test_regrid_builds_as_a_fresh_mesh():
         else:  # a zoom mesh of 9 outputs would hold millions of candidates
             grids = [simplex_grid_array(ch.n_out, k, 10_000) for k in steps]
         for kind in ("ml", "mmi"):
-            parent.stats_of(center, kind)  # the parent's kernel and memo exist first
+            parent.stats_of(center, kind)  # the parent's kernel exists first
             local = parent.regrid(grids)
             fresh = RowMesh(q[xs, xps], xs, xps, grids, ch.n_in, ch.log_matrix)
             assert local.gs == fresh.gs and local.size() == fresh.size()
@@ -297,7 +363,6 @@ def test_regrid_builds_as_a_fresh_mesh():
                 assert local.rows_of(i).tobytes() == rows.tobytes()
                 assert local.stats_of(rows, kind) == fresh.stats_of(rows, kind)
             assert local._kernels is parent._kernels
-            assert local._stats is not parent._stats
             assert parent.gs == (simplex_grid_array(ch.n_out, 2, 10_000).shape[0],) * parent.s
 
 
@@ -325,8 +390,9 @@ def test_xlogx_and_entropy_batch():
     assert entropy_batch(np.array([[0.5, 0.5]]))[0] == pytest.approx(math.log(2))
 
 
-class TestStatsMemo:
-    """stats_of memoizes per mesh on (kind, the exact bytes of rows)."""
+class TestStatsOf:
+    """stats_of keeps no memo: repeated and copied rows give equal stats,
+    each time in a new dict."""
 
     CASES = {
         "bsc": ([[0.9, 0.1], [0.1, 0.9]], [[0.25, 0.25], [0.25, 0.25]]),
@@ -342,42 +408,36 @@ class TestStatsMemo:
         return RowMesh(q[xs, xps], xs, xps, simplex_grid_array(ch.n_out, 4, 10_000),
                        ch.n_in, ch.log_matrix)
 
-    @staticmethod
-    def _counted(mesh):
-        calls = []
-        compute = mesh.compute_stats
-        mesh.compute_stats = lambda rows, kind: calls.append(kind) or compute(rows, kind)
-        return calls
-
-    def test_hit_bit_identical_to_fresh_mesh(self):
+    def test_repeated_and_copied_rows_give_equal_new_dicts(self):
         rng = np.random.default_rng(3)
         for name, (w, coupling) in self.CASES.items():
             for kind in ("ml", "mmi"):
                 mesh = self._mesh(w, coupling)
-                calls = self._counted(mesh)
                 for rows in [mesh.rows_of(7)] + list(
                         rng.dirichlet(np.ones(mesh.ny), size=(20, mesh.s))):
                     first = mesh.stats_of(rows, kind)
-                    hit = mesh.stats_of(rows.copy(), kind)
+                    again = mesh.stats_of(rows, kind)
+                    copied = mesh.stats_of(rows.copy(), kind)
                     fresh = self._mesh(w, coupling).stats_of(rows, kind)
-                    assert hit is first
-                    assert hit == fresh, (name, kind, rows.tolist())
-                assert len(calls) == 21
+                    assert first == again == copied == fresh, (name, kind, rows.tolist())
+                    assert again is not first and copied is not first
+                    assert again["qy"] is not first["qy"]
+                    first["kl"], first["qy"][0] = math.nan, math.nan  # the caller's own
+                    assert mesh.stats_of(rows, kind) == fresh
 
-    def test_other_kind_and_one_ulp_miss(self):
+    def test_other_kind_and_one_ulp_apart(self):
         w, coupling = self.CASES["bsc"]
         mesh = self._mesh(w, coupling)
-        calls = self._counted(mesh)
         rows = np.array([[0.3, 0.7], [0.6, 0.4], [0.2, 0.8], [0.9, 0.1]])
         ml = mesh.stats_of(rows, "ml")
         mmi = mesh.stats_of(rows, "mmi")
-        assert calls == ["ml", "mmi"]
         assert mmi["gx"] == self._mesh(w, coupling).stats_of(rows, "mmi")["gx"] != ml["gx"]
         bumped = rows.copy()
         bumped[0, 0] = np.nextafter(bumped[0, 0], 1.0)
         st = mesh.stats_of(bumped, "ml")
-        assert calls == ["ml", "mmi", "ml"]
         assert st == self._mesh(w, coupling).stats_of(bumped, "ml")
+        # nested lists and arrays of the same floats give the same stats
+        assert mesh.stats_of(rows.tolist(), "ml") == ml
 
 
 def _param_rows_reference(mesh, params):
@@ -517,7 +577,7 @@ class TestFloatKernel:
 
     def test_param_stats_equal_compute_stats_of_param_rows(self):
         """The fused probe returns, float.hex for float.hex, what the plain
-        Python prelude (_param_rows_reference) followed by compute_stats
+        Python prelude (_param_rows_reference) followed by stats_of
         returns, and None on the same inputs: random structures and every
         MESH_CASES channel, at edge-case free coordinates."""
         rng = np.random.default_rng(43)
@@ -538,7 +598,7 @@ class TestFloatKernel:
                         assert got is None, (params, kind)
                         nones += 1
                         continue
-                    want = mesh.compute_stats(rows, kind)
+                    want = mesh.stats_of(rows, kind)
                     where = (params, kind)
                     assert [v.hex() for v in got["qy"]] == [v.hex() for v in want["qy"]], where
                     for key in ("kl", "gx", "gxp"):
