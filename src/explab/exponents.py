@@ -26,8 +26,9 @@ Csiszar-Korner expurgated exponent under both metrics, as the ML = MMI
 corollary of Tamir & Merhav (arXiv:2007.12225) asserts.
 
 Two problems need no grid: on a binary channel (zeros of W included) the
-thresholds a(R, Q_Y) are solved on a lattice of output laws in one pass,
-and E_r is Gallager's rho-form (``random_coding_exponent``).
+thresholds a(R, Q_Y) are solved on a lattice of output laws in one pass (by
+bisection for ML, and for MMI in closed form, a = min{R, max I}), and E_r
+is Gallager's rho-form (``random_coding_exponent``).
 
 Every other problem is searched with one scheme (see search.py): an
 exhaustive coarse grid, then nested zoom meshes around the incumbent (full
@@ -229,20 +230,33 @@ class _MetricCtx:
         self._memo[key] = val
         return val
 
-    def threshold_batch(self, qy_arr: np.ndarray, rate: float) -> np.ndarray:
+    def threshold_batch(self, qy_arr: np.ndarray, rate: float, out: np.ndarray | None = None,
+                        index: np.ndarray | None = None) -> np.ndarray:
+        """a(R, Q_Y) for each row of qy_arr, written into out when it is
+        given; index, an int64 array of out's length, is scratch for the
+        binary lattice's indices."""
         if self._fast_1d:  # the lattice is indexed by Q_Y(0) alone
-            return self._lattice_table(rate)[np.rint(qy_arr[:, 0] * _QUANT).astype(np.int64)]
+            q = np.multiply(qy_arr[:, 0], _QUANT, out=out)
+            q = np.rint(q, out=q)
+            if index is None:
+                index = q.astype(np.int64)
+            else:
+                np.copyto(index, q, casting="unsafe")
+            # Q_Y(0) is a probability, so the index is in the table
+            return np.take(self._lattice_table(rate), index, out=out, mode="clip")
         keys = np.rint(qy_arr * _QUANT).astype(np.int64)
         uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
         vals = np.empty(uniq.shape[0])
         for i, u in enumerate(uniq):
             vals[i] = self.threshold(u / _QUANT, rate)
-        return vals[inverse.reshape(-1)]
+        return np.take(vals, inverse.reshape(-1), out=out)
 
     # Binary X and Y: every Q_Y's coupling polytope is the segment
     # base + c·[[1, -1], [-1, 1]], so the whole quantized-Q_Y lattice is solved
-    # in one pass on four cell vectors (endpoints by bisection, then the better
-    # one), with I(X;Y) summed in mi_batch's order: bit for bit mi_batch's value.
+    # in one pass on four cell vectors, with I(X;Y) summed in mi_batch's order:
+    # bit for bit mi_batch's value. ML bisects to the ends of {I <= R} and
+    # takes the better one; MMI is min{R, max I}, the maximum of the convex I
+    # being at an end of the segment, so it takes no bisection and is <= R.
 
     def _lattice_table(self, rate: float) -> np.ndarray:
         table = self._tables.get(rate)
@@ -275,10 +289,12 @@ class _MetricCtx:
                 b = np.where(good, b, mid)
             return np.where(ok, side, a)
 
-        c_lo = edge(-np.minimum(b00, b11))
-        c_hi = edge(np.minimum(b01, b10))
+        side_lo, side_hi = -np.minimum(b00, b11), np.minimum(b01, b10)
         if self.kind == "mmi":
-            return np.maximum(info(c_lo), info(c_hi))
+            # I is convex on the segment and 0 at c = 0: its largest value
+            # within I <= R is R, or the larger of its values at the ends
+            return np.minimum(rate, np.maximum(info(side_lo), info(side_hi)))
+        c_lo, c_hi = edge(side_lo), edge(side_hi)
         # g is affine on the interval, so the ends win; a zero of W makes g -inf
         # where its cell has mass, and that cell is 0 only at an end of the segment
         return np.maximum(*(elog_batch(np.stack(cells(c), axis=-1).reshape(-1, 2, 2), self.logw)
@@ -423,6 +439,18 @@ def _spread_minima(obj: np.ndarray, k: int, shape: tuple[int, ...]) -> list[int]
     return [int(scan[i]) for i in picked]
 
 
+def _kl_argmin(kl: np.ndarray, margin: np.ndarray, cut: float, obj: np.ndarray,
+               off: np.ndarray) -> tuple[int, float]:
+    """The first argmin and the min of kl over the candidates whose margin is
+    not below cut <= 0, inf when there is none; obj (float) and off (bool)
+    are scratch of kl's shape. A NaN margin (-inf on both sides) counts as
+    a (boundary) feasible tie, as a margin of 0 would."""
+    np.copyto(obj, kl)
+    np.copyto(obj, np.inf, where=np.less(margin, cut, out=off))
+    best = int(np.argmin(obj))
+    return best, float(obj[best])
+
+
 class _InnerSolve:
     """Grid + refinement over the conditional rows Q_{Y|XX'} for Gamma at one
     coupling: minimize D(Q_{Y|XX'} || W | Q_XX') subject to the score
@@ -545,22 +573,21 @@ class _InnerSolve:
             arrs = local.build(ctx.kind)
             evals += arrs["kl"].size
             # one pass serves both the graded-slack objective and the
-            # strictly feasible anchor used by the final repair
-            avals = ctx.threshold_batch(arrs["qy"], self.rate)
+            # strictly feasible anchor used by the final repair, in the
+            # structure's scratch buffers (RowMesh): s0 holds the thresholds,
+            # then the margin; s1 the lattice indices, then each objective
+            margin, obj = local.buffer("s0"), local.buffer("s1")
+            off = local.buffer("pos", dtype=bool)
+            ctx.threshold_batch(arrs["qy"], self.rate, out=margin, index=obj.view(np.int64))
             with np.errstate(invalid="ignore"):
-                margin = arrs["gxp"] - np.maximum(arrs["gx"], avals)
-            # -inf on both sides counts as a (boundary) feasible tie
-            margin = np.where(np.isnan(margin), 0.0, margin)
+                np.subtract(arrs["gxp"], np.maximum(arrs["gx"], margin, out=margin), out=margin)
             slack_h = ctx.opts.slack * (h / ctx.opts.grid_step)
-            obj = np.where(margin >= -slack_h, arrs["kl"], np.inf)
-            best = int(np.argmin(obj))
-            if np.isfinite(obj[best]) and obj[best] < val - 1e-15:
-                rows, val = local.rows_of(best), float(obj[best])
-            strict = np.where(margin >= 0.0, arrs["kl"], np.inf)
-            sbest = int(np.argmin(strict))
-            if np.isfinite(strict[sbest]) and strict[sbest] < anchor["kl"]:
-                anchor["rows"] = local.rows_of(sbest)
-                anchor["kl"] = float(strict[sbest])
+            best, v = _kl_argmin(arrs["kl"], margin, -slack_h, obj, off)
+            if math.isfinite(v) and v < val - 1e-15:
+                rows, val = local.rows_of(best), v
+            best, v = _kl_argmin(arrs["kl"], margin, 0.0, obj, off)
+            if math.isfinite(v) and v < anchor["kl"]:
+                anchor["rows"], anchor["kl"] = local.rows_of(best), v
             h *= SHRINK
         return rows, val, evals
 

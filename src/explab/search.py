@@ -12,14 +12,14 @@ parameter is a constant here or at the one place that reads it: the
 candidate budget ``BUDGET``, the step ratio ``SHRINK``, and the ray
 domain ``RAY_HI``.
 
-The grid stage scores whole meshes with numpy (``RowMesh.build``); the
-refinement scores one candidate at a time with a plain-float kernel
-generated and compiled per mesh structure, which repeats build's float
-operations in build's order, so both stages see the same bits. A polish
-probe goes from its free coordinates to stats in one kernel call
-(``RowMesh.param_stats``), and a zoom stage's mesh shares its parent's
-structure, kernels included, and replaces only the slot grids
-(``RowMesh.regrid``).
+The grid stage scores whole meshes with numpy (``RowMesh.build``), into
+buffers the mesh structure keeps; the refinement scores one candidate at a
+time with a plain-float kernel generated and compiled per mesh structure,
+which repeats build's float operations in build's order, so both stages
+see the same bits. A polish probe goes from its free coordinates to stats
+in one kernel call (``RowMesh.param_stats``), and a zoom stage's mesh
+shares its parent's structure, kernels and buffers included, and replaces
+only the slot grids (``RowMesh.regrid``).
 """
 
 from __future__ import annotations
@@ -45,9 +45,16 @@ RAY_HI = 8.0  # ray suprema search [0, RAY_HI] first, doubling on boundary hits
 # ---------------------------------------------------------------------------
 
 
-def xlogx(a: np.ndarray) -> np.ndarray:
-    pos = a > 0
-    out = np.log(a, out=np.zeros_like(a), where=pos)
+def xlogx(a: np.ndarray, out: np.ndarray | None = None,
+          pos: np.ndarray | None = None) -> np.ndarray:
+    """x log x entry by entry, 0.0 where x <= 0 or NaN. out (not a itself)
+    and pos, for the mask x > 0, are optional buffers of a's shape."""
+    pos = np.greater(a, 0, out=pos)
+    if out is None:
+        out = np.zeros_like(a)
+    else:
+        out.fill(0.0)
+    np.log(a, out=out, where=pos)
     return np.multiply(out, a, out=out, where=pos)
 
 
@@ -272,7 +279,18 @@ class RowMesh:
     rows, so a probe goes from parameters to stats in one call.
     ``regrid(slot_grids)`` makes the mesh of a zoom stage: it shares this
     mesh's structure (slot groups, dead cells, the plain-float weights and
-    log W, the kernels) and replaces only the slot grids.
+    log W, the kernels, the buffers) and replaces only the slot grids.
+
+    ``build`` writes its arrays into buffers that the structure owns
+    (``buffer``), so the zoom stages of a solve make no new full-mesh
+    arrays: only sub-mesh arrays are new, and, at 8 or more cells or
+    outputs, the terms and partial sums of numpy's pairwise order. A
+    build's arrays are views of these buffers and stay valid until the next
+    build of a mesh of the same structure, which writes over them. The
+    scratch buffers ``s0``, ``s1`` (float) and ``pos`` (bool) hold nothing
+    between builds: a caller may use them, at the mesh's size, until the
+    next build. Each structure has its own buffers, so threads that build
+    meshes of different structures do not share memory.
     """
 
     def __init__(self, weights: np.ndarray, x_of: np.ndarray, xp_of: np.ndarray,
@@ -294,6 +312,7 @@ class RowMesh:
         self._fin_l = self._fin.tolist()
         self._dead_l = self._dead.tolist()
         self._kernels: dict[tuple, Callable] = {}  # on (kind, params), from _stats_kernel
+        self._bufs: dict[str, np.ndarray] = {}  # build's arrays and scratch, by name
         self._set_grids(grid_rows)
 
     def _set_grids(self, grid_rows) -> None:
@@ -321,20 +340,31 @@ class RowMesh:
         shape[r] = self.gs[r]
         return arr.reshape(shape)
 
+    def buffer(self, name: str, shape: tuple | None = None, dtype=float) -> np.ndarray:
+        """The structure's buffer ``name``, viewed with ``shape`` (default
+        (n,)); it is replaced by a larger one when it is too small, so its
+        contents last only until the next call that grows it."""
+        shape = (self.n,) if shape is None else shape
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._bufs[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
     def build(self, kind: str) -> dict[str, np.ndarray]:
-        s, ny = self.s, self.ny
+        s, ny, n = self.s, self.ny, self.n
         # mass[r][y]: slot r's weighted probability of output y, on mesh axis r
         mass = [[self._axis_view(self.weights[r] * self.slot_grids[r][:, y], r)
                  for y in range(ny)] for r in range(s)]
         # Q_Y column by column: numpy adds along a short trailing axis slowly
-        qy = np.empty((ny,) + self.gs)
+        qy = self.buffer("qy", (ny,) + self.gs)
         for y in range(ny):
             _seq_sum([mass[r][y] for r in range(s)], out=qy[y])
-        kl = _seq_sum([self._axis_view(self.weights[r] * self._row_kl(self.slot_grids[r], self.x_of[r]), r)
-                       for r in range(s)])
-        gx = self._score(kind, self._cells(mass, "x"))
-        gxp = gx if self._same else self._score(kind, self._cells(mass, "xp"))
-        n = self.n
+        kl = _seq_sum([self._axis_view(self.weights[r] * d, r) for r, d in enumerate(self._row_kl())],
+                      out=self.buffer("kl", self.gs))
+        gx = self._score(kind, self._cells(mass, "x"), self.buffer("gx", self.gs))
+        gxp = gx if self._same else self._score(kind, self._cells(mass, "xp"),
+                                                self.buffer("gxp", self.gs))
         return {"qy": qy.reshape(ny, n).T, "kl": kl.reshape(n),
                 "gx": gx.reshape(n), "gxp": gxp.reshape(n)}
 
@@ -343,36 +373,52 @@ class RowMesh:
         entries on the mesh axes."""
         return [(x, _vec_sum([mass[r] for r in slots])) for x, slots in self._groups[sym]]
 
-    def _score(self, kind: str, cells: list) -> np.ndarray:
+    def _score(self, kind: str, cells: list, out: np.ndarray) -> np.ndarray:
         """elog_batch (kind 'ml') or mi_batch of the joint with these cells,
-        in their order of summation."""
+        in their order of summation, written into out (of shape gs)."""
         nx, ny = self.nx, self.ny
         terms = [0.0] * (nx * ny)
         if kind == "ml":
-            charged = False
+            charged = []
             for x, col in cells:
                 dead, fin = self._dead_l[x], self._fin_l[x]
                 for y, q in enumerate(col):
                     if dead[y]:
-                        charged = charged | (q > 0)
+                        charged.append(q)
                     else:
                         terms[x * ny + y] = q * fin[y]
-            total = _np_sum(terms)
-            return total if charged is False else np.where(charged, -np.inf, total)
-        row_sums = [_np_sum(col) for _, col in cells]
-        h_y = [xlogx(q) for q in _vec_sum([col for _, col in cells])]
+            total = _np_sum(terms, out)
+            for q in charged:
+                np.copyto(total, -np.inf, where=q > 0)
+            return total
+        s0, s1 = self.buffer("s0", self.gs), self.buffer("s1", self.gs)
+        pos = self.buffer("pos", self.gs, bool)
+        # the Q_Y term into out first: column y into s0, its x log x into s1
+        if ny < 8:  # _np_sum's order: from the left
+            for y in range(ny):
+                col = _seq_sum([c[y] for _, c in cells], out=s0)
+                h = xlogx(col, out if y == 0 else s1, pos)
+                if y:
+                    np.add(out, h, out=out)
+        else:
+            _np_sum([xlogx(q) for q in _vec_sum([col for _, col in cells])], out)
         h_x = [0.0] * nx
-        for (x, col), tot in zip(cells, row_sums):
+        for x, col in cells:
             for y, q in enumerate(col):
                 terms[x * ny + y] = xlogx(q)
-            h_x[x] = xlogx(tot)
-        return np.maximum(_np_sum(terms) - _np_sum(h_x) - _np_sum(h_y), 0.0)
+            h_x[x] = xlogx(_np_sum(col))
+        g = np.subtract(_np_sum(terms, s0), _np_sum(h_x, s1), out=s0)
+        return np.maximum(np.subtract(g, out, out=g), 0.0, out=out)
 
-    def _row_kl(self, rows: np.ndarray, x: int) -> np.ndarray:
-        """D(row || W(.|x)) per grid row; +inf on support violations."""
+    def _row_kl(self) -> list[np.ndarray]:
+        """D(row || W(.|x_of[r])) per grid row of each slot r, +inf on
+        support violations: every slot's rows in one pass."""
+        rows = np.concatenate(self.slot_grids)
+        x = np.repeat(self.x_of, self.gs)
         bad = ((rows > 0) & self._dead[x]).any(axis=-1)
-        val = (xlogx(rows) - rows * self._fin[x]).sum(axis=-1)
-        return np.where(bad, np.inf, val)
+        kl = np.where(bad, np.inf, (xlogx(rows) - rows * self._fin[x]).sum(axis=-1))
+        ends = np.cumsum(self.gs).tolist()
+        return [kl[e - g:e] for g, e in zip(self.gs, ends)]
 
     def rows_of(self, flat_index: int) -> np.ndarray:
         """The (s, ny) rows of candidate flat_index, in C order over the slots."""
@@ -421,39 +467,51 @@ class RowMesh:
 def _seq_sum(terms: list, out: np.ndarray | None = None):
     """terms[0] + terms[1] + ... from the left, the order of numpy's
     add-reduction along a non-contiguous axis or of fewer than 8 elements.
-    Arrays on different mesh axes broadcast as the sum grows."""
-    last = len(terms) - 1 if out is not None else len(terms)
+    Arrays on different mesh axes broadcast as the sum grows; with out, every
+    partial sum that spans out's shape is written there, and so is the sum."""
     acc = terms[0]
-    for t in terms[1:last]:
-        acc = acc + t
-    if out is None:
-        return acc
-    if last == 0:
-        out[...] = acc
-        return out
-    return np.add(acc, terms[last], out=out)
+    for t in terms[1:]:
+        acc = _add(acc, t, out)
+    return _settle(acc, out)
 
 
-def _np_sum(terms: list):
+def _np_sum(terms: list, out: np.ndarray | None = None):
     """Sum in the order of numpy's add-reduction over len(terms) contiguous
     elements: from the left below 8 terms, else numpy's pairwise scheme of
-    eight interleaved partial sums."""
+    eight interleaved partial sums. out is as for ``_seq_sum``; the eight
+    partial sums themselves are new arrays."""
     n = len(terms)
     if n < 8:
-        acc = terms[0]
-        for i in range(1, n):
-            acc = acc + terms[i]
-        return acc
+        return _seq_sum(terms, out)
     part = list(terms[:8])
     i = 8
     while i < n - n % 8:
         for j in range(8):
             part[j] = part[j] + terms[i + j]
         i += 8
-    acc = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    acc = _add(_add(part[0], part[1], out), part[2] + part[3], out)
+    acc = _add(acc, (part[4] + part[5]) + (part[6] + part[7]), out)
     for t in terms[i:]:
-        acc = acc + t
-    return acc
+        acc = _add(acc, t, out)
+    return _settle(acc, out)
+
+
+def _add(a, b, out: np.ndarray | None):
+    """a + b, written into out when out is given and the sum spans its
+    shape; a and b are mesh-shaped arrays (s axes) or floats."""
+    if out is None:
+        return a + b
+    sa, sb = getattr(a, "shape", ()), getattr(b, "shape", ())
+    size = math.prod(map(max, sa, sb)) if sa and sb else math.prod(sa or sb)
+    return np.add(a, b, out=out) if a is out or size == out.size else a + b
+
+
+def _settle(acc, out: np.ndarray | None):
+    # the sum acc, in out when out is given
+    if out is None or acc is out:
+        return acc
+    out[...] = acc
+    return out
 
 
 def _vec_sum(vecs: list) -> list:

@@ -447,6 +447,21 @@ class TestLambdaPhi:
             assert got["mu"] == pytest.approx(peak, abs=1e-2)
             assert got["value"] == pytest.approx(peak, abs=1e-2)
 
+    @pytest.mark.parametrize("q", [PROD, Joint2(np.array([[0.3, 0.2], [0.2, 0.3]]))],
+                             ids=["product", "tilted"])
+    def test_mesh_arrays_last_through_the_solves(self, q):
+        """i_x, i_xp and kl are views of the global mesh structure's build
+        buffers, kept for the problem's life: solving lambda and phi, and
+        the other bounds' meshes between them, leave them as built."""
+        prob = _TiltedProblem(q, BSC01, OPTS)
+        kept = [a.copy() for a in (prob.i_x, prob.i_xp, prob.kl)]
+        for step in (lambda: prob.solve("balance"), lambda: theta(q, 0.01, BSC01, UNIF, OPTS),
+                     lambda: gamma(q, 0.01, MMI, BSC01, UNIF, OPTS),
+                     lambda: prob.solve("rate", 0.01)):
+            step()
+            for got, want in zip((prob.i_x, prob.i_xp, prob.kl), kept):
+                assert got.tobytes() == want.tobytes()
+
     def test_permutation_equivariance(self):
         # relabel X symbols consistently in coupling, composition, channel
         perm = [1, 0]

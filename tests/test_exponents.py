@@ -120,12 +120,20 @@ class TestAThreshold:
 
 def _lattice_joint_form(ctx, qys: np.ndarray, rate: float) -> np.ndarray:
     """The binary threshold lattice solved on (N, 2, 2) joints with mi_batch:
-    the same bisection as _MetricCtx._solve_1d_batch, in the joint form."""
+    _MetricCtx._solve_1d_batch in the joint form. ML bisects to the ends of
+    {I <= R} on the segment and takes the better one; MMI is the closed form
+    min(R, the larger I at the segment's ends), as I is convex there and 0
+    at the product coupling."""
     base = ctx.qx.probs[None, :, None] * qys[:, None, :]
     bmove = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
     def info(c):
         return mi_batch(base + c[:, None, None] * bmove)
+
+    side_lo = -np.minimum(base[:, 0, 0], base[:, 1, 1])
+    side_hi = np.minimum(base[:, 0, 1], base[:, 1, 0])
+    if ctx.kind == "mmi":
+        return np.minimum(rate, np.maximum(info(side_lo), info(side_hi)))
 
     def edge(side):
         ok = info(side) <= rate
@@ -138,10 +146,7 @@ def _lattice_joint_form(ctx, qys: np.ndarray, rate: float) -> np.ndarray:
             b = np.where(good, b, mid)
         return np.where(ok, side, a)
 
-    c_lo = edge(-np.minimum(base[:, 0, 0], base[:, 1, 1]))
-    c_hi = edge(np.minimum(base[:, 0, 1], base[:, 1, 0]))
-    if ctx.kind == "mmi":
-        return np.maximum(info(c_lo), info(c_hi))
+    c_lo, c_hi = edge(side_lo), edge(side_hi)
     return np.maximum(elog_batch(base + c_lo[:, None, None] * bmove, ctx.logw),
                       elog_batch(base + c_hi[:, None, None] * bmove, ctx.logw))
 
@@ -176,6 +181,86 @@ class TestLattice:
             got = ctx._solve_1d_batch(qys, rate)
             want = _lattice_joint_form(ctx, qys, rate)
             assert np.array_equal(got, want), (rate, np.flatnonzero(got != want)[:5])
+            if kind == "mmi":  # a is an information within I <= R
+                assert (got >= 0.0).all() and (got <= rate).all(), (rate, got.max())
+
+
+def _zoom_reference(prob, rows0, v0, anchor, shallow=False):
+    """_InnerSolve._zoom as it was before its arrays went into the mesh
+    structure's buffers: every array a new one."""
+    ctx = prob.ctx
+    stages = max(4, ctx.opts.refine_iters // 3)
+    h = ctx.opts.grid_step
+    cap = 33
+    if shallow:
+        stages = max(3, stages - 2)
+        h = ctx.opts.grid_step / 2
+        cap = 9
+    rows, val = rows0, v0
+    evals = 0
+    budget = exponents.BUDGET // (4 * prob.mesh.nx * prob.mesh.ny)
+    for _ in range(stages):
+        local = prob.mesh.regrid(exponents.zoom_slot_grids(rows, h, budget, points_cap=cap))
+        arrs = local.build(ctx.kind)
+        evals += arrs["kl"].size
+        avals = ctx.threshold_batch(arrs["qy"], prob.rate)
+        with np.errstate(invalid="ignore"):
+            margin = arrs["gxp"] - np.maximum(arrs["gx"], avals)
+        margin = np.where(np.isnan(margin), 0.0, margin)
+        slack_h = ctx.opts.slack * (h / ctx.opts.grid_step)
+        obj = np.where(margin >= -slack_h, arrs["kl"], np.inf)
+        best = int(np.argmin(obj))
+        if np.isfinite(obj[best]) and obj[best] < val - 1e-15:
+            rows, val = local.rows_of(best), float(obj[best])
+        strict = np.where(margin >= 0.0, arrs["kl"], np.inf)
+        sbest = int(np.argmin(strict))
+        if np.isfinite(strict[sbest]) and strict[sbest] < anchor["kl"]:
+            anchor["rows"] = local.rows_of(sbest)
+            anchor["kl"] = float(strict[sbest])
+        h *= exponents.SHRINK
+    return rows, val, evals
+
+
+class TestZoomInBuffers:
+    @pytest.mark.parametrize("rows", [[[0.9, 0.1], [0.1, 0.9]], [[1.0, 0.0], [0.2, 0.8]],
+                                      [[0.75, 0.25], [0.1, 0.9]]], ids=["bsc", "z", "asym"])
+    @pytest.mark.parametrize("metric", [ML, MMI])
+    def test_zoom_equals_its_old_code(self, rows, metric):
+        """The zoom stages, whose threshold lookup, margin and objectives
+        are computed in the mesh structure's scratch buffers, return what
+        they did with new arrays: the same incumbent, evaluation count and
+        repair anchor, from the grid starts of solve, cold and shallow."""
+        ch = Channel.from_rows(rows)
+        ctx = exponents._metric_ctx(ch, UNIF, metric, OPTS)
+        for q in (PROD, Joint2(np.array([[0.3, 0.2], [0.2, 0.3]]))):
+            for rate in (0.0, 0.05):
+                prob = exponents._InnerSolve(ctx, q.probs, rate)
+                obj = prob._objective(prob.mesh.build(ctx.kind))
+                for idx in exponents._spread_minima(obj, 2, prob.mesh.gs):
+                    for shallow in (False, True):
+                        start = (prob.mesh.rows_of(idx), float(obj[idx]))
+                        got_anchor = {"rows": None, "kl": math.inf}
+                        want_anchor = {"rows": None, "kl": math.inf}
+                        got = prob._zoom(*start, got_anchor, shallow=shallow)
+                        want = _zoom_reference(prob, *start, want_anchor, shallow=shallow)
+                        where = (q.probs.tolist(), rate, idx, shallow)
+                        assert got[0].tobytes() == want[0].tobytes(), where
+                        assert got[1:] == want[1:], where
+                        assert got_anchor["kl"] == want_anchor["kl"], where
+                        assert (got_anchor["rows"] is None) == (want_anchor["rows"] is None), where
+                        if want_anchor["rows"] is not None:
+                            assert got_anchor["rows"].tobytes() == want_anchor["rows"].tobytes(), where
+
+    def test_kl_argmin_cuts_at_the_margin(self):
+        """kl where the margin is at least the cut, NaN margins included."""
+        kl = np.array([5.0, 1.0, 2.0, 3.0, 0.5])
+        margin = np.array([0.0, -0.25, -0.125, np.nan, -1.0])
+        obj, off = np.empty(5), np.empty(5, dtype=bool)
+        assert exponents._kl_argmin(kl, margin, -0.125, obj, off) == (2, 2.0)
+        assert exponents._kl_argmin(kl, margin, 0.0, obj, off) == (3, 3.0)
+        assert exponents._kl_argmin(kl, margin, -1.0, obj, off) == (4, 0.5)
+        none = exponents._kl_argmin(kl, np.full(5, -2.0), 0.0, obj, off)
+        assert none[1] == math.inf
 
 
 class TestGamma:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from explab.search import (
     xlogx,
     zoom_slot_grids,
 )
+
+
+BSC01 = Channel.from_rows([[0.9, 0.1], [0.1, 0.9]])
 
 
 def test_golden_max_parabola():
@@ -364,6 +369,216 @@ def test_regrid_builds_as_a_fresh_mesh():
                 assert local.stats_of(rows, kind) == fresh.stats_of(rows, kind)
             assert local._kernels is parent._kernels
             assert parent.gs == (simplex_grid_array(ch.n_out, 2, 10_000).shape[0],) * parent.s
+
+
+def _xlogx_reference(a):
+    pos = a > 0
+    out = np.log(a, out=np.zeros_like(a), where=pos)
+    return np.multiply(out, a, out=out, where=pos)
+
+
+def _seq_sum_reference(terms, out=None):
+    last = len(terms) - 1 if out is not None else len(terms)
+    acc = terms[0]
+    for t in terms[1:last]:
+        acc = acc + t
+    if out is None:
+        return acc
+    if last == 0:
+        out[...] = acc
+        return out
+    return np.add(acc, terms[last], out=out)
+
+
+def _np_sum_reference(terms):
+    n = len(terms)
+    if n < 8:
+        acc = terms[0]
+        for i in range(1, n):
+            acc = acc + terms[i]
+        return acc
+    part = list(terms[:8])
+    i = 8
+    while i < n - n % 8:
+        for j in range(8):
+            part[j] = part[j] + terms[i + j]
+        i += 8
+    acc = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    for t in terms[i:]:
+        acc = acc + t
+    return acc
+
+
+def _vec_sum_reference(vecs):
+    acc = list(vecs[0])
+    for v in vecs[1:]:
+        acc = [a + b for a, b in zip(acc, v)]
+    return acc
+
+
+def _build_reference(mesh, kind):
+    """RowMesh.build as it was before its arrays went into the structure's
+    buffers: every array a new one, summed in the same order."""
+    s, ny, n = mesh.s, mesh.ny, mesh.n
+    mass = [[mesh._axis_view(mesh.weights[r] * mesh.slot_grids[r][:, y], r)
+             for y in range(ny)] for r in range(s)]
+    qy = np.empty((ny,) + mesh.gs)
+    for y in range(ny):
+        _seq_sum_reference([mass[r][y] for r in range(s)], out=qy[y])
+
+    def row_kl(rows, x):
+        bad = ((rows > 0) & mesh._dead[x]).any(axis=-1)
+        val = (_xlogx_reference(rows) - rows * mesh._fin[x]).sum(axis=-1)
+        return np.where(bad, np.inf, val)
+
+    kl = _seq_sum_reference([mesh._axis_view(mesh.weights[r] * row_kl(mesh.slot_grids[r], mesh.x_of[r]), r)
+                             for r in range(s)])
+
+    def score(of):
+        cells = [(x, _vec_sum_reference([mass[r] for r in np.flatnonzero(of == x)]))
+                 for x in np.unique(of).tolist()]
+        terms = [0.0] * (mesh.nx * ny)
+        if kind == "ml":
+            charged = False
+            for x, col in cells:
+                for y, q in enumerate(col):
+                    if mesh._dead[x][y]:
+                        charged = charged | (q > 0)
+                    else:
+                        terms[x * ny + y] = q * mesh._fin_l[x][y]
+            total = _np_sum_reference(terms)
+            return total if charged is False else np.where(charged, -np.inf, total)
+        row_sums = [_np_sum_reference(col) for _, col in cells]
+        h_y = [_xlogx_reference(q) for q in _vec_sum_reference([col for _, col in cells])]
+        h_x = [0.0] * mesh.nx
+        for (x, col), tot in zip(cells, row_sums):
+            for y, q in enumerate(col):
+                terms[x * ny + y] = _xlogx_reference(q)
+            h_x[x] = _xlogx_reference(tot)
+        return np.maximum(_np_sum_reference(terms) - _np_sum_reference(h_x)
+                          - _np_sum_reference(h_y), 0.0)
+
+    gx = score(mesh.x_of)
+    gxp = gx if np.array_equal(mesh.x_of, mesh.xp_of) else score(mesh.xp_of)
+    return {"qy": qy.reshape(ny, n).T, "kl": kl.reshape(n),
+            "gx": gx.reshape(n), "gxp": gxp.reshape(n)}
+
+
+def _assert_builds_equal(got, want, where):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype, (where, key)
+        assert got[key].shape == want[key].shape, (where, key)
+        assert got[key].tobytes() == want[key].tobytes(), (where, key)
+
+
+def _product_zoom(ch):
+    """The zoom mesh of the uniform product coupling around the 1/8 grid
+    point nearest the channel's rows, and its parent; 17**4 candidates on a
+    binary channel."""
+    q = np.full((2, 2), 0.25)
+    xs, xps = np.nonzero(q > 0)
+    parent = RowMesh(q[xs, xps], xs, xps, simplex_grid_array(2, 8), 2, ch.log_matrix)
+    center = np.round(ch.w[xs] * 8) / 8
+    local = parent.regrid(zoom_slot_grids(center, 1 / 16, BUDGET // 16))
+    return parent, local
+
+
+class TestBuffers:
+    """build writes its arrays into buffers its mesh structure owns, which
+    every mesh of the structure (regrid) shares: the values are those of
+    the build that made new arrays, and they last until the next build of
+    the same structure."""
+
+    def test_build_equals_its_old_code(self):
+        """Every MESH_CASES structure, both kinds, built twice: dead cells,
+        and numpy's pairwise sums of 2x4 and 2x9."""
+        for name, (w, coupling, steps) in MESH_CASES.items():
+            ch = Channel.from_rows(w)
+            q = np.array(coupling)
+            xs, xps = np.nonzero(q > 0)
+            grids = [simplex_grid_array(ch.n_out, k, 10_000) for k in steps]
+            mesh = RowMesh(q[xs, xps], xs, xps, grids, ch.n_in, ch.log_matrix)
+            for kind in ("ml", "mmi", "ml", "mmi"):
+                _assert_builds_equal(mesh.build(kind), _build_reference(mesh, kind), (name, kind))
+
+    @pytest.mark.parametrize("rows, gs", [
+        ([[0.9, 0.1], [0.1, 0.9]], (17, 17, 17, 17)),
+        # rows at a vertex of the simplex: their zoom grids are clipped
+        ([[1.0, 0.0], [0.2, 0.8]], (9, 9, 17, 17)),
+    ], ids=["bsc", "z"])
+    def test_zoom_meshes_in_a_row_equal_the_old_code(self, rows, gs):
+        """The product-coupling zoom mesh, then two regrids in a row, one
+        of them smaller, then the parent again."""
+        parent, local = _product_zoom(Channel.from_rows(rows))
+        assert local.gs == gs
+        shifted = np.array([[0.8, 0.2], [0.5, 0.5], [0.375, 0.625], [0.0, 1.0]])
+        meshes = [local, parent.regrid(zoom_slot_grids(shifted, 1 / 64, BUDGET // 16)),
+                  parent.regrid(zoom_slot_grids(shifted, 1 / 64, 2_000)), parent]
+        # the buffers shrink into their views on bsc, and grow on z
+        assert meshes[2].size() < meshes[1].size()
+        assert (meshes[1].size() < local.size()) == (rows[0][0] < 1.0)
+        for kind in ("ml", "mmi"):
+            for i, mesh in enumerate(meshes):
+                _assert_builds_equal(mesh.build(kind), _build_reference(mesh, kind), (kind, i))
+
+    def test_arrays_last_until_the_next_build_of_the_structure(self):
+        parent, local = _product_zoom(BSC01)
+        first = local.build("mmi")
+        kept = {k: v.copy() for k, v in first.items()}
+        # another structure, even of equal weights and symbols, has its own
+        q = np.full((2, 2), 0.25)
+        xs, xps = np.nonzero(q > 0)
+        other = RowMesh(q[xs, xps], xs, xps, local.slot_grids, 2, BSC01.log_matrix)
+        other.build("ml")
+        for key in kept:
+            assert first[key].tobytes() == kept[key].tobytes(), key
+            assert not np.shares_memory(first[key], other.build("mmi")[key]), key
+        # a mesh of the same structure writes over them
+        second = parent.regrid(local.slot_grids).build("ml")
+        for key in ("qy", "kl", "gx", "gxp"):
+            assert np.shares_memory(first[key], second[key]), key
+        assert first["gx"].tobytes() == second["gx"].tobytes() != kept["gx"].tobytes()
+
+    def test_threads_with_their_own_structures_agree(self):
+        """Two threads building meshes of two structures at once: each
+        structure's buffers are its own."""
+        want = {}
+        for rows in ([[0.9, 0.1], [0.1, 0.9]], [[1.0, 0.0], [0.2, 0.8]]):
+            _, local = _product_zoom(Channel.from_rows(rows))
+            want[str(rows)] = {kind: _build_reference(local, kind) for kind in ("ml", "mmi")}
+        bad = []
+
+        def worker(rows):
+            _, local = _product_zoom(Channel.from_rows(rows))
+            for _ in range(10):
+                for kind in ("mmi", "ml"):
+                    got = local.build(kind)
+                    if any(got[k].tobytes() != want[str(rows)][kind][k].tobytes() for k in got):
+                        bad.append((rows, kind))
+
+        threads = [threading.Thread(target=worker, args=(rows,))
+                   for rows in ([[0.9, 0.1], [0.1, 0.9]], [[1.0, 0.0], [0.2, 0.8]])]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert bad == []
+
+    @pytest.mark.parametrize("kind", ["ml", "mmi"])
+    def test_a_second_build_allocates_under_one_mib(self, kind):
+        """The 17**4 zoom mesh holds 0.64 MiB per float array; its first
+        build makes the buffers, and a second one writes into them (new
+        arrays peaked at 3.9 MiB for ml and 5.2 MiB for mmi)."""
+        _, local = _product_zoom(BSC01)
+        local.build(kind)
+        tracemalloc.start()
+        try:
+            local.build(kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("w, k", [
