@@ -500,6 +500,8 @@ class _TiltedProblem:
         self.mesh, _ = global_mesh(weights, xs, xps, ch.n_in, ch.log_matrix, opts.k)
         arrs = self.mesh.build("mmi")
         self.i_x, self.i_xp, self.kl = arrs["gx"], arrs["gxp"], arrs["kl"]
+        # the mesh is kept for its kernels: its output marginals and scratch go
+        self.mesh.release()
         # polish probes of every multiplier and penalty, keyed on the exact
         # bytes of the parameter vector: (kl, I(X;Y), I(X';Y)) from its
         # param_stats, or None off the simplex

@@ -290,7 +290,8 @@ class RowMesh:
     scratch buffers ``s0``, ``s1`` (float) and ``pos`` (bool) hold nothing
     between builds: a caller may use them, at the mesh's size, until the
     next build. Each structure has its own buffers, so threads that build
-    meshes of different structures do not share memory.
+    meshes of different structures do not share memory. ``release`` hands
+    the arrays of the latest build to their holders and frees the rest.
     """
 
     def __init__(self, weights: np.ndarray, x_of: np.ndarray, xp_of: np.ndarray,
@@ -350,6 +351,12 @@ class RowMesh:
         if buf is None or buf.size < size or buf.dtype != dtype:
             buf = self._bufs[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
+
+    def release(self) -> None:
+        """Drop the structure's buffers: the arrays of the latest build become
+        their holders' own, the rest is freed, and the next build of the
+        structure makes new buffers."""
+        self._bufs.clear()
 
     def build(self, kind: str) -> dict[str, np.ndarray]:
         s, ny, n = self.s, self.ny, self.n

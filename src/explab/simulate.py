@@ -6,20 +6,25 @@ decoding-error region over every output sequence y in Y^n (at most
 ``enum_cap`` of them). Randomness enters only through codebook sampling,
 which is seeded and reproducible.
 
-The decoders see y only through the joint counts of (x_m, y), and those
-depend only on how many positions of each column type c = (x_1(i), ...,
-x_M(i)) carry each output symbol (the method of types). So the outputs are
-grouped into classes of equal counts, and each class is scored once, in
-blocks of at most 2^12 classes: its likelihoods, decisions, GLD posterior
-and competing sums. A class code is linear in the digits of y, so the codes
-of all outputs come from one low/high digit split, blocks of |Y|^k outputs
-at a time. The error profiles sum the per-output error mass in numpy's
-pairwise order, gathering one leaf of at most max(|Y|^k, 128) outputs at a
-time, so the result is bit-identical to scoring every output and summing
-each row once. Memory is one O(M |Y|^n) float64 array, the per-class table
-(the code space is at most |Y|^n), plus a few O(M |X| |Y| 2^12) block
-arrays. Only ``competing_sum_log``, which returns an (M, |Y|^n) array,
-gathers every output at once.
+The decoders see y only through the joint type of (x_m, y), its counts
+N_m(a, b), and those depend only on how many positions of each column type
+c = (x_1(i), ..., x_M(i)) carry each output symbol (the method of types).
+So the outputs are grouped into classes of equal counts, and each message's
+joint type is scored once, into a table: its W(y | x_m) and decoder score.
+A joint-type index is linear in the digits of a class, as a class code is
+in the digits of y, so the classes go in blocks of at most 2^12 + 1 whose codes
+and indexes are each one array sum from precomputed ones. A block reads
+its scores from the table and makes its decisions, GLD posterior and
+competing sums. The codes of all outputs come from one low/high digit
+split, blocks of |Y|^k outputs at a time. The error profiles sum the
+per-output error mass in numpy's pairwise order, gathering one leaf of at
+most max(|Y|^k, 128) outputs at a time, so the result is bit-identical to
+scoring every output and summing each row once. Memory is one O(M |Y|^n)
+float64 array, the per-class table (the code space is at most |Y|^n), two
+joint-type arrays of at most as many entries (on |Y| = 2, one shared table
+of prod_a (n_a + 1) entries), plus a few O(M 2^12) and O(|X| |Y| 2^12)
+block arrays. Only ``competing_sum_log``, which returns an (M, |Y|^n)
+array, gathers every output at once.
 
 Decoders:
 
@@ -154,13 +159,12 @@ def sample_codebook(n: int, m_count: int, q_x: Dist, seed) -> Codebook:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive output enumeration, one output type class at a time
+# exhaustive output enumeration, by output class and joint type
 # ---------------------------------------------------------------------------
 
-# Classes scored, and outputs gathered, per block. A block's scoring holds a
-# few (M, |X|, |Y|, block) float64 temporaries next to the per-class table;
-# at 2^14 they lifted simulate-bsc's peak RSS by up to 12 MiB, at 2^12 by
-# under 2 MiB, with no loss of speed.
+# Classes and joint types scored, and outputs gathered, per block. Scoring
+# joint types holds a few (|X|, |Y|, block) float64 temporaries, a block of
+# classes a few (M, block) ones, next to the per-class table.
 _BLOCK_OUTPUTS = 2**12
 # numpy sums a contiguous float64 run of at most this many values in one
 # unrolled loop, and splits a longer run in two (``_OutputClasses.row_sums``).
@@ -170,6 +174,55 @@ _PAIRWISE_LEAF = 128
 # log-likelihoods differ by sums of k log W(b|a) with integer |k| <= n, which
 # the band merges only if such a sum falls within 1e-12 of zero.
 _TIE_RTOL = 1e-12
+
+
+def _count_rows(nc: int, ny: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every count vector of nc positions over |Y| = ny symbols: the (ny, L)
+    counts, their codes (the counts of b >= 1 in radix nc + 1) and the code
+    space (nc + 1)^(ny - 1)."""
+    radix = (nc + 1) ** np.arange(ny - 1)
+    tail = [k for k in itertools.product(range(nc + 1), repeat=ny - 1) if sum(k) <= nc]
+    tail = np.array(tail, dtype=np.int64).reshape(len(tail), ny - 1)
+    return np.column_stack([nc - tail.sum(axis=1), tail]).T, tail @ radix, (nc + 1) ** (ny - 1)
+
+
+def _product(parts: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every combination of one entry from each (values (k, L), codes (L,))
+    part: the summed (k, prod L) values and the summed codes."""
+    values, codes = np.zeros((k, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for v, c in parts:
+        values = (values[:, :, None] + v[:, None, :]).reshape(k, -1)
+        codes = (codes[:, None] + c[None, :]).reshape(-1)
+    return values, codes
+
+
+def _blocks(parts: list, k: int):
+    """``_product(parts, k)`` in blocks of 2 to ``_BLOCK_OUTPUTS`` + 1
+    combinations, each block two array sums away from precomputed ones.
+
+    The leading parts whose combinations fit in a block are combined once,
+    the next part is cut into slices that fill a block, and the remaining
+    parts are combined once and taken one combination at a time. No block is
+    a single column: numpy sums the cells of a lone column in another order,
+    so its scores would depend on the blocking in their last bits.
+    """
+    low, size = 0, 1
+    while low < len(parts) and size * parts[low][1].size <= _BLOCK_OUTPUTS:
+        size *= parts[low][1].size
+        low += 1
+    lows = _product(parts[:low], k)
+    if low == len(parts):
+        yield lows
+        return
+    v, c = parts[low]
+    hv, hc = _product(parts[low + 1:], k)
+    edges = list(range(0, c.size, _BLOCK_OUTPUTS // size)) + [c.size]
+    if size == 1 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    for lo, hi in zip(edges, edges[1:]):
+        sv, sc = _product([lows, (v[:, lo:hi], c[lo:hi])], k)
+        for j in range(hc.size):
+            yield sv + hv[:, j:j + 1], sc + hc[j]
 
 
 class _OutputClasses:
@@ -184,10 +237,20 @@ class _OutputClasses:
     types. The code of output y is then linear in its digits,
     code(y) = sum_i weights[i, y_i], and ``size``, the code space, is at
     most |Y|^n. The inputs are checked before any array is built.
+
+    The decoders score a class only through the joint type N_m of each
+    message, and N_m(a, .) is the sum of K[c, .] over the types c with
+    c_m = a. So a joint-type index is linear in the class digits too: each
+    row N_m(a, .) is coded by its counts (b >= 1 in radix n_a + 1) or, where
+    that space is smaller, by the sub-code of the types that cover a, and
+    the rows combine in mixed radix. Messages whose rows are coded alike
+    share one table, of at most ``size`` entries; with |Y| = 2 every row is
+    coded by its counts, so all messages share one table of prod_a (n_a + 1)
+    entries, each joint type scored once.
     """
 
     def __init__(self, cb: Codebook, ch: Channel, enum_cap: int):
-        nx, ny, n = ch.n_in, ch.n_out, cb.n
+        nx, ny, n, m_count = ch.n_in, ch.n_out, cb.n, cb.m_count
         if ny**n > enum_cap:
             raise ProbError(f"|Y|^n = {ny**n} exceeds the enumeration cap {enum_cap}")
         top = int(cb.codewords.max())
@@ -195,30 +258,69 @@ class _OutputClasses:
             raise ProbError(f"codeword symbol {top} is outside the channel's input alphabet of size {nx}")
         self.cb, self.ch = cb, ch
         self.weights = np.zeros((n, ny), dtype=np.int64)
-        # per type: its column, the (|Y|, L) counts and the codes of its L classes
-        self.types: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # per type: its column, the (|Y|, L) counts and local codes of its L
+        # classes, its code space and its stride in the class code
+        types: list[tuple[np.ndarray, np.ndarray, np.ndarray, int, int]] = []
         stride = 1
         cols, of_pos = np.unique(cb.codewords.T, axis=0, return_inverse=True)
         for c, col in enumerate(cols):
             pos = np.flatnonzero(of_pos.ravel() == c)
             nc = pos.size
             if (nc + 1) ** (ny - 1) <= ny**nc:
-                radix = (nc + 1) ** np.arange(ny - 1)
-                self.weights[pos, 1:] = stride * radix
-                tail = [k for k in itertools.product(range(nc + 1), repeat=ny - 1) if sum(k) <= nc]
-                tail = np.array(tail, dtype=np.int64).reshape(len(tail), ny - 1)
-                counts = np.column_stack([nc - tail.sum(axis=1), tail])
-                local, space = tail @ radix, (nc + 1) ** (ny - 1)
+                counts, local, space = _count_rows(nc, ny)
+                self.weights[pos, 1:] = stride * (nc + 1) ** np.arange(ny - 1)
             else:
                 place = ny ** np.arange(nc)
                 self.weights[pos] = stride * place[:, None] * np.arange(ny)[None, :]
                 local, space = np.arange(ny**nc), ny**nc
                 digits = (local[:, None] // place) % ny
-                counts = (digits[:, :, None] == np.arange(ny)).sum(axis=1)
-            self.types.append((col, counts.T.astype(np.int16), stride * local))
+                counts = (digits[:, :, None] == np.arange(ny)).sum(axis=1).T
+            types.append((col, counts.astype(np.int16), local, space, stride))
             stride *= space
-        self.size = stride
-        self.count = math.prod(len(local) for _, _, local in self.types)
+        self.types, self.size = types, stride
+        # the joint-type tables, by row coding: [offset, parts of the entries]
+        # (``_blocks``'s parts: stacked (|X| |Y|, L) row counts and codes)
+        tables: dict[tuple, list] = {}
+        self.entries = 0
+        offsets = np.empty(m_count, dtype=np.int64)
+        index = [np.empty((m_count, local.size), dtype=np.int64) for _, _, local, _, _ in types]
+        comp = np.bincount(cb.codewords[0], minlength=nx)
+        for m in range(m_count):
+            cover = [[c for c, (col, *_) in enumerate(types) if col[m] == a] for a in range(nx)]
+            coding = tuple(None if (comp[a] + 1) ** (ny - 1) <= math.prod(types[c][3] for c in cov)
+                           else tuple(cov) for a, cov in enumerate(cover))
+            new = coding not in tables
+            if new:
+                tables[coding] = [self.entries, []]
+            offsets[m], parts = tables[coding]
+            step = 1
+            for a, cov in enumerate(cover):
+                rows = []
+                if coding[a] is None:
+                    radix = step * (comp[a] + 1) ** np.arange(ny - 1)
+                    for c in cov:
+                        index[c][m] = radix @ types[c][1][1:]
+                    counts, _, space = _count_rows(comp[a], ny)
+                    rows.append((counts, radix @ counts[1:]))
+                    step *= space
+                else:
+                    for c in cov:
+                        _, counts, local, space, _ = types[c]
+                        index[c][m] = step * local
+                        rows.append((counts, index[c][m]))
+                        step *= space
+                if new:
+                    for counts, codes in rows:
+                        stacked = np.zeros((nx, ny, codes.size), dtype=np.int16)
+                        stacked[a] = counts
+                        parts.append((stacked.reshape(nx * ny, -1), codes))
+            if new:
+                self.entries += step
+        self.tables = list(tables.values())
+        # ``_blocks``'s parts of the classes: per type, the (M, L) joint-type
+        # index each class adds and its class codes; the tables' offsets first
+        self.parts = [(offsets[:, None], np.zeros(1, dtype=np.int64))]
+        self.parts += [(idx, stride * local) for idx, (_, _, local, _, stride) in zip(index, types)]
         # the codes of the k low digits of every output, for the largest k
         # with |Y|^k <= _BLOCK_OUTPUTS
         self.k = 0
@@ -229,24 +331,26 @@ class _OutputClasses:
         for i in range(self.k):
             self.low += self.weights[i, (t // ny**i) % ny]
 
+    def _score_tables(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """The decoder score and W(y | x_m) of every joint-type entry, NaN
+        where an index codes no joint type."""
+        ch, nx, ny = self.ch, self.ch.n_in, self.ch.n_out
+        scores, probs = np.full(self.entries, np.nan), np.full(self.entries, np.nan)
+        for offset, parts in self.tables:
+            for counts, codes in _blocks(parts, nx * ny):
+                counts = counts.reshape(1, nx, ny, -1)
+                ll = _log_likelihoods(counts, ch)[0]
+                scores[offset + codes] = ll if kind == "ml" else _empirical_mi(counts, self.cb.n)[0]
+                probs[offset + codes] = np.exp(ll)
+        return scores, probs
+
     def blocks(self, kind: str):
-        """Iterator of (codes, counts, scores, ll) over blocks of at most
-        ``_BLOCK_OUTPUTS`` classes: the class codes, their (M, |X|, |Y|, B)
-        joint counts, the decoder score and log W(y | x_m) as (M, B) arrays."""
-        cb, ch = self.cb, self.ch
-        for start in range(0, self.count, _BLOCK_OUTPUTS):
-            rest = np.arange(start, min(start + _BLOCK_OUTPUTS, self.count))
-            codes = np.zeros(rest.size, dtype=np.int64)
-            counts = np.zeros((cb.m_count, ch.n_in, ch.n_out, rest.size), dtype=np.int16)
-            for col, local_counts, local_codes in self.types:
-                rest, idx = np.divmod(rest, len(local_codes))
-                codes += np.take(local_codes, idx)
-                k = np.take(local_counts, idx, axis=1)
-                for m, a in enumerate(col):
-                    counts[m, a] += k
-            ll = _log_likelihoods(counts, ch)
-            scores = ll if kind == "ml" else _empirical_mi(counts, cb.n)
-            yield codes, counts, scores, ll
+        """Iterator of (codes, scores, probs) over blocks of classes: the class
+        codes, and per message the decoder score and W(y | x_m) of an output
+        of the class, (M, B) arrays read from the joint-type tables."""
+        scores, probs = self._score_tables(kind)
+        for idx, codes in _blocks(self.parts, self.cb.m_count):
+            yield codes, np.take(scores, idx), np.take(probs, idx)
 
     def gather(self, table: np.ndarray, out: np.ndarray, start: int = 0) -> np.ndarray:
         """out[:, t - start] = table[:, code(y_t)] for the outputs t = sum_i
@@ -338,8 +442,8 @@ def exact_error_profile(cb: Codebook, ch: Channel,
     classes = _OutputClasses(cb, ch, enum_cap)
     table = np.empty((cb.m_count, classes.size))
     msgs = np.arange(cb.m_count)[:, None]
-    for codes, _, scores, ll in classes.blocks(decoder.kind):
-        table[:, codes] = np.exp(ll) * (_decisions(scores)[None, :] != msgs)
+    for codes, scores, probs in classes.blocks(decoder.kind):
+        table[:, codes] = probs * (_decisions(scores)[None, :] != msgs)
     # one value per output, summed in numpy's pairwise order over all
     # outputs: per-class sums weighted by class size would change that order,
     # and so the last bits
@@ -371,14 +475,14 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
     """
     classes = _OutputClasses(cb, ch, enum_cap)
     table = np.empty((cb.m_count, classes.size))
-    for codes, _, scores, ll in classes.blocks(cfg.metric.kind):
+    for codes, scores, probs in classes.blocks(cfg.metric.kind):
         gn = _gld_exponents(scores, cb.n, cfg)
         gmax = gn.max(axis=0)
         safe = np.where(np.isfinite(gmax), gmax, 0.0)
         expg = np.exp(gn - safe[None, :])
         tot = expg.sum(axis=0)
         post = expg / np.where(tot > 0.0, tot, 1.0)
-        table[:, codes] = np.exp(ll) * (1.0 - post)
+        table[:, codes] = probs * (1.0 - post)
     return ErrorProfile(per_message=classes.row_sums(table))
 
 
@@ -396,7 +500,7 @@ def competing_sum_log(cb: Codebook, ch: Channel,
     if m == 1:
         return np.full((1, ch.n_out**cb.n), -np.inf)
     table = np.empty((m, classes.size))
-    for codes, _, scores, _ in classes.blocks(cfg.metric.kind):
+    for codes, scores, _ in classes.blocks(cfg.metric.kind):
         gn = _gld_exponents(scores, cb.n, cfg)
         for msg in range(m):
             others = np.delete(gn, msg, axis=0)

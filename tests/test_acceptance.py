@@ -267,11 +267,17 @@ def test_criteria_6_and_7_exact_simulation():
         # the scores differ by the constant composition entropy, so the
         # decision (and tie) sets coincide; the independently computed
         # entropy pipeline may order exact ties differently in floats, so a
-        # disagreement only counts when the scores are not tied; outputs of
-        # one type class share their counts, so each class stands for them
-        blocks = list(_OutputClasses(cb, ch, 2**20).blocks("mmi"))
-        counts = np.concatenate([c for _, c, _, _ in blocks], axis=3)
-        mi_scores = np.concatenate([s for _, _, s, _ in blocks], axis=1)
+        # disagreement only counts when the scores are not tied. The joint
+        # counts of every output are built here by brute force; explab's
+        # scores of each class are gathered onto its outputs
+        classes = _OutputClasses(cb, ch, 2**20)
+        table = np.empty((m, classes.size))
+        for codes, scores, _ in classes.blocks("mmi"):
+            table[:, codes] = scores
+        mi_scores = classes.gather(table, np.empty((m, 2**n)))
+        ys = (np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1  # y_i of output t
+        counts = np.stack([[[((cw == a)[:, None] & (ys == b)).sum(axis=0) for b in range(2)]
+                            for a in range(2)] for cw in cb.codewords])
         col = counts.sum(axis=1).astype(float)
         with np.errstate(divide="ignore", invalid="ignore"):
             hcond = -(np.where(counts > 0,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -450,9 +451,9 @@ class TestLambdaPhi:
     @pytest.mark.parametrize("q", [PROD, Joint2(np.array([[0.3, 0.2], [0.2, 0.3]]))],
                              ids=["product", "tilted"])
     def test_mesh_arrays_last_through_the_solves(self, q):
-        """i_x, i_xp and kl are views of the global mesh structure's build
-        buffers, kept for the problem's life: solving lambda and phi, and
-        the other bounds' meshes between them, leave them as built."""
+        """i_x, i_xp and kl are the global mesh's build arrays, which the
+        problem holds alone: solving lambda and phi, and the other bounds'
+        meshes between them, leave them as built."""
         prob = _TiltedProblem(q, BSC01, OPTS)
         kept = [a.copy() for a in (prob.i_x, prob.i_xp, prob.kl)]
         for step in (lambda: prob.solve("balance"), lambda: theta(q, 0.01, BSC01, UNIF, OPTS),
@@ -461,6 +462,25 @@ class TestLambdaPhi:
             step()
             for got, want in zip((prob.i_x, prob.i_xp, prob.kl), kept):
                 assert got.tobytes() == want.tobytes()
+
+    def test_holds_only_its_three_arrays(self):
+        """On the 2x3 channel the k = 5 mesh has 194,481 candidates. The
+        problem keeps I(X;Y), I(X';Y) and kl per candidate (4.5 MiB), not the
+        mesh's output marginals and scratch buffers (12.1 MiB in all)."""
+        ch = Channel.from_rows([[0.8, 0.15, 0.05], [0.05, 0.15, 0.8]])
+        q = Joint2(np.full((2, 2), 0.25))
+        _TiltedProblem(q, ch, OPTS)  # the first one also imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prob = _TiltedProblem(q, ch, OPTS)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n = prob.mesh.size()
+        assert n == 194_481
+        assert sum(a.nbytes for a in (prob.i_x, prob.i_xp, prob.kl)) == 3 * 8 * n
+        assert held <= 3 * 8 * n + 2**18, f"{held / 2**20:.2f} MiB held"
 
     def test_permutation_equivariance(self):
         # relabel X symbols consistently in coupling, composition, channel

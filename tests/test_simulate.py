@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -383,6 +384,10 @@ class TestBlockEnumeration:
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_each_type_class_scored_once(self, monkeypatch, case):
+        """The type classes scored are the joint type classes of (x_m, y):
+        each joint type is scored once, for all messages and output classes.
+        Every row N_m(a, .) of a joint type is a composition of the n_a
+        positions with x_m = a into |Y| parts."""
         ch, cb = BLOCK_CASES[case]
         scored = []
         log_likelihoods = sim._log_likelihoods
@@ -393,15 +398,16 @@ class TestBlockEnumeration:
 
         monkeypatch.setattr(sim, "_log_likelihoods", counting)
         exact_error_profile(cb, ch, ML)
-        _, per_type = np.unique(cb.codewords.T, axis=0, return_counts=True)
-        if ch.n_out == 2:
-            assert sum(scored) == math.prod(int(nc) + 1 for nc in per_type)
+        comp = np.bincount(cb.codewords[0], minlength=ch.n_in)
+        assert sum(scored) == math.prod(math.comb(int(na) + ch.n_out - 1, ch.n_out - 1) for na in comp)
         if case == "2x3-mixed":
-            # 10 compositions of 3 positions, 6 of 2 and 3 of 1, in code
-            # spaces 4^2, 3^2 and 3^1
-            assert sorted(per_type.tolist()) == [1, 1, 2, 3]
-            assert sum(scored) == 10 * 6 * 3 * 3
-            assert sim._OutputClasses(cb, ch, 2**20).size == 16 * 9 * 3 * 3
+            # n_0 = 4 and n_1 = 3: 15 * 10 joint types, where the classes
+            # are 10 * 6 * 3 * 3 (10 compositions of 3 positions, 6 of 2 and
+            # 3 of 1) in a code space of 16 * 9 * 3 * 3
+            assert sum(scored) == 15 * 10
+            classes = sim._OutputClasses(cb, ch, 2**20)
+            assert math.prod(local.size for _, _, local, _, _ in classes.types) == 10 * 6 * 3 * 3
+            assert classes.size == 16 * 9 * 3 * 3
 
     @pytest.mark.parametrize("kind", ["ml", "mmi"])
     def test_row_sums_equal_the_materialized_sum(self, monkeypatch, kind):
@@ -479,6 +485,122 @@ class TestBlockEnumeration:
             tracemalloc.stop()
         assert prof.per_message.shape == (m,)
         assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > bound {bound / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# joint-type tables against per-class scoring
+# ---------------------------------------------------------------------------
+
+
+def _blocks_reference(self, kind):
+    """_OutputClasses.blocks as it was before the joint-type tables: the
+    (M, |X|, |Y|) joint counts of every class are built and scored, in blocks
+    of 2^12 classes whatever ``_BLOCK_OUTPUTS`` is. The last block takes a
+    lone remaining class, since numpy sums the cells of a single column in
+    another order."""
+    cb, ch = self.cb, self.ch
+    count = math.prod(local.size for _, _, local, _, _ in self.types)
+    edges = list(range(0, count, 2**12)) + [count]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    for lo, hi in zip(edges, edges[1:]):
+        rest = np.arange(lo, hi)
+        codes = np.zeros(rest.size, dtype=np.int64)
+        counts = np.zeros((cb.m_count, ch.n_in, ch.n_out, rest.size), dtype=np.int16)
+        for col, local_counts, local, _, stride in self.types:
+            rest, idx = np.divmod(rest, local.size)
+            codes += stride * np.take(local, idx)
+            k = np.take(local_counts, idx, axis=1)
+            for m, a in enumerate(col):
+                counts[m, a] += k
+        ll = sim._log_likelihoods(counts, ch)
+        scores = ll if kind == "ml" else sim._empirical_mi(counts, cb.n)
+        yield codes, scores, np.exp(ll)
+
+
+CH44 = Channel.from_rows(np.full((4, 4), 0.1) + 0.6 * np.eye(4))
+REFERENCE_CASES = dict(BLOCK_CASES) | {
+    # x_2 never occurs: its rows are one composition of 0 positions
+    "zero-entry": (CH32, sample_codebook(6, 4, Dist(np.array([0.5, 0.5, 0.0])), seed=7)),
+    # n_0 = 1: rows N_m(0, .) are coded by their covering type's raw digit
+    # (3 codes, not 2^2 count codes), so each message has its own table but
+    # messages 0 and 3, which are equal
+    "2x3-subcode": (CH23, sample_codebook(8, 4, Dist(np.array([1 / 8, 7 / 8])), seed=8)),
+    # n_a = 1 or 2 and |Y| = 4: every row is coded by its covering types
+    "4x4-subcode": (CH44, sample_codebook(6, 3, Dist(np.array([1, 1, 2, 2]) / 6), seed=9)),
+    "bsc-n20": (BSC01, sample_codebook(20, 4, UNIF, seed=10)),
+}
+
+
+def _every_output(cb, ch):
+    """sha256 of per_message under ML, MMI and the GLD (ML metric at beta 0
+    and 1, MMI metric), and of competing_sum_log under each GLD."""
+    out = [exact_error_profile(cb, ch, metric).per_message for metric in (ML, MMI)]
+    for cfg in (GldConfig(metric=ML, beta=0.0), GldConfig(metric=ML, beta=1.0), GldConfig(metric=MMI)):
+        out.append(exact_error_profile_gld(cb, ch, cfg).per_message)
+        out.append(competing_sum_log(cb, ch, cfg))
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in out]
+
+
+class TestJointTypeTables:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_bit_identical_to_per_class_scoring(self, monkeypatch, case):
+        ch, cb = REFERENCE_CASES[case]
+        got = {None: _every_output(cb, ch)}
+        if case != "bsc-n20":  # blocks of |Y| and |Y|^2 classes and table entries
+            for power in (1, 2):
+                monkeypatch.setattr(sim, "_BLOCK_OUTPUTS", ch.n_out**power)
+                got[power] = _every_output(cb, ch)
+            monkeypatch.undo()
+        monkeypatch.setattr(sim._OutputClasses, "blocks", _blocks_reference)
+        want = _every_output(cb, ch)
+        for power, hashes in got.items():
+            assert hashes == want, power
+
+    @pytest.mark.parametrize("case, tables", [("2x3-subcode", 3), ("4x4-subcode", 3), ("bsc-n20", 1)])
+    def test_a_table_per_row_coding(self, case, tables):
+        """Messages share a table when their rows are coded alike; every
+        table has at most ``size`` entries."""
+        ch, cb = REFERENCE_CASES[case]
+        classes = sim._OutputClasses(cb, ch, 2**20)
+        assert len(classes.tables) == tables
+        ends = [offset for offset, _ in classes.tables[1:]] + [classes.entries]
+        assert all(end - offset <= classes.size for (offset, _), end in zip(classes.tables, ends))
+        if case == "bsc-n20":  # n_0 = n_1 = 10, every row count-coded
+            assert classes.entries == 11 * 11
+
+    @pytest.mark.parametrize("rows, n, m, q_x", [
+        (CH23.w, 12, 4, UNIF),
+        # rows N_m(a, .) in radix n_a + 1 would take 4^3 4^3 3^3 3^3 = 2.99M
+        # entries per table, more than the 4^10 outputs
+        (CH44.w, 10, 2, Dist(np.array([3, 3, 2, 2]) / 10)),
+    ], ids=["2x3", "4x4"])
+    def test_memory_of_the_tables(self, rows, n, m, q_x):
+        """The joint-type tables (a score and a probability per entry) have
+        at most as many entries as the per-class table, M * size. Bound: the
+        per-class table, the two joint-type arrays and 8 block arrays of
+        max(M, |X| |Y|) (2^12 + 1) float64. On the 4x4 channel, tables with
+        every row in radix n_a + 1 would exceed it."""
+        ch = Channel.from_rows(rows)
+        cb = sample_codebook(n, m, q_x, seed=1)
+        classes = sim._OutputClasses(cb, ch, 2**20)
+        assert classes.entries <= m * classes.size
+        table = m * classes.size * 8
+        block = max(m, ch.n_in * ch.n_out) * (sim._BLOCK_OUTPUTS + 1) * 8
+        bound = table + 2 * classes.entries * 8 + 8 * block
+        comp = np.bincount(cb.codewords[0], minlength=ch.n_in)
+        radix = math.prod((int(na) + 1) ** (ch.n_out - 1) for na in comp)
+        if ch.n_out == 4:
+            assert table + 2 * radix * 8 > bound
+        for metric in (ML, MMI):
+            tracemalloc.start()
+            try:
+                prof = exact_error_profile(cb, ch, metric)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert prof.per_message.shape == (m,)
+            assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > bound {bound / 2**20:.1f} MiB"
 
 
 class TestDecoderInvariants:
