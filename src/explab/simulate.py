@@ -15,16 +15,17 @@ A joint-type index is linear in the digits of a class, as a class code is
 in the digits of y, so the classes go in blocks of at most 2^12 + 1 whose codes
 and indexes are each one array sum from precomputed ones. A block reads
 its scores from the table and makes its decisions, GLD posterior and
-competing sums. The codes of all outputs come from one low/high digit
-split, blocks of |Y|^k outputs at a time. The error profiles sum the
-per-output error mass in numpy's pairwise order, gathering one leaf of at
-most max(|Y|^k, 128) outputs at a time, so the result is bit-identical to
-scoring every output and summing each row once. Memory is one O(M |Y|^n)
-float64 array, the per-class table (the code space is at most |Y|^n), two
+competing sums. The outputs of a class share every score and probability,
+so the error profiles weight each class by its size, the number of outputs
+in it (a product of multinomials over the types), and never visit an
+output: O(M classes) work in place of O(M |Y|^n). The weighted sum is two
+einsum contractions with no BLAS call, so its bits depend neither on the
+blocking nor on the BLAS build or its threads. Memory is the per-class
+table, M float64 per class code (the code space is at most |Y|^n), two
 joint-type arrays of at most as many entries (on |Y| = 2, one shared table
 of prod_a (n_a + 1) entries), plus a few O(M 2^12) and O(|X| |Y| 2^12)
 block arrays. Only ``competing_sum_log``, which returns an (M, |Y|^n)
-array, gathers every output at once.
+array, maps the classes onto the outputs, |Y|^k outputs at a time.
 
 Decoders:
 
@@ -37,6 +38,7 @@ Decoders:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -166,9 +168,6 @@ def sample_codebook(n: int, m_count: int, q_x: Dist, seed) -> Codebook:
 # joint types holds a few (|X|, |Y|, block) float64 temporaries, a block of
 # classes a few (M, block) ones, next to the per-class table.
 _BLOCK_OUTPUTS = 2**12
-# numpy sums a contiguous float64 run of at most this many values in one
-# unrolled loop, and splits a longer run in two (``_OutputClasses.row_sums``).
-_PAIRWISE_LEAF = 128
 # Tie band of ``_decisions``. At one output, distinct empirical-MI scores of
 # count tables with up to 6 cells and n <= 20 differ by more than 1e-4;
 # log-likelihoods differ by sums of k log W(b|a) with integer |k| <= n, which
@@ -261,6 +260,7 @@ class _OutputClasses:
         # per type: its column, the (|Y|, L) counts and local codes of its L
         # classes, its code space and its stride in the class code
         types: list[tuple[np.ndarray, np.ndarray, np.ndarray, int, int]] = []
+        mults = []  # per type, how many of its digit strings take each local code
         stride = 1
         cols, of_pos = np.unique(cb.codewords.T, axis=0, return_inverse=True)
         for c, col in enumerate(cols):
@@ -269,15 +269,28 @@ class _OutputClasses:
             if (nc + 1) ** (ny - 1) <= ny**nc:
                 counts, local, space = _count_rows(nc, ny)
                 self.weights[pos, 1:] = stride * (nc + 1) ** np.arange(ny - 1)
+                mult = np.zeros(space)
+                mult[local] = [math.factorial(nc) // math.prod(map(math.factorial, k))
+                               for k in counts.T.tolist()]
             else:
                 place = ny ** np.arange(nc)
                 self.weights[pos] = stride * place[:, None] * np.arange(ny)[None, :]
                 local, space = np.arange(ny**nc), ny**nc
                 digits = (local[:, None] // place) % ny
                 counts = (digits[:, :, None] == np.arange(ny)).sum(axis=1).T
+                mult = np.ones(space)
             types.append((col, counts.astype(np.int16), local, space, stride))
+            mults.append(mult)
             stride *= space
         self.types, self.size = types, stride
+        # the class sizes mult(c) = mult_high[c // L] mult_low[c % L], L =
+        # mult_low.size: products over the high and the low types, split where
+        # L + M mult_high.size (both, and ``class_sums``' partial sums) is least
+        lows = np.cumprod([1] + [space for _, _, _, space, _ in types])
+        split = int(np.argmin(lows + m_count * (stride // lows)))
+        self.mult_high, self.mult_low = (
+            functools.reduce(lambda acc, v: np.multiply.outer(v, acc).ravel(), part, np.ones(1))
+            for part in (mults[split:], mults[:split]))
         # the joint-type tables, by row coding: [offset, parts of the entries]
         # (``_blocks``'s parts: stacked (|X| |Y|, L) row counts and codes)
         tables: dict[tuple, list] = {}
@@ -321,15 +334,6 @@ class _OutputClasses:
         # index each class adds and its class codes; the tables' offsets first
         self.parts = [(offsets[:, None], np.zeros(1, dtype=np.int64))]
         self.parts += [(idx, stride * local) for idx, (_, _, local, _, stride) in zip(index, types)]
-        # the codes of the k low digits of every output, for the largest k
-        # with |Y|^k <= _BLOCK_OUTPUTS
-        self.k = 0
-        while self.k < n and ny ** (self.k + 1) <= _BLOCK_OUTPUTS:
-            self.k += 1
-        t = np.arange(ny**self.k)
-        self.low = np.zeros(t.size, dtype=np.int64)
-        for i in range(self.k):
-            self.low += self.weights[i, (t // ny**i) % ny]
 
     def _score_tables(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """The decoder score and W(y | x_m) of every joint-type entry, NaN
@@ -352,49 +356,38 @@ class _OutputClasses:
         for idx, codes in _blocks(self.parts, self.cb.m_count):
             yield codes, np.take(scores, idx), np.take(probs, idx)
 
-    def gather(self, table: np.ndarray, out: np.ndarray, start: int = 0) -> np.ndarray:
-        """out[:, t - start] = table[:, code(y_t)] for the outputs t = sum_i
-        y_i |Y|^i from ``start`` on, one per column of ``out``.
+    def gather(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[:, t] = table[:, code(y_t)] for every output t = sum_i y_i |Y|^i.
 
-        The outputs go in blocks of |Y|^k: each block adds the code of its
-        n - k high digits to the precomputed codes of the k low digits.
+        The outputs go in blocks of |Y|^k, the largest k with |Y|^k <=
+        ``_BLOCK_OUTPUTS``: each block adds the code of its n - k high digits
+        to the codes of the k low digits, computed once.
         """
-        ny, n, size = self.ch.n_out, self.cb.n, self.low.size
-        stop = start + out.shape[1]
-        for j in range(start // size, -(-stop // size)):
-            rest, high = j, 0
-            for i in range(self.k, n):
-                rest, b = divmod(rest, ny)
-                high += int(self.weights[i, b])
-            lo, hi = max(start - j * size, 0), min(stop - j * size, size)
-            at = j * size + lo - start
-            np.take(table, self.low[lo:hi] + high, axis=1, out=out[:, at:at + hi - lo])
+        ny, n, k = self.ch.n_out, self.cb.n, 0
+        while k < n and ny ** (k + 1) <= _BLOCK_OUTPUTS:
+            k += 1
+        t = np.arange(ny**k)
+        low = np.zeros(t.size, dtype=np.int64)
+        for i in range(k):
+            low += self.weights[i, (t // ny**i) % ny]
+        for j in range(ny ** (n - k)):
+            high = sum(int(self.weights[k + i, (j // ny**i) % ny]) for i in range(n - k))
+            np.take(table, low + high, axis=1, out=out[:, j * t.size:(j + 1) * t.size])
         return out
 
-    def row_sums(self, table: np.ndarray) -> np.ndarray:
-        """``gather(table, out).sum(axis=1)`` for all |Y|^n outputs, bit for
-        bit, without the (M, |Y|^n) ``out``.
+    def class_sums(self, table: np.ndarray) -> np.ndarray:
+        """Per row, the sum of table[:, code(y)] over all |Y|^n outputs y,
+        taken as sum_c mult(c) table[:, c] over the class codes c.
 
-        numpy sums a row pairwise: a run of more than ``_PAIRWISE_LEAF``
-        values splits at h = size // 2 less h % 8, and the two halves' sums
-        are added. This recursion splits the same way down to runs of at most
-        max(|Y|^k, ``_PAIRWISE_LEAF``) outputs; each such leaf is gathered
-        into one reused buffer and summed by numpy, in numpy's own order.
+        mult(c), the number of outputs in class c, is a product over types: a
+        multinomial n_c! / prod_b K[c, b]! for a count-coded type, 1 for a
+        digit-coded one, 0 on a code no class takes. So the (M, size) table
+        is viewed as (M, high, low) and contracted with ``mult_low``, then
+        with ``mult_high``; no array of ``size`` entries is built.
         """
-        cap = max(self.low.size, _PAIRWISE_LEAF)
-        buf = np.empty(table.shape[0] * cap)
-        return self._pairwise_sum(table, 0, self.ch.n_out**self.cb.n, cap, buf)
-
-    def _pairwise_sum(self, table: np.ndarray, start: int, stop: int, cap: int,
-                      buf: np.ndarray) -> np.ndarray:
-        size = stop - start
-        if size <= cap:
-            leaf = buf[:table.shape[0] * size].reshape(table.shape[0], size)
-            return self.gather(table, leaf, start).sum(axis=1)
-        h = size // 2
-        h -= h % 8
-        return (self._pairwise_sum(table, start, start + h, cap, buf)
-                + self._pairwise_sum(table, start + h, stop, cap, buf))
+        high, low = self.mult_high, self.mult_low
+        part = np.einsum("mhl,l->mh", table.reshape(-1, high.size, low.size), low, optimize=False)
+        return np.einsum("mh,h->m", part, high, optimize=False)
 
 
 def _log_likelihoods(counts: np.ndarray, ch: Channel) -> np.ndarray:
@@ -440,14 +433,12 @@ def exact_error_profile(cb: Codebook, ch: Channel,
     over outputs decided away from m.
     """
     classes = _OutputClasses(cb, ch, enum_cap)
-    table = np.empty((cb.m_count, classes.size))
+    # codes that no class takes hold 0 (their multiplicity is 0)
+    table = np.zeros((cb.m_count, classes.size))
     msgs = np.arange(cb.m_count)[:, None]
     for codes, scores, probs in classes.blocks(decoder.kind):
         table[:, codes] = probs * (_decisions(scores)[None, :] != msgs)
-    # one value per output, summed in numpy's pairwise order over all
-    # outputs: per-class sums weighted by class size would change that order,
-    # and so the last bits
-    return ErrorProfile(per_message=classes.row_sums(table))
+    return ErrorProfile(per_message=classes.class_sums(table))
 
 
 def _gld_exponents(scores: np.ndarray, n: int, cfg: GldConfig) -> np.ndarray:
@@ -460,7 +451,8 @@ def _gld_exponents(scores: np.ndarray, n: int, cfg: GldConfig) -> np.ndarray:
         return n * scores
     if cfg.beta == 0.0:
         return np.where(np.isneginf(scores), -np.inf, 0.0)
-    return cfg.beta * scores
+    with np.errstate(over="ignore"):  # an n*g below -float max is -inf
+        return cfg.beta * scores
 
 
 def exact_error_profile_gld(cb: Codebook, ch: Channel,
@@ -474,16 +466,23 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
     probability 0 for every message and adds 0.
     """
     classes = _OutputClasses(cb, ch, enum_cap)
-    table = np.empty((cb.m_count, classes.size))
+    table = np.zeros((cb.m_count, classes.size))
     for codes, scores, probs in classes.blocks(cfg.metric.kind):
         gn = _gld_exponents(scores, cb.n, cfg)
         gmax = gn.max(axis=0)
+        # near the float maximum, beta * log W(y | x_m) can overflow to -inf
+        # at every message of an output; the posterior depends only on
+        # differences, so such an output is scored against its best message
+        over = np.isneginf(gmax) & np.isfinite(scores.max(axis=0))
+        if over.any():
+            gn[:, over] = _gld_exponents(scores[:, over] - scores[:, over].max(axis=0), cb.n, cfg)
+            gmax[over] = 0.0
         safe = np.where(np.isfinite(gmax), gmax, 0.0)
         expg = np.exp(gn - safe[None, :])
         tot = expg.sum(axis=0)
         post = expg / np.where(tot > 0.0, tot, 1.0)
         table[:, codes] = probs * (1.0 - post)
-    return ErrorProfile(per_message=classes.row_sums(table))
+    return ErrorProfile(per_message=classes.class_sums(table))
 
 
 def competing_sum_log(cb: Codebook, ch: Channel,

@@ -209,6 +209,17 @@ class TestGld:
         want = oracle_profile(cb, BSC01, "ml", tie_split=True)
         assert prof.per_message == pytest.approx(want, abs=1e-6)
 
+    def test_beta_near_float_max_recovers_tie_split_ml(self):
+        """beta log W(y | x_m) overflows to -inf at every message of most
+        outputs at beta = 1e308; the posterior is still the tie-split ML
+        decision. The codebook is the CLI's for ``simulate --n 8 --M 4
+        --samples 1 --seed 3 --decoder gld --beta 1e308``."""
+        cb = sample_codebook(8, 4, UNIF, seed=[3, 0])
+        want = oracle_profile(cb, BSC01, "ml", tie_split=True)
+        for beta in (1e300, 1e308, np.finfo(float).max):
+            prof = exact_error_profile_gld(cb, BSC01, GldConfig(metric=ML, beta=beta))
+            assert np.max(np.abs(prof.per_message - want)) <= 1e-12, beta
+
     def test_factor_two_bound_every_instance(self):
         for seed in range(25):
             cb = sample_codebook(6, 4, UNIF, seed)
@@ -339,30 +350,59 @@ BLOCK_CASES = {
 }
 
 
-def record_row_sums(monkeypatch):
-    """Make every ``_OutputClasses.row_sums`` call append (its value, the
-    row sums of the materialized ``gather``) to the returned list."""
-    pairs = []
-    row_sums = sim._OutputClasses.row_sums
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: the relative error
+    bound of a sum of nonnegative terms that each went through at most k
+    roundings."""
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def class_sums_bound(classes):
+    """Relative bound of ``class_sums`` on a nonnegative table, against the
+    exact sum over all outputs. A term table[m, c] is rounded once in its
+    product with ``mult_low`` (an exact integer), at most L - 1 times in
+    the first contraction's adds (L = mult_low.size, whatever their order),
+    once in its product with ``mult_high`` and at most H - 1 times in the
+    second contraction's adds (H = mult_high.size): L + H roundings, so the
+    computed sum is within gamma(L + H) of the exact one. The exactly
+    rounded reference is itself within u of it: gamma(L + H + 1) in all."""
+    return gamma(classes.mult_low.size + classes.mult_high.size + 1)
+
+
+def record_class_sums(monkeypatch):
+    """Make every ``_OutputClasses.class_sums`` call append (its value, the
+    exactly rounded row sums of the materialized ``gather``, the relative
+    bound) to the returned list. The gathered values are the per-output
+    error mass; ``math.fsum`` rounds their exact sum once."""
+    records = []
+    class_sums = sim._OutputClasses.class_sums
 
     def recording(self, table):
-        got = row_sums(self, table)
+        got = class_sums(self, table)
         full = self.gather(table, np.empty((table.shape[0], self.ch.n_out**self.cb.n)))
-        pairs.append((got, full.sum(axis=1)))
+        exact = np.array([math.fsum(row) for row in full])
+        records.append((got, exact, class_sums_bound(self)))
         return got
 
-    monkeypatch.setattr(sim._OutputClasses, "row_sums", recording)
-    return pairs
+    monkeypatch.setattr(sim._OutputClasses, "class_sums", recording)
+    return records
 
 
 class TestBlockEnumeration:
     """Blocks of |Y| and |Y|^2 classes and outputs, so that every codebook
-    spans many blocks, give the same bits as one block and as the full-array
-    formulas."""
+    spans many blocks, give the same bits as one block, and the values of the
+    full-array formulas (the profiles within their summation bounds)."""
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     @pytest.mark.parametrize("kind", ["ml", "mmi"])
     def test_many_blocks_bit_identical(self, monkeypatch, case, kind):
+        """Bit-identical across blockings, and competing_sum_log to the
+        full-array formulas. The profiles sum each output class once, weighted
+        by its size, where the full-array formulas sum every output in numpy's
+        pairwise order: both are within gamma of the exact sum of the same
+        nonnegative values (``class_sums_bound``; at most |Y|^n - 1 roundings
+        for the reference), so they differ by at most 2 gamma(sum) of it."""
         ch, cb = BLOCK_CASES[case]
         metric, cfg = (ML, GldConfig(metric=ML, beta=1.0)) if kind == "ml" else (MMI, GldConfig(metric=MMI))
 
@@ -374,12 +414,16 @@ class TestBlockEnumeration:
         one_block = run()
         assert ch.n_out**cb.n <= sim._BLOCK_OUTPUTS
         ref = full_array_reference(cb, ch, cfg)
+        classes = sim._OutputClasses(cb, ch, 2**20)
+        bound = 2 * gamma(classes.mult_low.size + classes.mult_high.size + ch.n_out**cb.n)
         for power in (1, 2):
             monkeypatch.setattr(sim, "_BLOCK_OUTPUTS", ch.n_out**power)
             blocked = run()
-            for got, single, want in zip(blocked, one_block, ref):
+            for got, single in zip(blocked, one_block):
                 assert np.array_equal(got, single)
-                assert np.array_equal(got, want)
+            for got, want in zip(blocked[:2], ref[:2]):
+                assert np.all(np.abs(got - want) <= bound * want)
+            assert np.array_equal(blocked[2], ref[2])
             assert np.max(np.abs(blocked[0] - oracle_profile(cb, ch, kind))) <= 1e-12
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
@@ -411,31 +455,57 @@ class TestBlockEnumeration:
 
     @pytest.mark.parametrize("kind", ["ml", "mmi"])
     def test_row_sums_equal_the_materialized_sum(self, monkeypatch, kind):
-        # the benchmark's size: 2^20 outputs, summed in 256 leaves of 2^12
+        """per_message, under the deterministic decoder and the GLD, is the
+        row sum of the (M, |Y|^n) per-output error mass: within
+        ``class_sums_bound`` of its exactly rounded value. The benchmark's
+        size: 2^20 outputs."""
         cb = sample_codebook(20, 4, UNIF, seed=11)
         metric, cfg = (ML, GldConfig(metric=ML, beta=1.0)) if kind == "ml" else (MMI, GldConfig(metric=MMI))
-        pairs = record_row_sums(monkeypatch)
+        records = record_class_sums(monkeypatch)
         profiles = (exact_error_profile(cb, BSC01, metric), exact_error_profile_gld(cb, BSC01, cfg))
-        assert len(pairs) == 2
-        for prof, (got, want) in zip(profiles, pairs):
-            assert np.array_equal(got, want)
-            assert np.array_equal(prof.per_message, np.clip(want, 0.0, 1.0))
+        assert len(records) == 2
+        for prof, (got, exact, bound) in zip(profiles, records):
+            assert np.all(exact > 0.0)
+            assert np.all(np.abs(got - exact) <= bound * exact)
+            assert np.array_equal(prof.per_message, np.clip(got, 0.0, 1.0))
 
     @pytest.mark.parametrize("power", [2, 4, None])
     @pytest.mark.parametrize("kind", ["ml", "mmi"])
     def test_row_sums_across_block_edges(self, monkeypatch, power, kind):
-        # 3^9 = 19683 outputs first split at 9840, which no block of 3^2,
-        # 3^4 or (by default) 3^7 outputs divides: leaves straddle blocks
+        """3^9 outputs on the 2x3 channel, in blocks of 3^2, 3^4 or (by
+        default) 3^7 classes and outputs: the row sums are within
+        ``class_sums_bound`` of the exactly rounded sums, and the same bits
+        whatever the blocking."""
         cb = sample_codebook(9, 4, Dist(np.array([1 / 3, 2 / 3])), seed=12)
         metric, cfg = (ML, GldConfig(metric=ML, beta=1.0)) if kind == "ml" else (MMI, GldConfig(metric=MMI))
+
+        def run():
+            return [exact_error_profile(cb, CH23, metric).per_message,
+                    exact_error_profile_gld(cb, CH23, cfg).per_message]
+
+        default = run()
         if power is not None:
             monkeypatch.setattr(sim, "_BLOCK_OUTPUTS", 3**power)
-        pairs = record_row_sums(monkeypatch)
-        exact_error_profile(cb, CH23, metric)
-        exact_error_profile_gld(cb, CH23, cfg)
-        assert len(pairs) == 2
-        for got, want in pairs:
+        records = record_class_sums(monkeypatch)
+        for got, want in zip(run(), default):
             assert np.array_equal(got, want)
+        assert len(records) == 2
+        for got, exact, bound in records:
+            assert np.all(np.abs(got - exact) <= bound * exact)
+
+    def test_no_output_is_visited(self, monkeypatch):
+        """The profiles never map classes onto outputs: with ``gather``
+        raising, the n = 20 codebook's ML, MMI and GLD profiles still run."""
+        ch, cb = REFERENCE_CASES["bsc-n20"]
+
+        def refuse(self, table, out):
+            raise AssertionError("an error profile enumerated the outputs")
+
+        monkeypatch.setattr(sim._OutputClasses, "gather", refuse)
+        for metric in (ML, MMI):
+            assert exact_error_profile(cb, ch, metric).per_message.shape == (4,)
+        for cfg in (GldConfig(metric=ML, beta=1.0), GldConfig(metric=MMI)):
+            assert exact_error_profile_gld(cb, ch, cfg).per_message.shape == (4,)
 
     def test_memory_is_one_float_row_per_message_plus_blocks(self):
         # n = 18, M = 4 under MMI peaked at 148 MiB with every output's
@@ -556,6 +626,20 @@ class TestJointTypeTables:
         want = _every_output(cb, ch)
         for power, hashes in got.items():
             assert hashes == want, power
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_multiplicities_count_the_outputs(self, case):
+        """mult(c), the outer product of ``mult_high`` and ``mult_low``, is
+        the number of outputs whose class code is c, counted over all |Y|^n
+        outputs; it sums to |Y|^n exactly."""
+        ch, cb = REFERENCE_CASES[case]
+        classes = sim._OutputClasses(cb, ch, 2**20)
+        outputs = ch.n_out**cb.n
+        codes = classes.gather(np.arange(classes.size)[None], np.empty((1, outputs), dtype=np.int64))
+        count = np.bincount(codes[0], minlength=classes.size)
+        mult = np.multiply.outer(classes.mult_high, classes.mult_low).ravel()
+        assert np.array_equal(mult, count)
+        assert mult.sum() == outputs
 
     @pytest.mark.parametrize("case, tables", [("2x3-subcode", 3), ("4x4-subcode", 3), ("bsc-n20", 1)])
     def test_a_table_per_row_coding(self, case, tables):
