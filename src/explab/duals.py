@@ -36,6 +36,7 @@ import bisect
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -245,7 +246,8 @@ def theta(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
     ``gamma``). Every conditional feasible for Gamma_ML has a nonpositive
     drive a - g_ML, so theta <= Gamma_ML; rho = 0 contributes exactly 0, so
     theta >= 0. +inf when no conditional on the search grid meets the
-    threshold (the sup over rho is unbounded).
+    threshold (the sup over rho is unbounded). When the true channel's own
+    drive is <= 0 (it has kl = 0), theta is exactly 0 and no search runs.
     """
     return _theta_full(q_xx, rate, ch, q_x, opts)["value"]
 
@@ -428,10 +430,29 @@ class _ThetaProblem:
         hit = self._seen[key] = (st["kl"], d)
         return hit
 
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The global mesh's (kl, drive), merged into the pool after the
+        true channel (kl = 0); None, and no mesh, when the channel's own
+        drive is <= 0, which makes theta exactly 0."""
+        _, d = self._add_rows(self.ctx.ch.w[self.mesh.x_of])
+        return None if d <= 0 else self._add_mesh(self.mesh)
+
+    def cap(self) -> float:
+        """min kl over the true channel and the global mesh's candidates
+        with drive <= 0. Each keeps kl + rho*drive <= kl at every rho >= 0,
+        so theta <= cap, up to the rounding of ``_envelope_sup``'s two-point
+        mixtures."""
+        if self._grid is None:
+            return 0.0
+        kl, drive = self._grid
+        return float(np.min(kl, where=drive <= 0, initial=math.inf))
+
     def solve(self) -> dict:
         mesh, opts = self.mesh, self.ctx.opts
-        self._add_rows(self.ctx.ch.w[mesh.x_of])  # the true channel: kl = 0
-        kl, drive = self._add_mesh(mesh)
+        if self._grid is None:  # the sup would end at max(value <= 0, 0.0)
+            return {"value": 0.0, "rho": 0.0, "hit_boundary": False}
+        kl, drive = self._grid
         _, rho, i, j = self._envelope()
         if i < 0:
             return {"value": math.inf, "rho": math.inf, "hit_boundary": True}
@@ -476,6 +497,15 @@ def _theta_full(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
     if hit is None:
         hit = memo[key] = _ThetaProblem(q_xx, rate, ch, q_x, opts).solve()
     return hit
+
+
+def _theta_cap(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
+               opts: OptimizerOptions) -> float:
+    """theta's memoized value, or else ``_ThetaProblem.cap``. The problem
+    built for the cap is dropped: were theta then solved, the solve builds
+    its own, about 3 % of its time."""
+    hit = _channel_memo(ch, "theta", q_x.probs.tobytes(), opts).get((rate, q_xx.probs.tobytes()))
+    return hit["value"] if hit is not None else _ThetaProblem(q_xx, rate, ch, q_x, opts).cap()
 
 
 # ---------------------------------------------------------------------------
@@ -560,25 +590,45 @@ class _TiltedProblem:
         value = max(value, self._inner(0.0, penalty, rate))
         return {"value": float(value), "mu": best_mu, "hit_boundary": hit_boundary}
 
+    def cap(self, rate: float) -> float:
+        """min kl over the mesh's candidates with rate - I(X';Y) <= 0. Every
+        ``_inner`` value of solve('rate', rate) is at most its mesh minimum,
+        which is at most kl + mu*(rate - I(X';Y)) <= kl at each of them, in
+        floats too: so phi <= cap exactly."""
+        return float(np.min(self.kl, where=self._drive("rate", rate) <= 0, initial=math.inf))
+
+
+def _tilted_problem(q_xx: Joint2, ch: Channel, opts: OptimizerOptions) -> _TiltedProblem:
+    """The coupling's ``_TiltedProblem``. Only the latest coupling's problem
+    is kept, so lambda and phi there share one mesh evaluation and probe
+    memo: kept for every coupling, the probe memos would hold most of a
+    certify run's memory."""
+    latest = _channel_memo(ch, "tilted problem", opts)
+    key = q_xx.probs.tobytes()
+    prob = latest.get(key)
+    if prob is None:
+        latest.clear()
+        prob = latest[key] = _TiltedProblem(q_xx, ch, opts)
+    return prob
+
 
 def _tilted_value(q_xx: Joint2, ch: Channel, opts: OptimizerOptions,
                   penalty: str, rate: float) -> float:
     """``_TiltedProblem(q_xx, ch, opts).solve(penalty, rate)``'s value,
-    memoized per channel on (the coupling's bytes, penalty, rate). Only the
-    latest coupling's problem is kept, so lambda and phi there share one
-    mesh evaluation and probe memo: kept for every coupling, the probe
-    memos would hold most of a certify run's memory."""
+    memoized per channel on (the coupling's bytes, penalty, rate)."""
     values = _channel_memo(ch, "tilted", opts)
-    key = q_xx.probs.tobytes()
-    hit = values.get((key, penalty, rate))
+    key = (q_xx.probs.tobytes(), penalty, rate)
+    hit = values.get(key)
     if hit is None:
-        latest = _channel_memo(ch, "tilted problem", opts)
-        prob = latest.get(key)
-        if prob is None:
-            latest.clear()
-            prob = latest[key] = _TiltedProblem(q_xx, ch, opts)
-        hit = values[(key, penalty, rate)] = prob.solve(penalty, rate)["value"]
+        hit = values[key] = _tilted_problem(q_xx, ch, opts).solve(penalty, rate)["value"]
     return hit
+
+
+def _phi_cap(q_xx: Joint2, rate: float, ch: Channel, opts: OptimizerOptions) -> float:
+    """phi's memoized value, or else ``_TiltedProblem.cap`` of the
+    coupling's problem (the one lambda there has just used)."""
+    hit = _channel_memo(ch, "tilted", opts).get((q_xx.probs.tobytes(), "rate", rate))
+    return hit if hit is not None else _tilted_problem(q_xx, ch, opts).cap(rate)
 
 
 def lambda_bound(q_xx: Joint2, ch: Channel,
@@ -621,21 +671,40 @@ def ml_upper_bound(rp: RatePoint, ch: Channel,
     Named for its place in the certified chain, but psi and theta are lower
     bounds of Gamma_ML at every coupling, so in exact arithmetic this value
     cannot exceed the ML-decoding TRC exponent.
+
+    theta is solved only where it can beat psi: where its cap
+    (``_ThetaProblem.cap``, from the global mesh that starts its search)
+    is below psi by more than 1e-12*max(1, psi), a margin over the cap's
+    rounding, the value is psi, which is max{psi, theta} as it stands.
     """
-    return _outer_bound(rp, opts, lambda j2: max(
-        psi(j2, ch), theta(j2, rp.rate, ch, rp.composition, opts)))
+    qx = rp.composition
+
+    def per_coupling(j2: Joint2) -> float:
+        p = psi(j2, ch)
+        if _theta_cap(j2, rp.rate, ch, qx, opts) < p - 1e-12 * max(1.0, p):
+            return p
+        return max(p, theta(j2, rp.rate, ch, qx, opts))
+
+    return _outer_bound(rp, opts, per_coupling)
 
 
 def mmi_lower_bound(rp: RatePoint, ch: Channel,
                     opts: OptimizerOptions = OptimizerOptions()) -> float:
     """Lower bound on the MMI-decoding TRC exponent:
     min over {I <= 2R} of max{lambda, phi} + I - R, with lambda alone at
-    rates where phi does not relax Gamma_MMI (``_phi_relaxes``)."""
+    rates where phi does not relax Gamma_MMI (``_phi_relaxes``).
+
+    phi is solved only where it can beat lambda: where its cap
+    (``_TiltedProblem.cap``, on the mesh lambda has just used) is at most
+    lambda, phi is too, so the value is lambda, which is max{lambda, phi}
+    as it stands."""
     use_phi = _phi_relaxes(rp, ch)
 
     def per_coupling(j2: Joint2) -> float:
         lm = lambda_bound(j2, ch, opts)
-        return max(lm, phi_bound(j2, rp.rate, ch, opts)) if use_phi else lm
+        if not use_phi or _phi_cap(j2, rp.rate, ch, opts) <= lm:
+            return lm
+        return max(lm, phi_bound(j2, rp.rate, ch, opts))
 
     return _outer_bound(rp, opts, per_coupling)
 

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+from explab import duals
 from explab.duals import (
     BoundReport,
     _TiltedProblem,
@@ -519,6 +521,72 @@ class TestOuterBounds:
     def test_deterministic_across_runs(self):
         rp = RatePoint(0.1, UNIF)
         assert ml_upper_bound(rp, BSC01, OPTS) == ml_upper_bound(rp, BSC01, OPTS)
+
+    @pytest.mark.parametrize("rows, rate", [
+        ([[0.9, 0.1], [0.1, 0.9]], 0.01), ([[0.9, 0.1], [0.1, 0.9]], 0.1),
+        ([[0.9, 0.1], [0.1, 0.9]], 0.3), ([[0.75, 0.25], [0.1, 0.9]], 0.2)],
+        ids=["bsc-R0.01", "bsc-R0.1", "bsc-R0.3", "asym-R0.2"])
+    def test_caps_change_no_bit(self, rows, rate, monkeypatch):
+        # the outer bounds skip theta and phi where their caps say they
+        # cannot beat psi and lambda; solved everywhere (caps and the
+        # theta = 0 exit off, on a fresh channel's memos) they must agree
+        opts = OptimizerOptions(refine_iters=4)
+        rp = RatePoint(rate, UNIF)
+        caps = {"theta": [], "phi": []}
+
+        def recorded(name, cap):
+            def rec(q_xx, *args):
+                caps[name].append((q_xx, cap(q_xx, *args)))
+                return caps[name][-1][1]
+            return rec
+
+        monkeypatch.setattr(duals, "_theta_cap", recorded("theta", duals._theta_cap))
+        monkeypatch.setattr(duals, "_phi_cap", recorded("phi", duals._phi_cap))
+        ch = Channel.from_rows(rows)
+        got = ml_upper_bound(rp, ch, opts), mmi_lower_bound(rp, ch, opts)
+
+        def grid_always(self):
+            self._add_rows(self.ctx.ch.w[self.mesh.x_of])
+            return self._add_mesh(self.mesh)
+
+        grid = cached_property(grid_always)
+        grid.__set_name__(duals._ThetaProblem, "_grid")
+        monkeypatch.setattr(duals, "_theta_cap", lambda *args: math.inf)
+        monkeypatch.setattr(duals, "_phi_cap", lambda *args: math.inf)
+        monkeypatch.setattr(duals._ThetaProblem, "_grid", grid)
+        full = Channel.from_rows(rows)
+        assert got == (ml_upper_bound(rp, full, opts), mmi_lower_bound(rp, full, opts))
+        # where a cap fired, the solve it skipped could not move the max
+        # (theta and phi are memo hits on the full run's channel); at R = 0.3
+        # and on the asymmetric channel none fires
+        for q, cap in caps["theta"]:
+            p = psi(q, full)
+            if cap < p - 1e-12 * max(1.0, p):
+                assert theta(q, rate, full, UNIF, opts) <= p
+        for q, cap in caps["phi"]:
+            lm = lambda_bound(q, full, opts)
+            if cap <= lm:
+                assert phi_bound(q, rate, full, opts) <= lm
+
+    def test_certify_solves_theta_and_phi_on_the_grid_only(self, monkeypatch):
+        # on BSC(0.1) at R = 0.01 neither outer bound needs theta or phi
+        # past the three couplings of certify's own table
+        runs = {"theta": 0, "phi": 0}
+
+        def counted(name, solve, wanted=lambda *args: True):
+            def run(self, *args):
+                runs[name] += wanted(*args)
+                return solve(self, *args)
+            return run
+
+        monkeypatch.setattr(duals._ThetaProblem, "solve",
+                            counted("theta", duals._ThetaProblem.solve))
+        monkeypatch.setattr(duals._TiltedProblem, "solve",
+                            counted("phi", duals._TiltedProblem.solve,
+                                    lambda penalty, *rest: penalty == "rate"))
+        certify_theorem1(RatePoint(0.01, UNIF), Channel.bsc(0.1), OPTS)
+        assert 0 < runs["theta"] <= 3
+        assert 0 < runs["phi"] <= 3
 
 
 class TestCertify:

@@ -1,4 +1,10 @@
-"""Golden outputs: CLI results on BSC(0.1) must equal a stored snapshot.
+"""Golden outputs: CLI results must equal a stored snapshot.
+
+Most commands run on BSC(0.1). Two ``certify theorem1`` runs use asymmetric
+channels, where psi and theta (and lambda and phi) differ between a coupling
+and its mirror image: [[0.75, 0.25], [0.1, 0.9]] at R = 0.2 and the
+Z-channel [[1, 0], [0.2, 0.8]] at R = 0.01. The snapshot pins today's values,
+known faults included.
 
 Performance changes promise byte-identical outputs; this test keeps that
 promise checked. The parsed JSON of each command, minus the machine-specific
@@ -19,8 +25,12 @@ import pytest
 
 from explab.cli import run as cli_run
 
-SNAPSHOT = pathlib.Path(__file__).parent / "data" / "golden_bsc01.json"
-CHANNEL = "dmc 2 2\n0.9 0.1\n0.1 0.9\n"
+SNAPSHOT = pathlib.Path(__file__).parent / "data" / "golden.json"
+CHANNELS = {
+    "bsc01": "dmc 2 2\n0.9 0.1\n0.1 0.9\n",
+    "asym": "dmc 2 2\n0.75 0.25\n0.1 0.9\n",
+    "z": "dmc 2 2\n1 0\n0.2 0.8\n",
+}
 COMMANDS = {
     "certify-theorem1-0": ["certify", "theorem1", "--rate", "0"],
     "certify-theorem1-0.01": ["certify", "theorem1", "--rate", "0.01"],
@@ -29,14 +39,19 @@ COMMANDS = {
     **{f"simulate-{decoder}": ["simulate", "--n", "14", "--M", "4", "--samples", "2",
                                "--seed", "7", "--decoder", decoder]
        for decoder in ("ml", "mmi", "gld")},
+    "certify-theorem1-asym-0.2": ["certify", "theorem1", "--rate", "0.2"],
+    "certify-theorem1-z-0.01": ["certify", "theorem1", "--rate", "0.01"],
 }
+# the commands not run on BSC(0.1)
+CHANNEL_OF = {"certify-theorem1-asym-0.2": "asym", "certify-theorem1-z-0.01": "z"}
 
 
 def _outputs(workdir: pathlib.Path, names) -> dict:
-    ch_file = workdir / "bsc01.ch"
-    ch_file.write_text(CHANNEL)
     got = {}
     for name in names:
+        channel = CHANNEL_OF.get(name, "bsc01")
+        ch_file = workdir / f"{channel}.ch"
+        ch_file.write_text(CHANNELS[channel])
         out = workdir / f"{name}.json"
         argv = COMMANDS[name] + ["--channel", str(ch_file), "--threads", "1", "--out", str(out)]
         assert cli_run(argv, echo=lambda *a, **k: None) == 0, name
