@@ -41,8 +41,8 @@ from .exponents import (
 )
 from .prob import Channel, Dist, ProbError
 from .simulate import (
-    DEFAULT_ENUM_CAP,
     GldConfig,
+    _check_enumerable,
     _trial_summary,
     exact_error_profile,
     exact_error_profile_gld,
@@ -239,22 +239,10 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Every setting that can change a result; ``threads`` cannot."""
-        return {
-            "command": self.command,
-            "channel_path": self.channel_path,
-            "channel": {"n_in": self.channel.n_in, "n_out": self.channel.n_out,
-                        "rows": [list(r) for r in self.channel.rows],
-                        "name": self.channel.name},
-            "rates": self.rates,
-            "composition": self.composition,
-            "metric": self.metric,
-            "grid_step": self.grid_step,
-            "refine_iters": self.refine_iters,
-            "certify_tol": self.certify_tol,
-            "n": self.n, "M": self.m_count, "samples": self.samples,
-            "seed": self.seed, "beta": self.beta, "decoder": self.decoder,
-            "strict": self.strict, "bits": self.bits,
-        }
+        d = asdict(self)
+        del d["threads"]
+        d["M"] = d.pop("m_count")
+        return d
 
 
 def parse_rates(spec: str) -> list[float]:
@@ -414,6 +402,7 @@ def cmd_simulate(cfg: RunConfig, out, csv_path, echo) -> int:
     ch = cfg.channel.to_channel()
     comp = Dist(np.array(cfg.composition))
     metric = ML if cfg.metric == "ml" else MMI
+    _check_enumerable(cfg.n, ch.n_out)  # before any codebook is drawn
 
     def run_sample(i: int) -> dict:
         cb = sample_codebook(cfg.n, cfg.m_count, comp, seed=[cfg.seed, i])
@@ -544,9 +533,6 @@ def run(argv: list[str] | None = None, echo=print) -> int:
         cfg.n, cfg.m_count = args.n, args.M
         cfg.samples, cfg.seed = args.samples, args.seed
         cfg.decoder, cfg.beta = args.decoder, args.beta
-        if cfg.n * spec.n_out > 0 and spec.n_out**cfg.n > DEFAULT_ENUM_CAP:
-            raise CliError(f"|Y|^n = {spec.n_out**cfg.n} exceeds the enumeration "
-                           f"cap {DEFAULT_ENUM_CAP}")
         return cmd_simulate(cfg, args.out, getattr(args, "csv", None), echo)
     except (CliError, ProbError, OSError) as exc:
         echo(f"error: {exc}", file=sys.stderr) if echo is print else echo(f"error: {exc}")

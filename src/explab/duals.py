@@ -35,7 +35,7 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -83,33 +83,18 @@ from .search import (
 
 def log_g_aux(y: int, sigma: float, tau: float, v: np.ndarray,
               ch: Channel, q_x: Dist) -> float:
-    """log of the auxiliary kernel for output symbol y.
-
-    For sigma > 0 this is sigma * log sum_x [W(y|x) q(x)^tau v(x)^-tau]^(1/sigma),
-    evaluated stably in the log domain; sigma = 0 takes the exact max-term
-    limit (needed because the bound chain picks sigma = 0). Terms with
-    W(y|x) = 0 or q(x) = 0 (for tau > 0) drop out of the sum.
-    """
+    """log of the auxiliary kernel for output symbol y: one point of
+    ``_log_g_aux_mesh``. V must be strictly positive wherever W(y|x) > 0
+    and (for tau > 0) q(x) > 0; elsewhere its entries drop out."""
     if sigma < 0 or tau < 0:
         raise ProbError("sigma and tau must be nonnegative")
     v = np.asarray(v, dtype=float)
-    q = q_x.probs
-    col = ch.w[:, y]
-    alive = col > 0 if tau == 0 else (col > 0) & (q > 0)
+    alive = (ch.w[:, y] > 0) & (q_x.probs > 0)
     if tau > 0 and np.any(alive & (v <= 0)):
         raise ProbError("V must be strictly positive wherever the Q_X-weighted "
                         "channel column is positive")
-    if not alive.any():
-        return -math.inf
-    t = np.full(q.size, -np.inf)
-    t[alive] = ch.log_matrix[alive, y]
-    if tau > 0:
-        t[alive] += tau * (np.log(q[alive]) - np.log(v[alive]))
-    if sigma == 0.0:
-        return float(t.max())
-    scaled = t / sigma
-    m = scaled.max()
-    return float(sigma * (m + np.log(np.exp(scaled - m).sum())))
+    v = np.where(v > 0, v, 1.0)[None, :]
+    return float(_log_g_aux_mesh(np.array([sigma]), np.array([tau]), v, ch, q_x)[0, 0, 0, y])
 
 
 def g_aux(y: int, sigma: float, tau: float, v: np.ndarray,
@@ -120,12 +105,19 @@ def g_aux(y: int, sigma: float, tau: float, v: np.ndarray,
 
 def _log_g_aux_mesh(sigmas: np.ndarray, taus: np.ndarray, vs: np.ndarray,
                     ch: Channel, q_x: Dist) -> np.ndarray:
-    """log G over a full (sigma, tau, V, y) mesh; sigma = 0 rows use the
-    max-term limit. vs has shape (nV, nx)."""
+    """log G over a full (sigma, tau, V, y) mesh, vs of shape (nV, nx) and
+    strictly positive. For sigma > 0 this is
+
+        sigma * log sum_x [W(y|x) q(x)^tau v(x)^-tau]^(1/sigma),
+
+    evaluated stably in the log domain; sigma = 0 takes the exact max-term
+    limit (the bound chain picks sigma = 0). Terms with W(y|x) = 0, or
+    q(x) = 0 at tau > 0, drop out of the sum, and an output with no term
+    left has log G = -inf."""
     q = q_x.probs
     logw = ch.log_matrix  # (nx, ny)
     logq = np.where(q > 0, np.log(np.where(q > 0, q, 1.0)), -np.inf)
-    logv = np.log(vs)  # (nV, nx); vs > 0 enforced by the caller's grid
+    logv = np.log(vs)  # (nV, nx)
     # contribution tau * (logq - logv), with tau = 0 killing the factor even
     # on zero composition entries (q^0 = 1)
     with np.errstate(invalid="ignore"):
@@ -136,14 +128,13 @@ def _log_g_aux_mesh(sigmas: np.ndarray, taus: np.ndarray, vs: np.ndarray,
     t = np.where(np.isnan(t), -np.inf, t)
     out = np.empty((sigmas.size, taus.size, vs.shape[0], ch.n_out))
     tmax = t.max(axis=2)  # (tau, V, y)
+    shift = np.where(np.isneginf(tmax), 0.0, tmax)[:, :, None, :]  # no -inf - -inf
     for i, sig in enumerate(sigmas):
         if sig == 0.0:
             out[i] = tmax
         else:
-            scaled = (t - tmax[:, :, None, :]) / sig
-            with np.errstate(invalid="ignore"):
-                s = np.exp(scaled).sum(axis=2)
-            out[i] = tmax + sig * np.log(s)
+            with np.errstate(divide="ignore"):  # log 0 where no term is left
+                out[i] = tmax + sig * np.log(np.exp((t - shift) / sig).sum(axis=2))
     return out
 
 
@@ -226,7 +217,8 @@ def threshold_dual(rate: float, q_y: Dist, ch: Channel, q_x: Dist,
     d_qv = np.where(q > 0, q * log_ratio, 0.0).sum(axis=1)  # D(Q_X || V) per V
     lead = (sigmas[:, None, None] * (rate - entropy(q_x))
             - taus[None, :, None] * d_qv[None, None, :])
-    return lead + log_g @ q_y.probs
+    # an output with Q_Y(y) = 0 adds 0 * log G(y) = 0, even where G(y) = 0
+    return lead + np.where(q_y.probs > 0, log_g, 0.0) @ q_y.probs
 
 
 def theta(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
@@ -750,6 +742,17 @@ class CouplingMargins:
         return out + [self.gamma_mmi_minus_phi] if self.phi_judged else out
 
 
+# BoundReport's margin fields and their keys under "margins"
+_MARGIN_KEYS = {
+    "margin_lambda_psi": "lambda_minus_psi",
+    "margin_phi_theta": "phi_minus_theta",
+    "margin_mmi_ml": "mmi_lower_minus_ml_upper",
+    "margin_upper_vs_trc_ml": "ml_upper_minus_trc_ml",
+    "margin_trc_mmi_vs_lower": "trc_mmi_minus_mmi_lower",
+    "primal_gap": "primal_gap",
+}
+
+
 @dataclass
 class BoundReport:
     """Everything certify_theorem1 measured, margins included.
@@ -760,7 +763,8 @@ class BoundReport:
     lists infinite/unbounded or unjudged quantities with reasons.
     ``margin_lambda_psi`` and ``margin_phi_theta`` are the worst cross
     margins over the couplings (``psi`` .. ``phi`` are the values where they
-    occur); they are reported only.
+    occur); they are reported only. Infinite and NaN values stay floats:
+    the CLI's JSON encoder writes them as strings.
     """
 
     rate: float
@@ -785,94 +789,14 @@ class BoundReport:
     passed: bool = False
 
     def to_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, float):
-                if math.isinf(v):
-                    return "+inf" if v > 0 else "-inf"
-                if math.isnan(v):
-                    return "nan"
-            return v
-
-        d = {
-            "rate": self.rate,
-            "composition": self.composition,
-            "certify_tol": self.certify_tol,
-            "psi": enc(self.psi), "theta": enc(self.theta),
-            "lambda": enc(self.lambda_), "phi": enc(self.phi),
-            "ml_upper": enc(self.ml_upper), "mmi_lower": enc(self.mmi_lower),
-            "trc_ml": enc(self.trc_ml), "trc_mmi": enc(self.trc_mmi),
-            "margins": {
-                "lambda_minus_psi": enc(self.margin_lambda_psi),
-                "phi_minus_theta": enc(self.margin_phi_theta),
-                "mmi_lower_minus_ml_upper": enc(self.margin_mmi_ml),
-                "ml_upper_minus_trc_ml": enc(self.margin_upper_vs_trc_ml),
-                "trc_mmi_minus_mmi_lower": enc(self.margin_trc_mmi_vs_lower),
-                "primal_gap": enc(self.primal_gap),
-            },
-            "per_coupling": [
-                {
-                    "coupling": c.coupling,
-                    "information": c.information,
-                    "psi": enc(c.psi), "theta": enc(c.theta),
-                    "lambda": enc(c.lambda_), "phi": enc(c.phi),
-                    "gamma_ml": enc(c.gamma_ml), "gamma_mmi": enc(c.gamma_mmi),
-                    "gamma_ml_minus_psi": enc(c.gamma_ml_minus_psi),
-                    "gamma_ml_minus_theta": enc(c.gamma_ml_minus_theta),
-                    "gamma_mmi_minus_lambda": enc(c.gamma_mmi_minus_lambda),
-                    "gamma_mmi_minus_phi": enc(c.gamma_mmi_minus_phi),
-                    "phi_judged": c.phi_judged,
-                    "lambda_minus_psi": enc(c.lambda_minus_psi),
-                    "phi_minus_theta": enc(c.phi_minus_theta),
-                }
-                for c in self.per_coupling
-            ],
-            "flags": self.flags,
-            "passed": self.passed,
-        }
+        """The report as plain data for a result file: ``lambda_`` is
+        "lambda", here and per coupling, and the six report margins go under
+        "margins" (``_MARGIN_KEYS``)."""
+        d = asdict(self)
+        for c in [d, *d["per_coupling"]]:
+            c["lambda"] = c.pop("lambda_")
+        d["margins"] = {key: d.pop(name) for name, key in _MARGIN_KEYS.items()}
         return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "BoundReport":
-        def dec(v):
-            if v == "+inf":
-                return math.inf
-            if v == "-inf":
-                return -math.inf
-            if v == "nan":
-                return math.nan
-            return v
-
-        per = [
-            CouplingMargins(
-                coupling=c["coupling"], information=c["information"],
-                psi=dec(c["psi"]), theta=dec(c["theta"]),
-                lambda_=dec(c["lambda"]), phi=dec(c["phi"]),
-                gamma_ml=dec(c["gamma_ml"]), gamma_mmi=dec(c["gamma_mmi"]),
-                gamma_ml_minus_psi=dec(c["gamma_ml_minus_psi"]),
-                gamma_ml_minus_theta=dec(c["gamma_ml_minus_theta"]),
-                gamma_mmi_minus_lambda=dec(c["gamma_mmi_minus_lambda"]),
-                gamma_mmi_minus_phi=dec(c["gamma_mmi_minus_phi"]),
-                phi_judged=c["phi_judged"],
-                lambda_minus_psi=dec(c["lambda_minus_psi"]),
-                phi_minus_theta=dec(c["phi_minus_theta"]),
-            )
-            for c in d["per_coupling"]
-        ]
-        m = d["margins"]
-        return BoundReport(
-            rate=d["rate"], composition=d["composition"], certify_tol=d["certify_tol"],
-            psi=dec(d["psi"]), theta=dec(d["theta"]),
-            lambda_=dec(d["lambda"]), phi=dec(d["phi"]),
-            ml_upper=dec(d["ml_upper"]), mmi_lower=dec(d["mmi_lower"]),
-            trc_ml=dec(d["trc_ml"]), trc_mmi=dec(d["trc_mmi"]),
-            margin_lambda_psi=dec(m["lambda_minus_psi"]),
-            margin_phi_theta=dec(m["phi_minus_theta"]),
-            margin_mmi_ml=dec(m["mmi_lower_minus_ml_upper"]),
-            margin_upper_vs_trc_ml=dec(m["ml_upper_minus_trc_ml"]),
-            margin_trc_mmi_vs_lower=dec(m["trc_mmi_minus_mmi_lower"]),
-            primal_gap=dec(m["primal_gap"]),
-            per_coupling=per, flags=d["flags"], passed=d["passed"],
-        )
 
 
 def _margin(hi: float, lo: float) -> float:

@@ -58,6 +58,7 @@ from .prob import (
     coupling_grid,
     mutual_information,
     simplex_grid_array,
+    xlogx,
 )
 from .search import (
     BUDGET,
@@ -68,7 +69,6 @@ from .search import (
     golden_max,
     mi_batch,
     pattern_min,
-    xlogx,
     zoom_slot_grids,
 )
 

@@ -181,29 +181,35 @@ class Channel:
 # ---------------------------------------------------------------------------
 
 
-def _xlogx(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    m = v > 0
-    out[m] = v[m] * np.log(v[m])
-    return out
+def xlogx(a: np.ndarray, out: np.ndarray | None = None,
+          pos: np.ndarray | None = None) -> np.ndarray:
+    """x log x entry by entry, 0.0 where x <= 0 or NaN. out (not a itself)
+    and pos, for the mask x > 0, are optional buffers of a's shape."""
+    pos = np.greater(a, 0, out=pos)
+    if out is None:
+        out = np.zeros_like(a)
+    else:
+        out.fill(0.0)
+    np.log(a, out=out, where=pos)
+    return np.multiply(out, a, out=out, where=pos)
 
 
 def entropy(d: Dist) -> float:
     """Shannon entropy in nats, with 0 log 0 = 0."""
-    return float(-_xlogx(d.probs).sum())
+    return float(-xlogx(d.probs).sum())
 
 
 def conditional_entropy(j: Joint2) -> float:
     """H(row-variable | column-variable) in nats."""
     col = j.probs.sum(axis=0)
-    return float(-_xlogx(j.probs).sum() + _xlogx(col).sum())
+    return float(-xlogx(j.probs).sum() + xlogx(col).sum())
 
 
 def mutual_information(j: Joint2) -> float:
     """I(row; col) in nats; tiny negative round-off is clamped to 0."""
     row = j.probs.sum(axis=1)
     col = j.probs.sum(axis=0)
-    v = float(_xlogx(j.probs).sum() - _xlogx(row).sum() - _xlogx(col).sum())
+    v = float(xlogx(j.probs).sum() - xlogx(row).sum() - xlogx(col).sum())
     return v if v > 0.0 else 0.0
 
 

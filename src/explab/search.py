@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .prob import simplex_grid_array, simplex_grid_size
+from .prob import simplex_grid_array, simplex_grid_size, xlogx
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 BUDGET = 2_000_000  # most mesh candidates, times |X|*|Y|, scored in one build
@@ -45,19 +45,6 @@ RAY_HI = 8.0  # ray suprema search [0, RAY_HI] first, doubling on boundary hits
 # ---------------------------------------------------------------------------
 
 
-def xlogx(a: np.ndarray, out: np.ndarray | None = None,
-          pos: np.ndarray | None = None) -> np.ndarray:
-    """x log x entry by entry, 0.0 where x <= 0 or NaN. out (not a itself)
-    and pos, for the mask x > 0, are optional buffers of a's shape."""
-    pos = np.greater(a, 0, out=pos)
-    if out is None:
-        out = np.zeros_like(a)
-    else:
-        out.fill(0.0)
-    np.log(a, out=out, where=pos)
-    return np.multiply(out, a, out=out, where=pos)
-
-
 def mi_batch(j: np.ndarray) -> np.ndarray:
     """Mutual information of a batch of joints, shape (..., A, B) -> (...):
     sum xlogx(cells) - sum_x xlogx(row sums) - sum_y xlogx(column sums), each
@@ -67,10 +54,6 @@ def mi_batch(j: np.ndarray) -> np.ndarray:
     col = j.sum(axis=-2)
     v = xlogx(j).sum(axis=(-2, -1)) - xlogx(row).sum(axis=-1) - xlogx(col).sum(axis=-1)
     return np.maximum(v, 0.0)
-
-
-def entropy_batch(p: np.ndarray) -> np.ndarray:
-    return -xlogx(p).sum(axis=-1)
 
 
 def elog_batch(j: np.ndarray, logw: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 No Monte Carlo over channel outputs anywhere: per-message error
 probabilities sum the exact product channel probabilities of the
 decoding-error region over every output sequence y in Y^n (at most
-``enum_cap`` of them). Randomness enters only through codebook sampling,
-which is seeded and reproducible.
+``_ENUM_CAP`` = 2^20 of them). Randomness enters only through codebook
+sampling, which is seeded and reproducible.
 
 The decoders see y only through the joint type of (x_m, y), its counts
 N_m(a, b), and those depend only on how many positions of each column type
@@ -46,9 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import MMI, DecodingMetric
-from .prob import Channel, Dist, ProbError
+from .prob import Channel, Dist, ProbError, xlogx
 
-DEFAULT_ENUM_CAP = 2**20
+_ENUM_CAP = 2**20  # most outputs |Y|^n a profile enumerates
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,12 @@ def _blocks(parts: list, k: int):
             yield sv + hv[:, j:j + 1], sc + hc[j]
 
 
+def _check_enumerable(n: int, ny: int) -> None:
+    """Refuse a blocklength n whose |Y|^n = ny^n outputs exceed the cap."""
+    if ny**n > _ENUM_CAP:
+        raise ProbError(f"|Y|^n = {ny**n} exceeds the enumeration cap {_ENUM_CAP}")
+
+
 class _OutputClasses:
     """The outputs of one codebook, grouped into classes of equal joint counts.
 
@@ -248,10 +254,9 @@ class _OutputClasses:
     entries, each joint type scored once.
     """
 
-    def __init__(self, cb: Codebook, ch: Channel, enum_cap: int):
+    def __init__(self, cb: Codebook, ch: Channel):
         nx, ny, n, m_count = ch.n_in, ch.n_out, cb.n, cb.m_count
-        if ny**n > enum_cap:
-            raise ProbError(f"|Y|^n = {ny**n} exceeds the enumeration cap {enum_cap}")
+        _check_enumerable(n, ny)
         top = int(cb.codewords.max())
         if top >= nx:
             raise ProbError(f"codeword symbol {top} is outside the channel's input alphabet of size {nx}")
@@ -404,11 +409,7 @@ def _empirical_mi(counts: np.ndarray, n: int) -> np.ndarray:
     nf = counts.astype(float) / n
     row = nf.sum(axis=2)  # (m, a, t)
     col = nf.sum(axis=1)  # (m, b, t)
-
-    def xlx(v: np.ndarray) -> np.ndarray:
-        return np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
-
-    return (xlx(nf).sum(axis=(1, 2)) - xlx(row).sum(axis=1) - xlx(col).sum(axis=1))
+    return xlogx(nf).sum(axis=(1, 2)) - xlogx(row).sum(axis=1) - xlogx(col).sum(axis=1)
 
 
 def _decisions(scores: np.ndarray) -> np.ndarray:
@@ -424,15 +425,14 @@ def _decisions(scores: np.ndarray) -> np.ndarray:
 
 
 def exact_error_profile(cb: Codebook, ch: Channel,
-                        decoder: DecodingMetric = MMI,
-                        enum_cap: int = DEFAULT_ENUM_CAP) -> ErrorProfile:
+                        decoder: DecodingMetric = MMI) -> ErrorProfile:
     """Exact per-message error probabilities of the deterministic decoder.
 
     Decisions are argmax of the decoder score over messages with ties broken
     toward the lowest message index (``_decisions``); P_e|m sums W(y|x_m)
     over outputs decided away from m.
     """
-    classes = _OutputClasses(cb, ch, enum_cap)
+    classes = _OutputClasses(cb, ch)
     # codes that no class takes hold 0 (their multiplicity is 0)
     table = np.zeros((cb.m_count, classes.size))
     msgs = np.arange(cb.m_count)[:, None]
@@ -456,8 +456,7 @@ def _gld_exponents(scores: np.ndarray, n: int, cfg: GldConfig) -> np.ndarray:
 
 
 def exact_error_profile_gld(cb: Codebook, ch: Channel,
-                            cfg: GldConfig = GldConfig(),
-                            enum_cap: int = DEFAULT_ENUM_CAP) -> ErrorProfile:
+                            cfg: GldConfig = GldConfig()) -> ErrorProfile:
     """Exact per-message error probabilities of the stochastic GLD.
 
     P_e|m sums, over outputs, the transmit probability W(y|x_m) times the
@@ -465,7 +464,7 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
     every n*g is -inf (ML metric, no codeword can produce it) has transmit
     probability 0 for every message and adds 0.
     """
-    classes = _OutputClasses(cb, ch, enum_cap)
+    classes = _OutputClasses(cb, ch)
     table = np.zeros((cb.m_count, classes.size))
     for codes, scores, probs in classes.blocks(cfg.metric.kind):
         gn = _gld_exponents(scores, cb.n, cfg)
@@ -486,15 +485,14 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
 
 
 def competing_sum_log(cb: Codebook, ch: Channel,
-                      cfg: GldConfig = GldConfig(),
-                      enum_cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+                      cfg: GldConfig = GldConfig()) -> np.ndarray:
     """Concentration diagnostic: log of the competing-score mass per
     message/output, i.e. log sum over m' != m of exp{n g(joint of x_m', y)}.
 
     Shape (M, |Y|^n); -inf where a message has no finite-score competitor.
     M = 1 yields a single all -inf row.
     """
-    classes = _OutputClasses(cb, ch, enum_cap)
+    classes = _OutputClasses(cb, ch)
     m = cb.m_count
     if m == 1:
         return np.full((1, ch.n_out**cb.n), -np.inf)
@@ -512,8 +510,7 @@ def competing_sum_log(cb: Codebook, ch: Channel,
 
 
 def empirical_trc(n: int, m_count: int, q_x: Dist, ch: Channel,
-                  decoder: DecodingMetric, samples: int, seed: int,
-                  enum_cap: int = DEFAULT_ENUM_CAP) -> TrialSummary:
+                  decoder: DecodingMetric, samples: int, seed: int) -> TrialSummary:
     """Mean of log P_e over seeded codebook samples; exponent = -mean / n.
 
     Each sample draws its own RNG stream from (seed, sample index), so the
@@ -523,7 +520,7 @@ def empirical_trc(n: int, m_count: int, q_x: Dist, ch: Channel,
     if samples < 1:
         raise ProbError("need at least one sample")
     averages = [exact_error_profile(sample_codebook(n, m_count, q_x, seed=[seed, i]),
-                                    ch, decoder, enum_cap).average
+                                    ch, decoder).average
                 for i in range(samples)]
     return _trial_summary(averages, n, m_count, decoder.kind, seed)
 

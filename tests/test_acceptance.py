@@ -270,7 +270,7 @@ def test_criteria_6_and_7_exact_simulation():
         # disagreement only counts when the scores are not tied. The joint
         # counts of every output are built here by brute force; explab's
         # scores of each class are gathered onto its outputs
-        classes = _OutputClasses(cb, ch, 2**20)
+        classes = _OutputClasses(cb, ch)
         table = np.empty((m, classes.size))
         for codes, scores, _ in classes.blocks("mmi"):
             table[:, codes] = scores

@@ -1,13 +1,15 @@
+import json
 import math
 import tracemalloc
+import warnings
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 from explab import duals
+from explab.cli import json_dumps
 from explab.duals import (
-    BoundReport,
     _TiltedProblem,
     certify_theorem1,
     g_aux,
@@ -71,14 +73,42 @@ class TestGAux:
         sigmas = np.array([0.0, 0.3, 2.0])
         taus = np.array([0.0, 0.7, 3.0])
         vs = np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]])
+
+        def defining(y, s, t, v, q):
+            # the terms W(y|x) q(x)^t v(x)^-t that stay in the sum
+            terms = [ch.w[x, y] * (q[x] / v[x]) ** t for x in range(3)
+                     if ch.w[x, y] > 0 and (t == 0 or q[x] > 0)]
+            if s == 0:
+                return max(math.log(c) for c in terms)
+            return s * math.log(sum(c ** (1 / s) for c in terms))
+
         for q in (Dist(np.array([0.25, 0.5, 0.25])), Dist(np.array([0.5, 0.0, 0.5]))):
             mesh = _log_g_aux_mesh(sigmas, taus, vs, ch, q)
             for i, s in enumerate(sigmas):
                 for j, t in enumerate(taus):
                     for k, v in enumerate(vs):
                         for y in range(2):
-                            want = log_g_aux(y, s, t, v, ch, q)
+                            want = defining(y, s, t, v, q.probs)
                             assert mesh[i, j, k, y] == pytest.approx(want, abs=1e-12)
+                            assert log_g_aux(y, s, t, v, ch, q) == mesh[i, j, k, y]
+
+    def test_dead_output_column(self):
+        # no input reaches y = 2: log G(2) = -inf at every sigma, with no
+        # -inf - -inf on the way, and Q_Y(2) = 0 makes 0 * log G(2) = 0 in
+        # theta's threshold form, which then equals the form without y = 2
+        from explab.duals import _log_g_aux_mesh
+        ch = Channel.from_rows([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]])
+        two = Channel.from_rows([[0.5, 0.5], [0.25, 0.75]])
+        sigmas, taus, vs = np.array([0.0, 1.0]), np.array([0.0, 0.5]), np.array([[0.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = _log_g_aux_mesh(sigmas, taus, vs, ch, UNIF)
+            got = threshold_dual(0.1, Dist(np.array([0.4, 0.6, 0.0])), ch, UNIF, sigmas, taus, vs)
+        assert (mesh[:, :, :, 2] == -math.inf).all()
+        assert log_g_aux(2, 1.0, 0.5, UNIF.probs, ch, UNIF) == -math.inf
+        want = threshold_dual(0.1, Dist(np.array([0.4, 0.6])), two, UNIF, sigmas, taus, vs)
+        assert np.isfinite(got).all()
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestPsi:
@@ -590,20 +620,6 @@ class TestOuterBounds:
 
 
 class TestCertify:
-    def test_report_roundtrip(self):
-        rep = BoundReport(
-            rate=0.1, composition=[0.5, 0.5], certify_tol=1e-4,
-            psi=0.1, theta=math.inf, lambda_=0.2, phi=0.3,
-            ml_upper=0.4, mmi_lower=0.5, trc_ml=0.6, trc_mmi=0.7,
-            margin_lambda_psi=0.1, margin_phi_theta=-math.inf,
-            margin_mmi_ml=0.1, margin_upper_vs_trc_ml=0.0,
-            margin_trc_mmi_vs_lower=0.0, primal_gap=0.1,
-            per_coupling=[], flags=[{"quantity": "psi", "reason": "x"}],
-            passed=False,
-        )
-        again = BoundReport.from_dict(rep.to_dict())
-        assert again == rep
-
     def test_cross_margins_reported_not_judged(self):
         # at R = 0 the outer chain closes on the product coupling; the
         # antidiagonal's lambda - psi = -d_B (lambda = 0, psi = d_B there)
@@ -614,12 +630,15 @@ class TestCertify:
             assert c.phi_judged
             assert min(c.judged_margins()) >= -rep.certify_tol
         assert rep.passed
-        again = BoundReport.from_dict(rep.to_dict())
-        assert again.per_coupling == rep.per_coupling
 
     def test_noiseless_channel_flagged_not_crashed(self):
         ident = Channel.from_rows([[1.0, 0.0], [0.0, 1.0]])
         rep = certify_theorem1(RatePoint(0.35, UNIF), ident, OPTS)
-        assert any(f["quantity"] == "psi" for f in rep.flags)
-        assert math.isinf(rep.margin_lambda_psi) or rep.margin_lambda_psi < 0 \
-            or math.isnan(rep.margin_lambda_psi) or True  # no crash is the contract
+        assert [f["quantity"] for f in rep.flags].count("psi") == 2
+        # lambda = 0 and psi = +inf at the antidiagonals
+        assert rep.margin_lambda_psi == -math.inf
+        assert not rep.passed
+        # the file keeps the infinities as the CLI's strings
+        doc = json.loads(json_dumps(rep.to_dict()))
+        assert doc["margins"]["lambda_minus_psi"] == "-inf"
+        assert (doc["psi"], doc["lambda"]) == ("+inf", 0)

@@ -5,7 +5,9 @@ defined in the package is referenced somewhere in the package, so a solver
 whose last caller is deleted does not linger. Every search setting, a field
 of ``OptimizerOptions`` or a defaulted parameter of a function or method in
 ``search.py``, is passed at some call site in the package, so a knob that
-no caller turns becomes a constant."""
+no caller turns becomes a constant. The strings a result file writes for
+infinite and NaN floats appear in ``cli.py`` only, so one module owns the
+file format."""
 
 import ast
 import pathlib
@@ -147,3 +149,23 @@ def test_every_search_setting_is_passed():
     assert ("OptimizerOptions", "grid_step", 0) in settings
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert _unpassed_settings(settings, sources) == []
+
+
+NON_FINITE = {"+inf", "-inf", "nan"}
+
+
+def _non_finite_strings(source: str) -> list[int]:
+    """Lines of the string constants that spell a non-finite float."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and node.value in NON_FINITE)
+
+
+def test_detects_a_non_finite_string():
+    src = 'x = "+inf" if a else "nan"\n"""a docstring that says -inf"""\ny = "-inf"\n'
+    assert _non_finite_strings(src) == [1, 1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_non_finite_strings_only_in_cli(path):
+    assert _non_finite_strings(path.read_text(encoding="utf-8")) == []

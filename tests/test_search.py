@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from explab.prob import Channel, simplex_grid_array
+from explab.prob import Channel, Dist, entropy, simplex_grid_array, xlogx
 from explab.search import (
     BUDGET,
     RAY_HI,
@@ -14,14 +14,12 @@ from explab.search import (
     RowMesh,
     TransportPolytope,
     elog_batch,
-    entropy_batch,
     global_mesh,
     golden_max,
     mi_batch,
     pattern_min,
     ray_grid,
     sup_ray,
-    xlogx,
     zoom_slot_grids,
 )
 
@@ -600,9 +598,13 @@ def test_global_mesh_fits_the_budget(w, k):
 
 
 def test_xlogx_and_entropy_batch():
-    v = np.array([0.0, 0.5, 1.0])
-    assert np.allclose(xlogx(v), [0.0, 0.5 * math.log(0.5), 0.0])
-    assert entropy_batch(np.array([[0.5, 0.5]]))[0] == pytest.approx(math.log(2))
+    # one x log x for every module, also in place into buffers
+    v = np.array([0.0, 0.5, 1.0, -1.0, np.nan])
+    want = [0.0, 0.5 * math.log(0.5), 0.0, 0.0, 0.0]
+    assert np.allclose(xlogx(v), want)
+    out, pos = np.full(5, 7.0), np.empty(5, dtype=bool)
+    assert xlogx(v, out, pos) is out and np.allclose(out, want)
+    assert entropy(Dist(np.array([0.5, 0.5]))) == pytest.approx(math.log(2))
 
 
 class TestStatsOf:

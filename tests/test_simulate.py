@@ -161,9 +161,10 @@ class TestExactProfiles:
         assert prof.per_message == pytest.approx(oracle_profile(cb, z, "ml"), abs=1e-12)
 
     def test_enumeration_cap(self):
-        cb = Codebook(n=8, codewords=np.array([[0, 1] * 4]))
-        with pytest.raises(ProbError):
-            exact_error_profile(cb, BSC01, ML, enum_cap=100)
+        # |Y|^n = 2^22 is over the 2^20 cap: refused before any array is built
+        cb = Codebook(n=22, codewords=np.array([[0, 1] * 11]))
+        with pytest.raises(ProbError, match="cap"):
+            exact_error_profile(cb, BSC01, ML)
 
     def test_symbol_outside_input_alphabet(self):
         cb = Codebook(n=4, codewords=[[0, 2, 1, 1], [2, 0, 1, 1]])
@@ -414,7 +415,7 @@ class TestBlockEnumeration:
         one_block = run()
         assert ch.n_out**cb.n <= sim._BLOCK_OUTPUTS
         ref = full_array_reference(cb, ch, cfg)
-        classes = sim._OutputClasses(cb, ch, 2**20)
+        classes = sim._OutputClasses(cb, ch)
         bound = 2 * gamma(classes.mult_low.size + classes.mult_high.size + ch.n_out**cb.n)
         for power in (1, 2):
             monkeypatch.setattr(sim, "_BLOCK_OUTPUTS", ch.n_out**power)
@@ -449,7 +450,7 @@ class TestBlockEnumeration:
             # are 10 * 6 * 3 * 3 (10 compositions of 3 positions, 6 of 2 and
             # 3 of 1) in a code space of 16 * 9 * 3 * 3
             assert sum(scored) == 15 * 10
-            classes = sim._OutputClasses(cb, ch, 2**20)
+            classes = sim._OutputClasses(cb, ch)
             assert math.prod(local.size for _, _, local, _, _ in classes.types) == 10 * 6 * 3 * 3
             assert classes.size == 16 * 9 * 3 * 3
 
@@ -517,7 +518,7 @@ class TestBlockEnumeration:
         # array (8 MiB) exceeds.
         n, m = 18, 4
         cb = sample_codebook(n, m, UNIF, seed=1)
-        table = m * sim._OutputClasses(cb, BSC01, 2**20).size * 8
+        table = m * sim._OutputClasses(cb, BSC01).size * 8
         block = m * 2 * 2 * sim._BLOCK_OUTPUTS * 8
         bound = table + 8 * block
         assert m * 2**n * 8 > bound
@@ -633,7 +634,7 @@ class TestJointTypeTables:
         the number of outputs whose class code is c, counted over all |Y|^n
         outputs; it sums to |Y|^n exactly."""
         ch, cb = REFERENCE_CASES[case]
-        classes = sim._OutputClasses(cb, ch, 2**20)
+        classes = sim._OutputClasses(cb, ch)
         outputs = ch.n_out**cb.n
         codes = classes.gather(np.arange(classes.size)[None], np.empty((1, outputs), dtype=np.int64))
         count = np.bincount(codes[0], minlength=classes.size)
@@ -646,7 +647,7 @@ class TestJointTypeTables:
         """Messages share a table when their rows are coded alike; every
         table has at most ``size`` entries."""
         ch, cb = REFERENCE_CASES[case]
-        classes = sim._OutputClasses(cb, ch, 2**20)
+        classes = sim._OutputClasses(cb, ch)
         assert len(classes.tables) == tables
         ends = [offset for offset, _ in classes.tables[1:]] + [classes.entries]
         assert all(end - offset <= classes.size for (offset, _), end in zip(classes.tables, ends))
@@ -667,7 +668,7 @@ class TestJointTypeTables:
         every row in radix n_a + 1 would exceed it."""
         ch = Channel.from_rows(rows)
         cb = sample_codebook(n, m, q_x, seed=1)
-        classes = sim._OutputClasses(cb, ch, 2**20)
+        classes = sim._OutputClasses(cb, ch)
         assert classes.entries <= m * classes.size
         table = m * classes.size * 8
         block = max(m, ch.n_in * ch.n_out) * (sim._BLOCK_OUTPUTS + 1) * 8
