@@ -73,7 +73,7 @@ class ChannelSpec:
         return Channel.from_rows(np.array(self.rows, dtype=float))
 
 
-def parse_channel(text: str, name: str = "") -> Channel:
+def parse_channel_spec(text: str, name: str = "") -> ChannelSpec:
     """Parse the channel text format:
 
         dmc <|X|> <|Y|>
@@ -83,10 +83,6 @@ def parse_channel(text: str, name: str = "") -> Channel:
     renormalized exactly); anything further off is rejected with its row
     index.
     """
-    return parse_channel_spec(text, name).to_channel()
-
-
-def parse_channel_spec(text: str, name: str = "") -> ChannelSpec:
     lines = []
     for raw in text.splitlines():
         stripped = raw.split("#", 1)[0].strip()
@@ -123,13 +119,6 @@ def parse_channel_spec(text: str, name: str = "") -> ChannelSpec:
             raise CliError(f"row {i} sums to {s!r}, outside the 1e-9 tolerance")
         rows.append(tuple(v / s for v in vals))
     return ChannelSpec(n_in=nx, n_out=ny, rows=tuple(rows), name=name)
-
-
-def format_channel_spec(spec: ChannelSpec) -> str:
-    out = [f"dmc {spec.n_in} {spec.n_out}"]
-    for row in spec.rows:
-        out.append(" ".join(_fmt(v) for v in row))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +328,7 @@ def cmd_exponent(cfg: RunConfig, which: str, out, csv_path, gnuplot, echo) -> in
     comp = Dist(np.array(cfg.composition))
     metric = ML if cfg.metric == "ml" else MMI
     opts = cfg.opts()
-    # one rate at a time, so that the rates need not be sorted
-    records = [sweep([r], comp, metric, ch, opts, which).records[0] for r in cfg.rates]
+    records = sweep(cfg.rates, comp, metric, ch, opts, which).records
 
     results = []
     csv_rows = []

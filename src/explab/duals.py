@@ -15,9 +15,11 @@ its defining formula (the sup over the multiplier stays outside):
                    minimization with penalty I(X;Y) - I(X';Y);
 - ``phi_bound``    same with penalty R - I(X';Y).
 
-Each relaxes a constraint of a primal inner value, so at every coupling
-psi, theta <= Gamma_ML and lambda <= Gamma_MMI, and phi <= Gamma_MMI while
-the MMI threshold min{R, max I} equals R. Across the metrics there is no
+Each returns a ``RayResult``: the maximizing multiplier, the value, and
+whether the multiplier search ended at the top of its domain. Each relaxes
+a constraint of a primal inner value, so at every coupling psi, theta <=
+Gamma_ML and lambda <= Gamma_MMI, and phi <= Gamma_MMI while the MMI
+threshold min{R, max I} equals R. Across the metrics there is no
 per-coupling order: lambda, phi and Gamma_MMI are invariant under a
 relabelling of X', psi, theta and Gamma_ML are not.
 
@@ -60,17 +62,15 @@ from .prob import (
     Joint2,
     ProbError,
     coupling_grid,
-    entropy,
     mutual_information,
 )
 from .search import (
     BUDGET,
     SHRINK,
+    RayResult,
     RowMesh,
     global_mesh,
-    golden_max,
     pattern_min,
-    ray_grid,
     sup_ray,
     zoom_slot_grids,
 )
@@ -163,22 +163,18 @@ def _pair_logsum(logw_x: list, logw_xp: list, s: float) -> float:
     return float(m + np.log(np.exp(terms - m).sum()))
 
 
-def psi(q_xx: Joint2, ch: Channel) -> float:
+def psi(q_xx: Joint2, ch: Channel) -> RayResult:
     """sup over s >= 0 of -sum_(x,x') Q(x,x') log sum_y W(y|x)^(1-s) W(y|x')^s.
 
     +inf when some charged pair of channel rows has disjoint support
     (reported as 'unbounded' by the certification layer).
     """
-    val, _, _ = _psi_full(q_xx, ch)
-    return val
-
-
-def _psi_full(q_xx: Joint2, ch: Channel) -> tuple[float, float, bool]:
     weights, xs, xps = _support_slots(q_xx.probs)
     logw = ch.log_matrix.tolist()
     for x, xp in zip(xs, xps):
         if not (ch.support[x] & ch.support[xp]).any():
-            return math.inf, math.nan, True
+            return RayResult(math.nan, math.inf, True)
+
     def f(s: float) -> float:
         tot = 0.0
         for w, x, xp in zip(weights, xs, xps):
@@ -188,8 +184,7 @@ def _psi_full(q_xx: Joint2, ch: Channel) -> tuple[float, float, bool]:
             tot -= w * ls
         return tot
 
-    res = sup_ray(f)
-    return max(res.value, f(0.0)), res.arg, res.hit_boundary
+    return sup_ray(f)
 
 
 # ---------------------------------------------------------------------------
@@ -197,39 +192,17 @@ def _psi_full(q_xx: Joint2, ch: Channel) -> tuple[float, float, bool]:
 # ---------------------------------------------------------------------------
 
 
-def threshold_dual(rate: float, q_y: Dist, ch: Channel, q_x: Dist,
-                   sigmas: np.ndarray, taus: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """The threshold half of theta's defining formula over a (sigma, tau, V) mesh:
-
-        sigma*(rate - H(Q_X)) - tau*D(Q_X || V) + sum_y Q_Y(y) log G(y),
-
-    with G the auxiliary kernel (``log_g_aux``) and vs of shape (nV, nx),
-    strictly positive. It is the Lagrangian of a_threshold under the ML
-    metric (sigma prices I(X;Y) <= rate, tau and V price the pinned
-    X-marginal), so its infimum over the mesh is at least a_threshold(rate,
-    q_y, ML, ...) and, by strong duality, equals it in the limit of a dense
-    mesh. Returns shape (nsigma, ntau, nV).
-    """
-    q = q_x.probs
-    log_g = _log_g_aux_mesh(sigmas, taus, vs, ch, q_x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(np.where(q > 0, q, 1.0)) - np.log(vs)
-    d_qv = np.where(q > 0, q * log_ratio, 0.0).sum(axis=1)  # D(Q_X || V) per V
-    lead = (sigmas[:, None, None] * (rate - entropy(q_x))
-            - taus[None, :, None] * d_qv[None, None, :])
-    # an output with Q_Y(y) = 0 adds 0 * log G(y) = 0, even where G(y) = 0
-    return lead + np.where(q_y.probs > 0, log_g, 0.0) @ q_y.probs
-
-
 def theta(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
-          opts: OptimizerOptions = OptimizerOptions()) -> float:
+          opts: OptimizerOptions = OptimizerOptions()) -> RayResult:
     """sup over rho >= 0 of the inner (sigma, tau, V) infimum of
 
         rho*(sigma*(rate - H(Q_X)) - tau*D(Q_X || V))
             - sum Q(x,x') log sum_y W(y|x) W(y|x')^rho G(y)^-rho.
 
-    By strong duality of the threshold (see ``threshold_dual``) the inner
-    infimum equals the primal form
+    The threshold half, sigma*(rate - H(Q_X)) - tau*D(Q_X || V) + sum_y
+    Q_Y(y) log G(y), is the Lagrangian of a(R, Q_Y) under the ML metric
+    (sigma prices I(X;Y) <= rate, tau and V the pinned X-marginal), so by
+    strong duality the inner infimum equals the primal form
 
         min over Q_{Y|XX'} of D(Q_{Y|XX'} || W | Q_XX') + rho*(a(R,Q_Y) - g_ML(Q_X'Y)),
 
@@ -240,8 +213,14 @@ def theta(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
     theta >= 0. +inf when no conditional on the search grid meets the
     threshold (the sup over rho is unbounded). When the true channel's own
     drive is <= 0 (it has kl = 0), theta is exactly 0 and no search runs.
+    The solve is memoized per channel on (rate, the coupling's bytes).
     """
-    return _theta_full(q_xx, rate, ch, q_x, opts)["value"]
+    memo = _channel_memo(ch, "theta", q_x.probs.tobytes(), opts)
+    key = (rate, q_xx.probs.tobytes())
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _ThetaProblem(q_xx, rate, ch, q_x, opts).solve()
+    return hit
 
 
 def _lower_front(kl: np.ndarray, drive: np.ndarray) -> np.ndarray:
@@ -440,14 +419,14 @@ class _ThetaProblem:
         kl, drive = self._grid
         return float(np.min(kl, where=drive <= 0, initial=math.inf))
 
-    def solve(self) -> dict:
+    def solve(self) -> RayResult:
         mesh, opts = self.mesh, self.ctx.opts
         if self._grid is None:  # the sup would end at max(value <= 0, 0.0)
-            return {"value": 0.0, "rho": 0.0, "hit_boundary": False}
+            return RayResult(0.0, 0.0, False)
         kl, drive = self._grid
         _, rho, i, j = self._envelope()
         if i < 0:
-            return {"value": math.inf, "rho": math.inf, "hit_boundary": True}
+            return RayResult(math.inf, math.inf, True)
         # zoom chains from the active candidates and from distinct basins of
         # the grid Lagrangian, each re-centred on its own local minimizer at
         # the current multiplier
@@ -477,18 +456,7 @@ class _ThetaProblem:
             pattern_min(mesh.rows_to_params(self.rows[c]), f,
                         opts.grid_step / 2**4, opts.refine_iters)
         value, rho, _, _ = self._envelope()
-        return {"value": max(value, 0.0), "rho": rho, "hit_boundary": False}
-
-
-def _theta_full(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
-                opts: OptimizerOptions) -> dict:
-    """theta's solve, memoized per channel on (rate, the coupling's bytes)."""
-    memo = _channel_memo(ch, "theta", q_x.probs.tobytes(), opts)
-    key = (rate, q_xx.probs.tobytes())
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = _ThetaProblem(q_xx, rate, ch, q_x, opts).solve()
-    return hit
+        return RayResult(rho, max(value, 0.0), False)
 
 
 def _theta_cap(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
@@ -497,7 +465,7 @@ def _theta_cap(q_xx: Joint2, rate: float, ch: Channel, q_x: Dist,
     built for the cap is dropped: were theta then solved, the solve builds
     its own, about 3 % of its time."""
     hit = _channel_memo(ch, "theta", q_x.probs.tobytes(), opts).get((rate, q_xx.probs.tobytes()))
-    return hit["value"] if hit is not None else _ThetaProblem(q_xx, rate, ch, q_x, opts).cap()
+    return hit.value if hit is not None else _ThetaProblem(q_xx, rate, ch, q_x, opts).cap()
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +478,9 @@ class _TiltedProblem:
     coupling.
 
     solve('balance') is the I(X;Y) - I(X';Y) penalty, solve('rate', R) the
-    R - I(X';Y) one; both bracket the sup over the multiplier with
-    ``ray_grid`` on a vectorized grid-only scan and refine only inside the
-    winning bracket.
+    R - I(X';Y) one; both take the sup over the multiplier with ``sup_ray``,
+    which ranks its grid by a vectorized scan of the mesh minima and polishes
+    only at the best point and inside the winning bracket.
     The global mesh is ``global_mesh``'s.
     """
 
@@ -565,22 +533,11 @@ class _TiltedProblem:
         _, fp, _ = pattern_min(mesh.rows_to_params(rows0), f, opts.grid_step, opts.refine_iters)
         return min(v0, fp)
 
-    def solve(self, penalty: str, rate: float = 0.0) -> dict:
+    def solve(self, penalty: str, rate: float = 0.0) -> RayResult:
         drive = self._drive(penalty, rate)
-        mu_grid, _, best = ray_grid(lambda grid: (
-            self.kl[None, :] + np.array(grid)[:, None] * drive[None, :]).min(axis=1), 13)
-        hit_boundary = best == len(mu_grid) - 1
-        lo_b = mu_grid[best - 1] if best > 0 else mu_grid[best]
-        hi_b = mu_grid[best] if hit_boundary else mu_grid[best + 1]
-        best_mu = float(mu_grid[best])
-        value = self._inner(best_mu, penalty, rate)
-        if hi_b > lo_b:
-            mu_ref, val_ref = golden_max(lambda m: self._inner(m, penalty, rate),
-                                         lo_b, hi_b, tol=1e-3)
-            if val_ref > value:
-                value, best_mu = float(val_ref), float(mu_ref)
-        value = max(value, self._inner(0.0, penalty, rate))
-        return {"value": float(value), "mu": best_mu, "hit_boundary": hit_boundary}
+        return sup_ray(lambda mu: self._inner(mu, penalty, rate),
+                       lambda grid: (self.kl[None, :] + np.array(grid)[:, None]
+                                     * drive[None, :]).min(axis=1), n=13, tol=1e-3)
 
     def cap(self, rate: float) -> float:
         """min kl over the mesh's candidates with rate - I(X';Y) <= 0. Every
@@ -604,15 +561,15 @@ def _tilted_problem(q_xx: Joint2, ch: Channel, opts: OptimizerOptions) -> _Tilte
     return prob
 
 
-def _tilted_value(q_xx: Joint2, ch: Channel, opts: OptimizerOptions,
-                  penalty: str, rate: float) -> float:
-    """``_TiltedProblem(q_xx, ch, opts).solve(penalty, rate)``'s value,
-    memoized per channel on (the coupling's bytes, penalty, rate)."""
+def _tilted_sup(q_xx: Joint2, ch: Channel, opts: OptimizerOptions,
+                penalty: str, rate: float) -> RayResult:
+    """``_TiltedProblem(q_xx, ch, opts).solve(penalty, rate)``, memoized per
+    channel on (the coupling's bytes, penalty, rate)."""
     values = _channel_memo(ch, "tilted", opts)
     key = (q_xx.probs.tobytes(), penalty, rate)
     hit = values.get(key)
     if hit is None:
-        hit = values[key] = _tilted_problem(q_xx, ch, opts).solve(penalty, rate)["value"]
+        hit = values[key] = _tilted_problem(q_xx, ch, opts).solve(penalty, rate)
     return hit
 
 
@@ -620,19 +577,19 @@ def _phi_cap(q_xx: Joint2, rate: float, ch: Channel, opts: OptimizerOptions) -> 
     """phi's memoized value, or else ``_TiltedProblem.cap`` of the
     coupling's problem (the one lambda there has just used)."""
     hit = _channel_memo(ch, "tilted", opts).get((q_xx.probs.tobytes(), "rate", rate))
-    return hit if hit is not None else _tilted_problem(q_xx, ch, opts).cap(rate)
+    return hit.value if hit is not None else _tilted_problem(q_xx, ch, opts).cap(rate)
 
 
 def lambda_bound(q_xx: Joint2, ch: Channel,
-                 opts: OptimizerOptions = OptimizerOptions()) -> float:
+                 opts: OptimizerOptions = OptimizerOptions()) -> RayResult:
     """Multiplier-tilted inner channel minimum with penalty I(X;Y) - I(X';Y)."""
-    return _tilted_value(q_xx, ch, opts, "balance", 0.0)
+    return _tilted_sup(q_xx, ch, opts, "balance", 0.0)
 
 
 def phi_bound(q_xx: Joint2, rate: float, ch: Channel,
-              opts: OptimizerOptions = OptimizerOptions()) -> float:
+              opts: OptimizerOptions = OptimizerOptions()) -> RayResult:
     """Multiplier-tilted inner channel minimum with penalty rate - I(X';Y)."""
-    return _tilted_value(q_xx, ch, opts, "rate", rate)
+    return _tilted_sup(q_xx, ch, opts, "rate", rate)
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +629,10 @@ def ml_upper_bound(rp: RatePoint, ch: Channel,
     qx = rp.composition
 
     def per_coupling(j2: Joint2) -> float:
-        p = psi(j2, ch)
+        p = psi(j2, ch).value
         if _theta_cap(j2, rp.rate, ch, qx, opts) < p - 1e-12 * max(1.0, p):
             return p
-        return max(p, theta(j2, rp.rate, ch, qx, opts))
+        return max(p, theta(j2, rp.rate, ch, qx, opts).value)
 
     return _outer_bound(rp, opts, per_coupling)
 
@@ -693,10 +650,10 @@ def mmi_lower_bound(rp: RatePoint, ch: Channel,
     use_phi = _phi_relaxes(rp, ch)
 
     def per_coupling(j2: Joint2) -> float:
-        lm = lambda_bound(j2, ch, opts)
+        lm = lambda_bound(j2, ch, opts).value
         if not use_phi or _phi_cap(j2, rp.rate, ch, opts) <= lm:
             return lm
-        return max(lm, phi_bound(j2, rp.rate, ch, opts))
+        return max(lm, phi_bound(j2, rp.rate, ch, opts).value)
 
     return _outer_bound(rp, opts, per_coupling)
 
@@ -834,9 +791,9 @@ def certify_theorem1(rp: RatePoint, ch: Channel,
     worst_lp, worst_pt = math.inf, math.inf
     worst_vals = [math.nan] * 4
     for j2 in coupling_grid(qx, 4):
-        p = psi(j2, ch)
-        t = theta(j2, rp.rate, ch, qx, opts)
-        lm, ph = lambda_bound(j2, ch, opts), phi_bound(j2, rp.rate, ch, opts)
+        p = psi(j2, ch).value
+        t = theta(j2, rp.rate, ch, qx, opts).value
+        lm, ph = lambda_bound(j2, ch, opts).value, phi_bound(j2, rp.rate, ch, opts).value
         g_ml = gamma(j2, rp.rate, ML, ch, qx, opts)
         g_mmi = gamma(j2, rp.rate, MMI, ch, qx, opts)
         if math.isinf(p):

@@ -484,8 +484,7 @@ class _InnerSolve:
         feas = st["gxp"] >= max_side - (self.ctx.opts.slack if slack is None else slack)
         return st["kl"] if feas else math.inf
 
-    def _margin(self, rows: np.ndarray) -> float:
-        st = self.mesh.stats_of(rows, self.ctx.kind)
+    def _margin(self, st: dict) -> float:
         return st["gxp"] - max(st["gx"], self.ctx.threshold(st["qy"], self.rate))
 
     def solve(self, warm_rows: np.ndarray | None = None) -> dict:
@@ -548,7 +547,7 @@ class _InnerSolve:
             "rows": rows_best,
             "n_feasible": n_feasible,
             "refine_evals": evals,
-            "score_margin": self._margin(rows_best),
+            "score_margin": self._margin(self.mesh.stats_of(rows_best, self.ctx.kind)),
         }
 
     def _zoom(self, rows0: np.ndarray, v0: float, anchor: dict,
@@ -595,8 +594,9 @@ class _InnerSolve:
         """Return a witness satisfying the score constraint with margin >= 0,
         repairing a boundary-hugging incumbent by bisecting toward the best
         strictly feasible candidate seen during the zoom stages."""
-        if self._margin(rows) >= 0.0:
-            return rows, self._objective_single(rows, slack=0.0)
+        st = self.mesh.stats_of(rows, self.ctx.kind)
+        if self._margin(st) >= 0.0:  # then the slack-0 objective is kl
+            return rows, st["kl"]
         target = anchor["rows"]
         if target is None:
             # nothing strictly feasible anywhere: report under the base slack
@@ -606,7 +606,7 @@ class _InnerSolve:
         for _ in range(60):
             mid = 0.5 * (lo_t + hi_t)
             cand = (1.0 - mid) * rows + mid * target
-            if self._margin(cand) >= 0.0:
+            if self._margin(self.mesh.stats_of(cand, self.ctx.kind)) >= 0.0:
                 hi_t = mid
             else:
                 lo_t = mid
@@ -764,8 +764,8 @@ def _outer_minimize(rp: RatePoint, metric: DecodingMetric, ch: Channel,
     best, (j, v_ref), n_feasible, evals = _outer_search(rp, opts, info_cap, per_coupling)
     if v_ref < best[0]:
         res = _inner_solve(ch, ctx, j, rp.rate)  # cold re-solve at the winning coupling
-        best = (min(v_ref, res["value"] + float(mi_batch(j[None])[0]) - rp.rate),
-                j, res, float(mi_batch(j[None])[0]))
+        info = float(mi_batch(j[None])[0])
+        best = (min(v_ref, res["value"] + info - rp.rate), j, res, info)
 
     raw, q, res, info = best
     rows_full = _full_conditional(ch, q, res["rows"])
@@ -865,17 +865,15 @@ def random_coding_exponent(rp: RatePoint, ch: Channel) -> float:
 
 def sweep(rates, composition: Dist, metric: DecodingMetric, ch: Channel,
           opts: OptimizerOptions = OptimizerOptions(), which: str = "trc") -> ExponentCurve:
-    """Evaluate one exponent family over a list of rates (sorted ascending).
+    """Evaluate one exponent family at each rate of a list, in its order;
+    each rate is solved on its own.
 
     Per-point failures become flagged records; the sweep never aborts.
     """
     if which not in ("trc", "expurgated", "random"):
         raise ProbError(f"unknown sweep target {which!r}")
-    rates = [float(r) for r in rates]
-    if any(b < a for a, b in zip(rates, rates[1:])):
-        raise ProbError("rates must be sorted ascending")
     curve = ExponentCurve(which=which, metric=metric.kind)
-    for r in rates:
+    for r in map(float, rates):
         try:
             rp = RatePoint(r, composition)
             if which == "random":

@@ -30,7 +30,8 @@ import numpy as np
 SUM_TOL = 1e-12
 MEASURE_TOL = 1e-10
 
-# simplex_grid_array refuses to enumerate more points than this unless overridden
+# coupling_grid, and simplex_grid_array unless overridden, refuse to
+# enumerate more points than this
 DEFAULT_GRID_CAP = 5_000_000
 
 
@@ -305,7 +306,7 @@ def _contingency_tables(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[np
     return list(fill(0, cols, []))
 
 
-def coupling_grid(q: Dist, k: int, cap: int = DEFAULT_GRID_CAP) -> list[Joint2]:
+def coupling_grid(q: Dist, k: int) -> list[Joint2]:
     """All 1/k-grid joints over X x X' whose row AND column marginals equal q.
 
     The composition must sit on the grid: every entry of q has to be a
@@ -317,7 +318,8 @@ def coupling_grid(q: Dist, k: int, cap: int = DEFAULT_GRID_CAP) -> list[Joint2]:
         raise ProbError(f"composition {q.probs} is not aligned to the 1/{k} grid")
     sums = tuple(int(v) for v in rounded)
     tables = _contingency_tables(sums, sums)
-    if len(tables) > cap:
-        raise ProbError(f"coupling grid would emit {len(tables)} points, above the cap {cap}")
+    if len(tables) > DEFAULT_GRID_CAP:
+        raise ProbError(f"coupling grid would emit {len(tables)} points, "
+                        f"above the cap {DEFAULT_GRID_CAP}")
     tables.sort(key=lambda t: tuple(t.reshape(-1)))
     return [Joint2(t / k) for t in tables]

@@ -128,45 +128,51 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float,
 
 @dataclass
 class RayResult:
+    """A supremum over a multiplier ray: its argument, its value, and whether
+    the search ended at the top of its domain."""
+
     arg: float
     value: float
     hit_boundary: bool
-    domain_hi: float
 
 
-def ray_grid(values: Callable[[list], Sequence[float]],
-             n: int) -> tuple[list, Sequence[float], int]:
-    """The grid of 0 and n log-spaced points from 1e-3 to the top, values(grid)
-    and the index of its first maximum. The top starts at RAY_HI and doubles,
-    at most 3 times, while the maximum is the last point."""
+def ray_grid(values: Callable[[list], Sequence[float]], n: int) -> tuple[list, int]:
+    """The grid of 0 and n log-spaced points from 1e-3 to the top, and the
+    index of the first maximum of values(grid). The top starts at RAY_HI and
+    doubles, at most 3 times, while the maximum is the last point."""
     top = RAY_HI
     for _ in range(4):
         xs = [0.0] + list(np.geomspace(1e-3, top, n))
-        vals = values(xs)
-        best = int(np.argmax(vals))
+        best = int(np.argmax(values(xs)))
         if best < n:
             break
         top *= 2.0
-    return xs, vals, best
+    return xs, best
 
 
-def sup_ray(f: Callable[[float], float]) -> RayResult:
+def sup_ray(f: Callable[[float], float],
+            scan: Callable[[list], Sequence[float]] | None = None,
+            n: int = 25, tol: float | None = None) -> RayResult:
     """Supremum of f over the ray [0, inf), searched on [0, RAY_HI].
 
-    ``ray_grid`` of 25 points, then golden refinement between the neighbors
-    of the best grid point. A maximum still at the top of the last grid is
-    reported via ``hit_boundary`` rather than chased further; ``domain_hi``
-    is that top.
+    ``ray_grid`` of n points scored by scan (f at each point by default; a
+    cheaper scan only has to rank the grid), then f at the best grid point,
+    golden refinement of f to tol between that point's neighbours (by
+    default 1e-9 * max(1, the upper neighbour)), and a final max with f(0).
+    A maximum still at the top of the last grid is reported via
+    ``hit_boundary`` rather than chased further.
     """
-    xs, vals, best = ray_grid(lambda grid: [f(x) for x in grid], 25)
-    hit, top = best == len(xs) - 1, float(xs[-1])
+    xs, best = ray_grid(scan or (lambda grid: [f(x) for x in grid]), n)
+    hit = best == len(xs) - 1
     lo_n = xs[best - 1] if best > 0 else xs[0]
     hi_n = xs[-1] if hit else xs[best + 1]
+    arg = float(xs[best])
+    value = f(arg)
     if hi_n > lo_n:
-        xg, vg = golden_max(f, lo_n, hi_n, tol=1e-9 * max(1.0, hi_n))
-        if vg > vals[best]:
-            return RayResult(xg, vg, hit, top)
-    return RayResult(xs[best], vals[best], hit, top)
+        xg, vg = golden_max(f, lo_n, hi_n, 1e-9 * max(1.0, hi_n) if tol is None else tol)
+        if vg > value:
+            arg, value = float(xg), vg
+    return RayResult(arg, float(max(value, f(0.0))), hit)
 
 
 # ---------------------------------------------------------------------------

@@ -192,12 +192,12 @@ def test_criterion_3_per_coupling_margins():
     worst_lp, worst_pt = math.inf, math.inf
     for j2 in coupling_grid(UNIF, 4):
         z = j2.probs[0, 0]
-        p, lm = psi(j2, ch), lambda_bound(j2, ch, OPTS)
+        p, lm = psi(j2, ch).value, lambda_bound(j2, ch, OPTS).value
         worst_lp = min(worst_lp, lm - p)
         for r in (0.0, 0.1, 0.2, 0.4):
             g_ml = gamma(j2, r, ML, ch, UNIF, OPTS)
             g_mmi = gamma(j2, r, MMI, ch, UNIF, OPTS)
-            t, ph = theta(j2, r, ch, UNIF, OPTS), phi_bound(j2, r, ch, OPTS)
+            t, ph = theta(j2, r, ch, UNIF, OPTS).value, phi_bound(j2, r, ch, OPTS).value
             worst_pt = min(worst_pt, ph - t)
             margins = {"Gml-psi": g_ml - p, "Gml-theta": g_ml - t,
                        "Gmmi-lambda": g_mmi - lm}
@@ -235,7 +235,7 @@ def test_criterion_5_bhattacharyya_closed_form():
     for p in (0.05, 0.1, 0.25):
         anti = Joint2(np.array([[0.0, 0.5], [0.5, 0.0]]))
         want = -math.log(2.0 * math.sqrt(p * (1 - p)))
-        got = psi(anti, Channel.bsc(p))
+        got = psi(anti, Channel.bsc(p)).value
         worst = max(worst, abs(got - want))
     ok = worst <= PSI_TOL
     _line("criterion 5 (pairwise-overlap closed form)",

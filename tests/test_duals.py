@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -20,11 +21,10 @@ from explab.duals import (
     phi_bound,
     psi,
     theta,
-    threshold_dual,
 )
 from explab.exponents import ML, MMI, OptimizerOptions, RatePoint, a_threshold, gamma, trc_exponent
-from explab.prob import Channel, Dist, Joint2, ProbError
-from explab.search import RAY_HI, golden_max, pattern_min
+from explab.prob import Channel, Dist, Joint2, ProbError, entropy
+from explab.search import RAY_HI, RayResult, golden_max, pattern_min
 
 UNIF = Dist.uniform(2)
 BSC01 = Channel.bsc(0.1)
@@ -40,6 +40,31 @@ PSI_BHAT = {0.05: 0.83036560341082545, 0.1: 0.51082562376599068,
             0.25: 0.14384103622589046}
 G_AUX_S2_T1 = 1.6  # (sqrt(0.9) + sqrt(0.1))^2, exactly
 THETA_ANTI_R01_DENSE = 1.0912038756845863
+
+
+def threshold_dual(rate: float, q_y: Dist, ch: Channel, q_x: Dist,
+                   sigmas: np.ndarray, taus: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The threshold half of theta's defining formula over a (sigma, tau, V) mesh:
+
+        sigma*(rate - H(Q_X)) - tau*D(Q_X || V) + sum_y Q_Y(y) log G(y),
+
+    with G the auxiliary kernel (``log_g_aux``) and vs of shape (nV, nx),
+    strictly positive. It is the Lagrangian of a_threshold under the ML
+    metric (sigma prices I(X;Y) <= rate, tau and V price the pinned
+    X-marginal), so its infimum over the mesh is at least a_threshold(rate,
+    q_y, ML, ...) and, by strong duality, equals it in the limit of a dense
+    mesh. Returns shape (nsigma, ntau, nV). The package computes theta in
+    its primal form; this dual form is the tests' reference for it.
+    """
+    q = q_x.probs
+    log_g = duals._log_g_aux_mesh(sigmas, taus, vs, ch, q_x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(np.where(q > 0, q, 1.0)) - np.log(vs)
+    d_qv = np.where(q > 0, q * log_ratio, 0.0).sum(axis=1)  # D(Q_X || V) per V
+    lead = (sigmas[:, None, None] * (rate - entropy(q_x))
+            - taus[None, :, None] * d_qv[None, None, :])
+    # an output with Q_Y(y) = 0 adds 0 * log G(y) = 0, even where G(y) = 0
+    return lead + np.where(q_y.probs > 0, log_g, 0.0) @ q_y.probs
 
 
 class TestGAux:
@@ -113,39 +138,38 @@ class TestGAux:
 
 class TestPsi:
     def test_diagonal_zero(self):
-        assert psi(DIAG, BSC01) == pytest.approx(0.0, abs=1e-10)
+        assert psi(DIAG, BSC01).value == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("p", [0.05, 0.1, 0.25])
     def test_bhattacharyya_closed_form(self, p):
-        val = psi(ANTI, Channel.bsc(p))
+        val = psi(ANTI, Channel.bsc(p)).value
         assert val == pytest.approx(PSI_BHAT[p], abs=1e-6)
 
     def test_off_diagonal_mass_scales(self):
-        val = psi(PROD, BSC01)
+        val = psi(PROD, BSC01).value
         assert val == pytest.approx(0.5 * PSI_BHAT[0.1], abs=1e-6)
 
     def test_nonnegative(self):
         for q in (DIAG, PROD, ANTI):
-            assert psi(q, BSC01) >= -1e-12
+            assert psi(q, BSC01).value >= -1e-12
 
     def test_noiseless_unbounded(self):
         ident = Channel.from_rows([[1.0, 0.0], [0.0, 1.0]])
-        assert psi(ANTI, ident) == math.inf
+        assert psi(ANTI, ident).value == math.inf
 
 
 class TestTheta:
     def test_nonnegative_and_zero_cases(self):
-        assert theta(DIAG, 0.0, BSC01, UNIF, OPTS) == pytest.approx(0.0, abs=1e-9)
-        assert theta(PROD, 0.0, BSC01, UNIF, OPTS) == pytest.approx(0.0, abs=1e-6)
-        assert theta(ANTI, 0.1, BSC01, UNIF, OPTS) >= 0.0
+        assert theta(DIAG, 0.0, BSC01, UNIF, OPTS).value == pytest.approx(0.0, abs=1e-9)
+        assert theta(PROD, 0.0, BSC01, UNIF, OPTS).value == pytest.approx(0.0, abs=1e-6)
+        assert theta(ANTI, 0.1, BSC01, UNIF, OPTS).value >= 0.0
 
     def test_restriction_self_check(self):
         # the inner infimum can never exceed the value at a fixed feasible
         # (sigma, tau, V); check a few fixed choices at the solver's rho,
         # V != Q_X included, where the lead term's -tau*D(Q_X||V) is live
-        from explab.duals import _theta_full
-        res = _theta_full(ANTI, 0.1, BSC01, UNIF, OPTS)
-        rho = res["rho"]
+        res = theta(ANTI, 0.1, BSC01, UNIF, OPTS)
+        rho = res.arg
         hq = math.log(2)
         for sig, tau, v in ((0.0, 1.0, UNIF.probs), (1.0, 0.0, UNIF.probs),
                             (0.5, 0.5, UNIF.probs), (0.5, 1.0, np.array([0.3, 0.7])),
@@ -158,10 +182,10 @@ class TestTheta:
                 inner = np.sum(BSC01.w[x] * np.exp(
                     rho * (BSC01.log_matrix[xp] - lg)))
                 val += -w * math.log(inner)
-            assert res["value"] <= val + 1e-9
+            assert res.value <= val + 1e-9
 
     def test_dense_oracle_band(self):
-        val = theta(ANTI, 0.1, BSC01, UNIF, OPTS)
+        val = theta(ANTI, 0.1, BSC01, UNIF, OPTS).value
         assert val == pytest.approx(THETA_ANTI_R01_DENSE, abs=0.01)
 
     def test_threshold_form_matches_a_threshold(self):
@@ -197,7 +221,7 @@ class TestTheta:
     def test_below_gamma_ml(self, q, rate):
         # theta relaxes Gamma_ML's threshold constraint, so it can not exceed
         # Gamma_ML (these points read +0.007 .. +0.6 above it before)
-        assert theta(q, rate, BSC01, UNIF, OPTS) <= gamma(
+        assert theta(q, rate, BSC01, UNIF, OPTS).value <= gamma(
             q, rate, ML, BSC01, UNIF, OPTS) + 1e-4
 
     def test_repeated_probe_leaves_pool_unchanged(self):
@@ -372,7 +396,7 @@ class TestLowerFront:
 
 def _tilted_solve_reference(prob, penalty, rate=0.0):
     """_TiltedProblem.solve with its own grid-and-doubling loop over the
-    multiplier, as it was before search.ray_grid."""
+    multiplier, as it was before search.ray_grid and search.sup_ray."""
     drive = prob._drive(penalty, rate)
     top = RAY_HI
     for _ in range(4):
@@ -393,32 +417,32 @@ def _tilted_solve_reference(prob, penalty, rate=0.0):
         if val_ref > value:
             value, best_mu = float(val_ref), float(mu_ref)
     value = max(value, prob._inner(0.0, penalty, rate))
-    return {"value": float(value), "mu": best_mu, "hit_boundary": hit_boundary}
+    return RayResult(best_mu, float(value), hit_boundary)
 
 
-def _types(d):
-    return {k: type(v) for k, v in d.items()}
+def _types(res):
+    return [type(v) for v in dataclasses.astuple(res)]
 
 
 class TestLambdaPhi:
     def test_lambda_diagonal_zero(self):
-        assert lambda_bound(DIAG, BSC01, OPTS) == pytest.approx(0.0, abs=1e-9)
+        assert lambda_bound(DIAG, BSC01, OPTS).value == pytest.approx(0.0, abs=1e-9)
 
     def test_lambda_antidiag_zero(self):
         # true-channel rows score zero at every multiplier: both informations
         # coincide when X' determines X, pinning the sup at zero
-        assert lambda_bound(ANTI, BSC01, OPTS) == pytest.approx(0.0, abs=1e-8)
+        assert lambda_bound(ANTI, BSC01, OPTS).value == pytest.approx(0.0, abs=1e-8)
 
     def test_lambda_matches_psi_at_product(self):
-        assert lambda_bound(PROD, BSC01, OPTS) == pytest.approx(
-            psi(PROD, BSC01), abs=1e-4)
+        assert lambda_bound(PROD, BSC01, OPTS).value == pytest.approx(
+            psi(PROD, BSC01).value, abs=1e-4)
 
     def test_phi_nonnegative_feasible_point(self):
         for rr in (0.0, 0.1):
-            assert phi_bound(PROD, rr, BSC01, OPTS) >= -1e-12
+            assert phi_bound(PROD, rr, BSC01, OPTS).value >= -1e-12
 
     def test_phi_antidiag_rate_zero(self):
-        assert phi_bound(ANTI, 0.0, BSC01, OPTS) == pytest.approx(0.0, abs=1e-9)
+        assert phi_bound(ANTI, 0.0, BSC01, OPTS).value == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("ch", [BSC01, Channel.from_rows([[1.0, 0.0], [0.2, 0.8]])],
                              ids=["bsc01", "z"])
@@ -450,7 +474,7 @@ class TestLambdaPhi:
     @pytest.mark.parametrize("q", [PROD, ANTI, Joint2(np.array([[0.3, 0.2], [0.2, 0.3]]))],
                              ids=["product", "anti", "tilted"])
     def test_bracket_equals_its_old_loop(self, ch, q):
-        """solve's multiplier bracket (search.ray_grid) returns what its own
+        """solve's multiplier search (search.sup_ray) returns what its own
         loop did, for both penalties and rates on either side of I(Q_X;W)."""
         new, old = _TiltedProblem(q, ch, OPTS), _TiltedProblem(q, ch, OPTS)
         for penalty, rate in (("balance", 0.0), ("rate", 0.0), ("rate", 0.01), ("rate", 0.6)):
@@ -475,10 +499,10 @@ class TestLambdaPhi:
             results.append(solve(prob, "balance"))
         got, want = results
         assert got == want and _types(got) == _types(want)
-        assert got["hit_boundary"] == (peak > 64.0)
+        assert got.hit_boundary == (peak > 64.0)
         if peak <= 64.0:
-            assert got["mu"] == pytest.approx(peak, abs=1e-2)
-            assert got["value"] == pytest.approx(peak, abs=1e-2)
+            assert got.arg == pytest.approx(peak, abs=1e-2)
+            assert got.value == pytest.approx(peak, abs=1e-2)
 
     @pytest.mark.parametrize("q", [PROD, Joint2(np.array([[0.3, 0.2], [0.2, 0.3]]))],
                              ids=["product", "tilted"])
@@ -520,24 +544,24 @@ class TestLambdaPhi:
         ch_p = Channel.from_rows(BSC01.w[perm, :])
         for q in (PROD, Joint2(np.array([[0.125, 0.375], [0.375, 0.125]]))):
             q_p = Joint2(q.probs[np.ix_(perm, perm)])
-            assert psi(q, BSC01) == pytest.approx(psi(q_p, ch_p), abs=1e-8)
-            assert lambda_bound(q, BSC01, OPTS) == pytest.approx(
-                lambda_bound(q_p, ch_p, OPTS), abs=1e-5)
-            assert theta(q, 0.1, BSC01, UNIF, OPTS) == pytest.approx(
-                theta(q_p, 0.1, ch_p, UNIF, OPTS), abs=1e-5)
-            assert phi_bound(q, 0.1, BSC01, OPTS) == pytest.approx(
-                phi_bound(q_p, 0.1, ch_p, OPTS), abs=1e-5)
+            assert psi(q, BSC01).value == pytest.approx(psi(q_p, ch_p).value, abs=1e-8)
+            assert lambda_bound(q, BSC01, OPTS).value == pytest.approx(
+                lambda_bound(q_p, ch_p, OPTS).value, abs=1e-5)
+            assert theta(q, 0.1, BSC01, UNIF, OPTS).value == pytest.approx(
+                theta(q_p, 0.1, ch_p, UNIF, OPTS).value, abs=1e-5)
+            assert phi_bound(q, 0.1, BSC01, OPTS).value == pytest.approx(
+                phi_bound(q_p, 0.1, ch_p, OPTS).value, abs=1e-5)
 
 
 class TestOuterBounds:
     def test_rate_zero_reduces_to_product_coupling(self):
         rp = RatePoint(0.0, UNIF)
         up = ml_upper_bound(rp, BSC01, OPTS)
-        want = max(psi(PROD, BSC01), theta(PROD, 0.0, BSC01, UNIF, OPTS))
+        want = max(psi(PROD, BSC01).value, theta(PROD, 0.0, BSC01, UNIF, OPTS).value)
         assert up == pytest.approx(want, abs=1e-6)
         low = mmi_lower_bound(rp, BSC01, OPTS)
-        want_low = max(lambda_bound(PROD, BSC01, OPTS),
-                       phi_bound(PROD, 0.0, BSC01, OPTS))
+        want_low = max(lambda_bound(PROD, BSC01, OPTS).value,
+                       phi_bound(PROD, 0.0, BSC01, OPTS).value)
         assert low == pytest.approx(want_low, abs=1e-4)
 
     def test_mmi_lower_drops_phi_above_information(self):
@@ -590,13 +614,13 @@ class TestOuterBounds:
         # (theta and phi are memo hits on the full run's channel); at R = 0.3
         # and on the asymmetric channel none fires
         for q, cap in caps["theta"]:
-            p = psi(q, full)
+            p = psi(q, full).value
             if cap < p - 1e-12 * max(1.0, p):
-                assert theta(q, rate, full, UNIF, opts) <= p
+                assert theta(q, rate, full, UNIF, opts).value <= p
         for q, cap in caps["phi"]:
-            lm = lambda_bound(q, full, opts)
+            lm = lambda_bound(q, full, opts).value
             if cap <= lm:
-                assert phi_bound(q, rate, full, opts) <= lm
+                assert phi_bound(q, rate, full, opts).value <= lm
 
     def test_certify_solves_theta_and_phi_on_the_grid_only(self, monkeypatch):
         # on BSC(0.1) at R = 0.01 neither outer bound needs theta or phi

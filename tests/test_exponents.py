@@ -447,9 +447,15 @@ class TestSweep:
         assert rec.value == pytest.approx(
             random_coding_exponent(RatePoint(0.1, UNIF), BSC01), abs=1e-12)
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ProbError):
-            sweep([0.2, 0.1], UNIF, MMI, BSC01, OPTS, "random")
+    def test_unsorted_rates_keep_their_order(self):
+        # each rate is solved on its own: an unsorted list returns the
+        # sorted run's records, in the order given
+        coarse = OptimizerOptions(grid_step=0.25, refine_iters=4)
+        rates = [0.2, 0.0, 0.1]
+        got = sweep(rates, UNIF, ML, Channel.bsc(0.1), coarse, "trc").records
+        ordered = sweep(sorted(rates), UNIF, ML, Channel.bsc(0.1), coarse, "trc").records
+        assert [r.rate for r in got] == rates
+        assert got == sorted(ordered, key=lambda r: rates.index(r.rate))
 
     def test_failure_flagged_not_raised(self):
         # composition off the coupling grid: the trc solve fails per point

@@ -2,9 +2,11 @@
 rule, kept without a linter). ``__init__.py`` is left out: its imports are
 the public re-exports. Every private (``_name``) function, class or method
 defined in the package is referenced somewhere in the package, so a solver
-whose last caller is deleted does not linger. Every search setting, a field
-of ``OptimizerOptions`` or a defaulted parameter of a function or method in
-``search.py``, is passed at some call site in the package, so a knob that
+whose last caller is deleted does not linger, and every public module-level
+function or class is re-exported by ``__init__.py`` or referenced somewhere
+else in the package, so no public name lacks a caller. Every search
+setting, a field of ``OptimizerOptions`` or a defaulted parameter of a
+function or method in ``search.py``, is passed at some call site in the package, so a knob that
 no caller turns becomes a constant. The strings a result file writes for
 infinite and NaN floats appear in ``cli.py`` only, so one module owns the
 file format."""
@@ -43,11 +45,8 @@ def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _unreferenced_private(sources: list[str]) -> list[str]:
-    trees = [ast.parse(src) for src in sources]
-    defined = {node.name for tree in trees for node in ast.walk(tree)
-               if isinstance(node, DEFS) and node.name.startswith("_")
-               and not node.name.startswith("__")}
+def _referenced(trees) -> set[str]:
+    """The names that the trees read, look up as attributes or import."""
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -57,7 +56,15 @@ def _unreferenced_private(sources: list[str]) -> list[str]:
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    return sorted(defined - used)
+    return used
+
+
+def _unreferenced_private(sources: list[str]) -> list[str]:
+    trees = [ast.parse(src) for src in sources]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, DEFS) and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    return sorted(defined - _referenced(trees))
 
 
 def test_detects_an_unreferenced_private_definition():
@@ -74,6 +81,33 @@ def test_detects_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert _unreferenced_private(sources) == []
+
+
+def _uncalled_public(init_src: str, sources: list[str]) -> list[str]:
+    """The public module-level functions and classes of sources that
+    init_src does not import and that no source references."""
+    exported = {a.asname or a.name for a in ast.walk(ast.parse(init_src))
+                if isinstance(a, ast.alias)}
+    trees = [ast.parse(src) for src in sources]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, DEFS) and not node.name.startswith("_")}
+    return sorted(defined - exported - _referenced(trees))
+
+
+def test_detects_an_uncalled_public_definition():
+    src = ("def dead(): pass\n"
+           "def called(): pass\n"
+           "def exported(): pass\n"
+           "class Spec:\n"
+           "    def method(self): return called()\n")
+    init = "from .m import exported\n"
+    assert _uncalled_public(init, [src]) == ["Spec", "dead"]
+    assert _uncalled_public(init, [src, "from .m import dead\nx = m.Spec\n"]) == []
+
+
+def test_every_public_definition_has_a_caller():
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert _uncalled_public(init, [p.read_text(encoding="utf-8") for p in MODULES]) == []
 
 
 def _settings(search_src: str, options_src: str) -> list[tuple[str, str, int | None]]:
