@@ -367,7 +367,7 @@ class _ThetaProblem:
     def _add_mesh(self, mesh: RowMesh) -> tuple[np.ndarray, np.ndarray]:
         """Merge a mesh's candidates into the pool, keeping its lower front
         (only survivors' rows are built); returns their (kl, drive)."""
-        arrs = mesh.build("ml")
+        arrs = mesh.build("ml", self.ctx.qy_cols)
         kl, drive = arrs["kl"], self._drive(arrs["qy"], arrs["gxp"])
         ok = np.flatnonzero(np.isfinite(kl) & ~np.isposinf(drive))
         # one candidate is its own front
@@ -488,9 +488,9 @@ class _TiltedProblem:
         self.opts = opts
         weights, xs, xps = _support_slots(q_xx.probs)
         self.mesh, _ = global_mesh(weights, xs, xps, ch.n_in, ch.log_matrix, opts.k)
-        arrs = self.mesh.build("mmi")
+        arrs = self.mesh.build("mmi", 0)  # no threshold: no Q_Y column
         self.i_x, self.i_xp, self.kl = arrs["gx"], arrs["gxp"], arrs["kl"]
-        # the mesh is kept for its kernels: its output marginals and scratch go
+        # the mesh is kept for its kernels: its scratch goes
         self.mesh.release()
         # polish probes of every multiplier and penalty, keyed on the exact
         # bytes of the parameter vector: (kl, I(X;Y), I(X';Y)) from its

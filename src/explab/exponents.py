@@ -204,6 +204,8 @@ class _MetricCtx:
         self._memo: dict[tuple, float] = {}
         self._tables: dict[float, np.ndarray] = {}
         self._fast_1d = ch.n_in == 2 and ch.n_out == 2
+        # the leading Q_Y columns that threshold_batch reads
+        self.qy_cols = 1 if self._fast_1d else ch.n_out
 
     # g over a batch of joints on X x Y
     def g_batch(self, j: np.ndarray) -> np.ndarray:
@@ -234,7 +236,8 @@ class _MetricCtx:
                         index: np.ndarray | None = None) -> np.ndarray:
         """a(R, Q_Y) for each row of qy_arr, written into out when it is
         given; index, an int64 array of out's length, is scratch for the
-        binary lattice's indices."""
+        binary lattice's indices. Only the first ``qy_cols`` columns of
+        qy_arr are read."""
         if self._fast_1d:  # the lattice is indexed by Q_Y(0) alone
             q = np.multiply(qy_arr[:, 0], _QUANT, out=out)
             q = np.rint(q, out=q)
@@ -267,38 +270,49 @@ class _MetricCtx:
         return table
 
     def _solve_1d_batch(self, qys: np.ndarray, rate: float) -> np.ndarray:
-        b00, b01, b10, b11 = (q * y for q in self.qx.probs for y in qys.T)
+        n = qys.shape[0]
+        # both ends of every segment as one problem: base holds the product
+        # coupling's cells b00, b01, b10, b11, shape (4, 2N), lower ends first
+        base = np.tile(np.stack([q * y for q in self.qx.probs for y in qys.T]), 2)
+        sign = np.array([[1.0], [-1.0], [-1.0], [1.0]])  # b01 + (-c) is b01 - c
+        # info's 4 cells and 4 marginal sums, and their x log x, in buffers
+        j, h = np.empty((2, 8, 2 * n))
+        pos = np.empty(j.shape, dtype=bool)
 
-        def cells(c: np.ndarray) -> tuple:
-            return b00 + c, b01 - c, b10 - c, b11 + c
+        def info(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+            jc, hc, pc = j[:, :c.size], h[:, :c.size], pos[:, :c.size]
+            np.add(b, np.multiply(sign, c, out=jc[:4]), out=jc[:4])
+            for k, (p, q) in enumerate(((0, 1), (2, 3), (0, 2), (1, 3)), 4):
+                np.add(jc[p], jc[q], out=jc[k])
+            x = xlogx(jc, hc, pc)
+            return np.maximum((((x[0] + x[1]) + x[2]) + x[3]
+                               - (x[4] + x[5])
+                               - (x[6] + x[7])), 0.0)
 
-        def info(c: np.ndarray) -> np.ndarray:
-            j00, j01, j10, j11 = cells(c)
-            return np.maximum((((xlogx(j00) + xlogx(j01)) + xlogx(j10)) + xlogx(j11)
-                               - (xlogx(j00 + j01) + xlogx(j10 + j11))
-                               - (xlogx(j00 + j10) + xlogx(j01 + j11))), 0.0)
-
-        def edge(side: np.ndarray) -> np.ndarray:
-            ok = info(side) <= rate
-            a = np.where(ok, side, 0.0)
-            b = side.copy()
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                good = info(mid) <= rate
-                a = np.where(good, mid, a)
-                b = np.where(good, b, mid)
-            return np.where(ok, side, a)
-
-        side_lo, side_hi = -np.minimum(b00, b11), np.minimum(b01, b10)
+        sides = np.concatenate([-np.minimum(base[0, :n], base[3, :n]),
+                                np.minimum(base[1, :n], base[2, :n])])
+        at_sides = info(base, sides)
         if self.kind == "mmi":
             # I is convex on the segment and 0 at c = 0: its largest value
             # within I <= R is R, or the larger of its values at the ends
-            return np.minimum(rate, np.maximum(info(side_lo), info(side_hi)))
-        c_lo, c_hi = edge(side_lo), edge(side_hi)
+            return np.minimum(rate, np.maximum(at_sides[:n], at_sides[n:]))
+        # an end within I <= R is the answer; from each other end, bisect
+        # towards c = 0. Only those take part, so the points bisected lie
+        # inside their segments, off the zero cell that every end has, and
+        # x log x can take its unmasked path
+        todo = np.flatnonzero(at_sides > rate)
+        b, lo, hi = base[:, todo], np.zeros(todo.size), sides[todo]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            good = info(b, mid) <= rate
+            lo = np.where(good, mid, lo)
+            hi = np.where(good, hi, mid)
+        c = sides.copy()
+        c[todo] = lo
         # g is affine on the interval, so the ends win; a zero of W makes g -inf
         # where its cell has mass, and that cell is 0 only at an end of the segment
-        return np.maximum(*(elog_batch(np.stack(cells(c), axis=-1).reshape(-1, 2, 2), self.logw)
-                            for c in (c_lo, c_hi)))
+        g = elog_batch((base + sign * c).T.reshape(-1, 2, 2), self.logw)
+        return np.maximum(g[:n], g[n:])
 
     def _solve_threshold(self, qy: np.ndarray, rate: float) -> float:
         poly = TransportPolytope(self.qx.probs, qy)
@@ -507,7 +521,7 @@ class _InnerSolve:
         if warm_rows is not None:
             starts.append((warm_rows, self._objective_single(warm_rows)))
         elif mesh.size() * mesh.nx * mesh.ny <= BUDGET:
-            obj = self._objective(mesh.build(ctx.kind))
+            obj = self._objective(mesh.build(ctx.kind, ctx.qy_cols))
             n_feasible = int(np.isfinite(obj).sum())
             for idx in _spread_minima(obj, _N_STARTS, mesh.gs):
                 starts.append((mesh.rows_of(idx), float(obj[idx])))
@@ -569,7 +583,7 @@ class _InnerSolve:
         budget = BUDGET // (4 * self.mesh.nx * self.mesh.ny)
         for _ in range(stages):
             local = self.mesh.regrid(zoom_slot_grids(rows, h, budget, points_cap=cap))
-            arrs = local.build(ctx.kind)
+            arrs = local.build(ctx.kind, ctx.qy_cols)
             evals += arrs["kl"].size
             # one pass serves both the graded-slack objective and the
             # strictly feasible anchor used by the final repair, in the
@@ -584,7 +598,10 @@ class _InnerSolve:
             best, v = _kl_argmin(arrs["kl"], margin, -slack_h, obj, off)
             if math.isfinite(v) and v < val - 1e-15:
                 rows, val = local.rows_of(best), v
-            best, v = _kl_argmin(arrs["kl"], margin, 0.0, obj, off)
+            # when its margin is >= 0 or NaN, that first argmin over margin
+            # >= -slack_h is also the first argmin over margin >= 0
+            if margin[best] < 0.0:
+                best, v = _kl_argmin(arrs["kl"], margin, 0.0, obj, off)
             if math.isfinite(v) and v < anchor["kl"]:
                 anchor["rows"], anchor["kl"] = local.rows_of(best), v
             h *= SHRINK

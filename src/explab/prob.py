@@ -184,11 +184,18 @@ class Channel:
 
 def xlogx(a: np.ndarray, out: np.ndarray | None = None,
           pos: np.ndarray | None = None) -> np.ndarray:
-    """x log x entry by entry, 0.0 where x <= 0 or NaN. out (not a itself)
-    and pos, for the mask x > 0, are optional buffers of a's shape."""
+    """x log x entry by entry, in floats, 0.0 where x <= 0 or NaN. out (not
+    a itself) and pos, for the mask x > 0, are optional buffers of a's
+    shape. Two paths give the same bits: when every entry is > 0, plain
+    np.log and np.multiply, which skip numpy's slower masked loops; else
+    both under the mask (``where=``)."""
     pos = np.greater(a, 0, out=pos)
+    if pos.all():
+        out = np.log(a, out=out)
+        out *= a
+        return out
     if out is None:
-        out = np.zeros_like(a)
+        out = np.zeros_like(a, dtype=np.result_type(a, 0.0))
     else:
         out.fill(0.0)
     np.log(a, out=out, where=pos)

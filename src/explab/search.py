@@ -243,7 +243,7 @@ class RowMesh:
     which X / X' symbol slot r aggregates. A candidate assigns one grid row to
     each slot; ``build(kind)`` returns, flattened over all G**s candidates:
 
-    - ``qy``  (N, ny)  output marginal
+    - ``qy``  (N, ny)  output marginal, or its first columns (``build``)
     - ``kl``  (N,)     sum_r weights[r] * D(row_r || W(.|x_of[r])), +inf on
       support violations
     - ``gx``  (N,)     g(Q_XY) for the decoding metric ``kind`` ('ml'/'mmi')
@@ -347,21 +347,26 @@ class RowMesh:
         structure makes new buffers."""
         self._bufs.clear()
 
-    def build(self, kind: str) -> dict[str, np.ndarray]:
+    def build(self, kind: str, qy_cols: int | None = None) -> dict[str, np.ndarray]:
+        """The mesh's ``qy``, ``kl``, ``gx`` and ``gxp`` (see the class).
+        ``qy`` holds the first qy_cols columns of Q_Y, shape (N, qy_cols),
+        and every column by default: a caller makes only the columns it
+        reads, since each costs a full-mesh sum."""
         s, ny, n = self.s, self.ny, self.n
+        cols = ny if qy_cols is None else qy_cols
         # mass[r][y]: slot r's weighted probability of output y, on mesh axis r
         mass = [[self._axis_view(self.weights[r] * self.slot_grids[r][:, y], r)
                  for y in range(ny)] for r in range(s)]
         # Q_Y column by column: numpy adds along a short trailing axis slowly
-        qy = self.buffer("qy", (ny,) + self.gs)
-        for y in range(ny):
+        qy = self.buffer("qy", (cols,) + self.gs)
+        for y in range(cols):
             _seq_sum([mass[r][y] for r in range(s)], out=qy[y])
         kl = _seq_sum([self._axis_view(self.weights[r] * d, r) for r, d in enumerate(self._row_kl())],
                       out=self.buffer("kl", self.gs))
         gx = self._score(kind, self._cells(mass, "x"), self.buffer("gx", self.gs))
         gxp = gx if self._same else self._score(kind, self._cells(mass, "xp"),
                                                 self.buffer("gxp", self.gs))
-        return {"qy": qy.reshape(ny, n).T, "kl": kl.reshape(n),
+        return {"qy": qy.reshape(cols, n).T, "kl": kl.reshape(n),
                 "gx": gx.reshape(n), "gxp": gxp.reshape(n)}
 
     def _cells(self, mass: list, sym: str) -> list:
@@ -701,13 +706,18 @@ def zoom_slot_grids(centers: np.ndarray, h: float, budget: int,
     # every free axis of every slot in one call: shape (s, free, p)
     c = centers[:, :free]
     axes = np.clip(np.linspace(c - h, c + h, p, axis=-1), 0.0, 1.0)
+    if free == 1:
+        # each axis is sorted already, so dropping repeated neighbours is
+        # np.unique; and 1 - x >= 0 for x in [0, 1], so no point is cut
+        a = axes[:, 0]
+        keep = np.ones(a.shape, dtype=bool)
+        np.not_equal(a[:, 1:], a[:, :-1], out=keep[:, 1:])
+        rows = np.stack([a, np.clip(1.0 - a, 0.0, 1.0)], axis=-1)
+        return [rows[r][keep[r]] for r in range(s)]
     grids = []
     for r in range(s):
-        if free == 1:
-            fc = np.unique(axes[r, 0])[:, None]
-        else:
-            mesh = np.meshgrid(*[np.unique(a) for a in axes[r]], indexing="ij")
-            fc = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        mesh = np.meshgrid(*[np.unique(a) for a in axes[r]], indexing="ij")
+        fc = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         last = 1.0 - fc.sum(axis=1)
         ok = last >= -1e-12
         grids.append(np.concatenate([fc[ok], np.clip(last[ok], 0.0, 1.0)[:, None]], axis=1))

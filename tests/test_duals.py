@@ -24,7 +24,7 @@ from explab.duals import (
 )
 from explab.exponents import ML, MMI, OptimizerOptions, RatePoint, a_threshold, gamma, trc_exponent
 from explab.prob import Channel, Dist, Joint2, ProbError, entropy
-from explab.search import RAY_HI, RayResult, golden_max, pattern_min
+from explab.search import RAY_HI, RayResult, RowMesh, golden_max, pattern_min
 
 UNIF = Dist.uniform(2)
 BSC01 = Channel.bsc(0.1)
@@ -551,6 +551,45 @@ class TestLambdaPhi:
                 theta(q_p, 0.1, ch_p, UNIF, OPTS).value, abs=1e-5)
             assert phi_bound(q, 0.1, BSC01, OPTS).value == pytest.approx(
                 phi_bound(q_p, 0.1, ch_p, OPTS).value, abs=1e-5)
+
+
+class _SecondBuild(Exception):
+    """Stops a solve at its second mesh build."""
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([[0.9, 0.1], [0.1, 0.9]], 1),
+    ([[0.8, 0.15, 0.05], [0.05, 0.15, 0.8]], 3),
+], ids=["2x2", "2x3"])
+def test_each_build_makes_the_qy_columns_its_threshold_reads(monkeypatch, rows, cols):
+    """Gamma's and theta's meshes make the Q_Y columns a(R, Q_Y) reads:
+    Q_Y(0) alone for the binary lattice, every column for the threshold
+    solves; lambda's and phi's mesh, which reads no threshold, makes none.
+    Gamma and theta stop at their second build: the global mesh, then the
+    first zoom mesh."""
+    made = []
+    build = RowMesh.build
+
+    def spy(mesh, kind, qy_cols=None):
+        arrs = build(mesh, kind, qy_cols)
+        made.append(arrs["qy"].shape[1])
+        if len(made) == 2:
+            raise _SecondBuild
+        return arrs
+
+    monkeypatch.setattr(RowMesh, "build", spy)
+    ch, opts = Channel.from_rows(rows), OptimizerOptions(grid_step=0.25, refine_iters=4)
+    for solve in (lambda: gamma(ANTI, 0.05, ML, ch, UNIF, opts),
+                  lambda: gamma(ANTI, 0.05, MMI, ch, UNIF, opts),
+                  lambda: theta(ANTI, 0.05, ch, UNIF, opts)):
+        made.clear()
+        with pytest.raises(_SecondBuild):
+            solve()
+        assert made == [cols, cols]
+    made.clear()
+    lambda_bound(ANTI, ch, opts)
+    phi_bound(ANTI, 0.05, ch, opts)
+    assert made == [0]
 
 
 class TestOuterBounds:

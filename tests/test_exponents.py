@@ -225,15 +225,26 @@ class TestZoomInBuffers:
     @pytest.mark.parametrize("rows", [[[0.9, 0.1], [0.1, 0.9]], [[1.0, 0.0], [0.2, 0.8]],
                                       [[0.75, 0.25], [0.1, 0.9]]], ids=["bsc", "z", "asym"])
     @pytest.mark.parametrize("metric", [ML, MMI])
-    def test_zoom_equals_its_old_code(self, rows, metric):
+    def test_zoom_equals_its_old_code(self, rows, metric, monkeypatch):
         """The zoom stages, whose threshold lookup, margin and objectives
         are computed in the mesh structure's scratch buffers, return what
         they did with new arrays: the same incumbent, evaluation count and
-        repair anchor, from the grid starts of solve, cold and shallow."""
+        repair anchor, from the grid starts of solve, cold and shallow. The
+        cases take both ways to the anchor: the incumbent's argmin, when its
+        margin is >= 0, and the second argmin over margin >= 0."""
+        cuts = []
+        kl_argmin = exponents._kl_argmin
+
+        def count(kl, margin, cut, obj, off):
+            cuts.append(cut)
+            return kl_argmin(kl, margin, cut, obj, off)
+
+        monkeypatch.setattr(exponents, "_kl_argmin", count)
         ch = Channel.from_rows(rows)
         ctx = exponents._metric_ctx(ch, UNIF, metric, OPTS)
-        for q in (PROD, Joint2(np.array([[0.3, 0.2], [0.2, 0.3]]))):
-            for rate in (0.0, 0.05):
+        for q in (PROD, Joint2(np.array([[0.3, 0.2], [0.2, 0.3]])),
+                  Joint2(np.array([[0.1, 0.4], [0.4, 0.1]]))):
+            for rate in (0.0, 0.05, 0.2):
                 prob = exponents._InnerSolve(ctx, q.probs, rate)
                 obj = prob._objective(prob.mesh.build(ctx.kind))
                 for idx in exponents._spread_minima(obj, 2, prob.mesh.gs):
@@ -250,6 +261,11 @@ class TestZoomInBuffers:
                         assert (got_anchor["rows"] is None) == (want_anchor["rows"] is None), where
                         if want_anchor["rows"] is not None:
                             assert got_anchor["rows"].tobytes() == want_anchor["rows"].tobytes(), where
+        # every stage takes the incumbent's argmin (cut -slack_h < 0), and
+        # some take the second
+        stages, second = sum(c < 0.0 for c in cuts), cuts.count(0.0)
+        assert stages + second == len(cuts)
+        assert stages - second > 0 and second > 0, (stages, second)
 
     def test_kl_argmin_cuts_at_the_margin(self):
         """kl where the margin is at least the cut, NaN margins included."""

@@ -366,6 +366,28 @@ def test_regrid_builds_as_a_fresh_mesh():
             assert parent.gs == (simplex_grid_array(ch.n_out, 2, 10_000).shape[0],) * parent.s
 
 
+def test_a_build_of_fewer_qy_columns_equals_the_full_build():
+    """build(kind, qy_cols) makes the first qy_cols columns of Q_Y only; they,
+    kl, gx and gxp are the full build's, bit for bit, on binary, ternary and
+    wider outputs."""
+    for name, (w, coupling, steps) in MESH_CASES.items():
+        ch = Channel.from_rows(w)
+        q = np.array(coupling)
+        xs, xps = np.nonzero(q > 0)
+        grids = [simplex_grid_array(ch.n_out, k, 10_000) for k in steps]
+        mesh = RowMesh(q[xs, xps], xs, xps, grids, ch.n_in, ch.log_matrix)
+        for kind in ("ml", "mmi"):
+            full = {k: v.copy() for k, v in mesh.build(kind).items()}
+            assert full["qy"].shape == (mesh.size(), ch.n_out)
+            for cols in range(ch.n_out + 1):
+                got = mesh.build(kind, cols)
+                assert got["qy"].shape == (mesh.size(), cols), (name, kind, cols)
+                assert np.ascontiguousarray(got["qy"]).tobytes() == \
+                    np.ascontiguousarray(full["qy"][:, :cols]).tobytes(), (name, kind, cols)
+                for key in ("kl", "gx", "gxp"):
+                    assert got[key].tobytes() == full[key].tobytes(), (name, kind, cols, key)
+
+
 def _xlogx_reference(a):
     pos = a > 0
     out = np.log(a, out=np.zeros_like(a), where=pos)
@@ -595,12 +617,30 @@ def test_global_mesh_fits_the_budget(w, k):
 
 
 def test_xlogx_and_entropy_batch():
-    # one x log x for every module, also in place into buffers
+    """One x log x for every module, also in place into buffers: byte for
+    byte the masked formula below, on all-positive input (the unmasked
+    path) and on input with 0.0, -0.0, a negative, NaN, +inf and a
+    subnormal (the masked path); integer input gives floats."""
+
+    def masked(a):
+        pos = a > 0
+        out = np.log(a, out=np.zeros(a.shape), where=pos)
+        return np.multiply(out, a, out=out, where=pos)
+
     v = np.array([0.0, 0.5, 1.0, -1.0, np.nan])
-    want = [0.0, 0.5 * math.log(0.5), 0.0, 0.0, 0.0]
-    assert np.allclose(xlogx(v), want)
-    out, pos = np.full(5, 7.0), np.empty(5, dtype=bool)
-    assert xlogx(v, out, pos) is out and np.allclose(out, want)
+    want = np.array([0.0, 0.5 * math.log(0.5), 0.0, 0.0, 0.0])
+    assert xlogx(v).tobytes() == masked(v).tobytes() == want.tobytes()
+    positive = np.concatenate([np.random.default_rng(5).random(1000),
+                               [5e-324, 1e-300, 1.0, 2.5, 1e300, np.inf]])
+    mixed = np.concatenate([positive, [0.0, -0.0, -1.0, np.nan, np.inf, 5e-324]])
+    for a in (positive, mixed, np.array([1, 2, 0]), np.array([1, 2, 3])):
+        want = masked(a)
+        assert want.dtype == float
+        got = xlogx(a)
+        assert got.dtype == float and got.tobytes() == want.tobytes(), a
+        out, pos = np.full(a.shape, 7.0), np.empty(a.shape, dtype=bool)
+        assert xlogx(a, out, pos) is out and out.tobytes() == want.tobytes(), a
+        assert np.array_equal(pos, a > 0)
     assert entropy(Dist(np.array([0.5, 0.5]))) == pytest.approx(math.log(2))
 
 
