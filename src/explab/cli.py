@@ -261,8 +261,8 @@ def parse_rates(spec: str) -> list[float]:
 
 
 def _resolve_composition(arg: str | None, nx: int, k: int, echo) -> list[float]:
-    """Default uniform; always snapped to the optimizer's 1/k grid (with a
-    notice)."""
+    """Default uniform; always snapped to the 1/k grid (with a notice): the
+    optimizer's grid, or for ``simulate`` the types of blocklength k."""
     if arg is None:
         comp = np.full(nx, 1.0 / nx)
     else:
@@ -443,7 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, rates=False):
         p.add_argument("--channel", required=True, help="channel file (format: 'dmc |X| |Y|' header, then |X| rows)")
-        p.add_argument("--composition", help="comma-separated composition (default uniform), snapped to the grid")
+        p.add_argument("--composition", help="comma-separated composition (default uniform), snapped "
+                                             "to the grid (simulate: to the 1/n types)")
         p.add_argument("--grid-step", type=float, default=0.125, help="search grid step 1/k (default 1/8)")
         p.add_argument("--refine-iters", type=int, default=20)
         p.add_argument("--threads", type=int, default=1,
@@ -502,8 +503,12 @@ def run(argv: list[str] | None = None, echo=print) -> int:
         if args.threads < 1:
             raise CliError(f"--threads must be at least 1, got {args.threads}")
         # the options check the grid step before the composition is snapped
-        cfg.composition = _resolve_composition(args.composition, spec.n_in,
-                                               cfg.opts().k, echo)
+        k = cfg.opts().k
+        if args.command == "simulate":
+            if args.n < 1:
+                raise CliError(f"--n must be at least 1, got {args.n}")
+            k = args.n
+        cfg.composition = _resolve_composition(args.composition, spec.n_in, k, echo)
         if args.command == "exponent":
             cfg.rates = parse_rates(args.rates)
             return cmd_exponent(cfg, args.which, args.out, args.csv,

@@ -15,7 +15,10 @@ A joint-type index is linear in the digits of a class, as a class code is
 in the digits of y, so the classes go in blocks of at most 2^12 + 1 whose codes
 and indexes are each one array sum from precomputed ones. A block reads
 its scores from the table and makes its decisions, GLD posterior and
-competing sums. The outputs of a class share every score and probability,
+competing sums. Its codes ascend, so on |Y| = 2 and where its types are
+digit-coded they are one run, written as one slice of the per-class table;
+only the gaps a count-coded type leaves at |Y| >= 3 take an indexed write.
+The outputs of a class share every score and probability,
 so the error profiles weight each class by its size, the number of outputs
 in it (a product of multinomials over the types), and never visit an
 output: O(M classes) work in place of O(M |Y|^n). The weighted sum is two
@@ -177,21 +180,24 @@ _TIE_RTOL = 1e-12
 
 def _count_rows(nc: int, ny: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Every count vector of nc positions over |Y| = ny symbols: the (ny, L)
-    counts, their codes (the counts of b >= 1 in radix nc + 1) and the code
-    space (nc + 1)^(ny - 1)."""
+    counts, their codes (the counts of b >= 1 in radix nc + 1) in ascending
+    order and the code space (nc + 1)^(ny - 1)."""
     radix = (nc + 1) ** np.arange(ny - 1)
-    tail = [k for k in itertools.product(range(nc + 1), repeat=ny - 1) if sum(k) <= nc]
+    tail = [k[::-1] for k in itertools.product(range(nc + 1), repeat=ny - 1) if sum(k) <= nc]
     tail = np.array(tail, dtype=np.int64).reshape(len(tail), ny - 1)
     return np.column_stack([nc - tail.sum(axis=1), tail]).T, tail @ radix, (nc + 1) ** (ny - 1)
 
 
 def _product(parts: list, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every combination of one entry from each (values (k, L), codes (L,))
-    part: the summed (k, prod L) values and the summed codes."""
-    values, codes = np.zeros((k, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for v, c in parts:
-        values = (values[:, :, None] + v[:, None, :]).reshape(k, -1)
-        codes = (codes[:, None] + c[None, :]).reshape(-1)
+    part, the earlier parts varying fastest: the summed (k, prod L) values
+    and the summed codes, which ascend on class codes (a part's codes step by
+    its stride, more than the earlier parts' codes sum to). The sums start
+    from the first part itself, not from a copy of it."""
+    values, codes = parts[0] if parts else (np.zeros((k, 1), dtype=np.int64), np.zeros(1, dtype=np.int64))
+    for v, c in parts[1:]:
+        values = (v[:, :, None] + values[:, None, :]).reshape(k, -1)
+        codes = (c[:, None] + codes[None, :]).reshape(-1)
     return values, codes
 
 
@@ -201,9 +207,11 @@ def _blocks(parts: list, k: int):
 
     The leading parts whose combinations fit in a block are combined once,
     the next part is cut into slices that fill a block, and the remaining
-    parts are combined once and taken one combination at a time. No block is
-    a single column: numpy sums the cells of a lone column in another order,
-    so its scores would depend on the blocking in their last bits.
+    parts are combined once and taken one combination at a time. Class
+    codes ascend in each block, one run c0 ... c0 + B - 1 unless a
+    count-coded type with |Y| >= 3 leaves gaps. No block is a single column:
+    numpy sums the cells of a lone column in another order, so its scores
+    would depend on the blocking in their last bits.
     """
     low, size = 0, 1
     while low < len(parts) and size * parts[low][1].size <= _BLOCK_OUTPUTS:
@@ -262,6 +270,7 @@ class _OutputClasses:
             raise ProbError(f"codeword symbol {top} is outside the channel's input alphabet of size {nx}")
         self.cb, self.ch = cb, ch
         self.weights = np.zeros((n, ny), dtype=np.int64)
+        count_rows = functools.cache(_count_rows)  # a handful of distinct (nc, ny)
         # per type: its column, the (|Y|, L) counts and local codes of its L
         # classes, its code space and its stride in the class code
         types: list[tuple[np.ndarray, np.ndarray, np.ndarray, int, int]] = []
@@ -272,7 +281,7 @@ class _OutputClasses:
             pos = np.flatnonzero(of_pos.ravel() == c)
             nc = pos.size
             if (nc + 1) ** (ny - 1) <= ny**nc:
-                counts, local, space = _count_rows(nc, ny)
+                counts, local, space = count_rows(nc, ny)
                 self.weights[pos, 1:] = stride * (nc + 1) ** np.arange(ny - 1)
                 mult = np.zeros(space)
                 mult[local] = [math.factorial(nc) // math.prod(map(math.factorial, k))
@@ -318,7 +327,7 @@ class _OutputClasses:
                     radix = step * (comp[a] + 1) ** np.arange(ny - 1)
                     for c in cov:
                         index[c][m] = radix @ types[c][1][1:]
-                    counts, _, space = _count_rows(comp[a], ny)
+                    counts, _, space = count_rows(comp[a], ny)
                     rows.append((counts, radix @ counts[1:]))
                     step *= space
                 else:
@@ -360,6 +369,20 @@ class _OutputClasses:
         scores, probs = self._score_tables(kind)
         for idx, codes in _blocks(self.parts, self.cb.m_count):
             yield codes, np.take(scores, idx), np.take(probs, idx)
+
+    def columns(self, table: np.ndarray, kind: str):
+        """``blocks(kind)`` as (out, scores, probs), out the block's columns
+        of the (M, size) table for the caller to fill: the slice
+        table[:, c0:c0 + B] where the ascending codes are one run, else a new
+        array, written to table[:, codes] when the next block is asked for."""
+        for codes, scores, probs in self.blocks(kind):
+            c0 = int(codes[0])
+            if codes[-1] - c0 == codes.size - 1:
+                yield table[:, c0:c0 + codes.size], scores, probs
+            else:
+                out = np.empty(scores.shape)
+                yield out, scores, probs
+                table[:, codes] = out
 
     def gather(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out[:, t] = table[:, code(y_t)] for every output t = sum_i y_i |Y|^i.
@@ -419,9 +442,17 @@ def _decisions(scores: np.ndarray) -> np.ndarray:
     permutations of each other) come out of the float sums a few ulps apart,
     so a plain argmax would break those ties by rounding. Scores within
     ``_TIE_RTOL`` (relative, at least absolute) of the best count as tied.
+    Each row from the last to the first writes its index where it is tied,
+    so the lowest tied index is left; a column with no tie (NaN) decides 0.
     """
     best = scores.max(axis=0)
-    return np.argmax(scores >= best - _TIE_RTOL * np.maximum(1.0, np.abs(best)), axis=0)
+    band = np.maximum(np.abs(best), 1.0)
+    band *= -_TIE_RTOL
+    band += best
+    first = np.zeros(best.shape, dtype=np.intp)
+    for m in reversed(range(scores.shape[0])):
+        np.copyto(first, m, where=scores[m] >= band)
+    return first
 
 
 def exact_error_profile(cb: Codebook, ch: Channel,
@@ -436,8 +467,8 @@ def exact_error_profile(cb: Codebook, ch: Channel,
     # codes that no class takes hold 0 (their multiplicity is 0)
     table = np.zeros((cb.m_count, classes.size))
     msgs = np.arange(cb.m_count)[:, None]
-    for codes, scores, probs in classes.blocks(decoder.kind):
-        table[:, codes] = probs * (_decisions(scores)[None, :] != msgs)
+    for out, scores, probs in classes.columns(table, decoder.kind):
+        np.multiply(probs, _decisions(scores) != msgs, out=out)
     return ErrorProfile(per_message=classes.class_sums(table))
 
 
@@ -466,7 +497,7 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
     """
     classes = _OutputClasses(cb, ch)
     table = np.zeros((cb.m_count, classes.size))
-    for codes, scores, probs in classes.blocks(cfg.metric.kind):
+    for out, scores, probs in classes.columns(table, cfg.metric.kind):
         gn = _gld_exponents(scores, cb.n, cfg)
         gmax = gn.max(axis=0)
         # near the float maximum, beta * log W(y | x_m) can overflow to -inf
@@ -480,7 +511,7 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
         expg = np.exp(gn - safe[None, :])
         tot = expg.sum(axis=0)
         post = expg / np.where(tot > 0.0, tot, 1.0)
-        table[:, codes] = probs * (1.0 - post)
+        np.multiply(probs, 1.0 - post, out=out)
     return ErrorProfile(per_message=classes.class_sums(table))
 
 
@@ -497,7 +528,7 @@ def competing_sum_log(cb: Codebook, ch: Channel,
     if m == 1:
         return np.full((1, ch.n_out**cb.n), -np.inf)
     table = np.empty((m, classes.size))
-    for codes, scores, _ in classes.blocks(cfg.metric.kind):
+    for out, scores, _ in classes.columns(table, cfg.metric.kind):
         gn = _gld_exponents(scores, cb.n, cfg)
         for msg in range(m):
             others = np.delete(gn, msg, axis=0)
@@ -505,7 +536,7 @@ def competing_sum_log(cb: Codebook, ch: Channel,
             safe = np.where(np.isfinite(top), top, 0.0)
             s = np.exp(others - safe[None, :]).sum(axis=0)
             with np.errstate(divide="ignore"):
-                table[msg, codes] = np.where(np.isfinite(top), safe + np.log(s), top)
+                out[msg] = np.where(np.isfinite(top), safe + np.log(s), top)
     return classes.gather(table, np.empty((m, ch.n_out**cb.n)))
 
 

@@ -166,6 +166,31 @@ class TestSimulateCommand:
         assert code == 2
         assert "cap" in text
 
+    @pytest.mark.parametrize("extra, notice, composition", [
+        (["--n", "10", "--composition", "0.3,0.7"], None, [0.3, 0.7]),
+        (["--n", "12", "--composition", "0.25,0.75", "--grid-step", "0.1"], None, [0.25, 0.75]),
+        (["--n", "5"], "composition rounded to the 1/5 grid: [0.6, 0.4]", [0.6, 0.4]),
+    ], ids=["off-search-grid", "off-grid-step", "odd-n-uniform"])
+    def test_composition_snapped_to_the_types(self, bsc_file, tmp_path, extra, notice, composition):
+        """simulate draws codewords of one type at blocklength n, so the
+        composition goes to the 1/n grid, not to the optimizer's."""
+        out = tmp_path / "s.json"
+        code, text = collect(["simulate", "--channel", bsc_file, "--M", "2", "--samples", "2",
+                              "--out", str(out)] + extra)
+        assert code == 0, text
+        assert ("rounded" in text) == (notice is not None)
+        if notice is not None:
+            assert notice in text
+        assert json.loads(out.read_text())["config"]["composition"] == pytest.approx(composition)
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_blocklength_rejected(self, bsc_file, n, recwarn):
+        code, text = collect(["simulate", "--channel", bsc_file, "--n", n, "--M", "2",
+                              "--samples", "1"])
+        assert code == 2
+        assert "--n must be at least 1" in text
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_rejected(self, bsc_file, tmp_path, samples):
         # with no sample run, the summary would claim all_zero_error and an

@@ -688,6 +688,109 @@ class TestJointTypeTables:
             assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > bound {bound / 2**20:.1f} MiB"
 
 
+# ---------------------------------------------------------------------------
+# decisions and block writes against their plain forms
+# ---------------------------------------------------------------------------
+
+
+def decisions_reference(scores):
+    """The lowest index in the tie band, as the argmax of the (M, B) band
+    mask over the messages."""
+    best = scores.max(axis=0)
+    return np.argmax(scores >= best - sim._TIE_RTOL * np.maximum(1.0, np.abs(best)), axis=0)
+
+
+def _columns_reference(self, table, kind):
+    """``_OutputClasses.columns`` with every block written by index: each
+    block fills a new array, then table[:, codes] = it."""
+    for codes, scores, probs in self.blocks(kind):
+        out = np.empty(scores.shape)
+        yield out, scores, probs
+        table[:, codes] = out
+
+
+class TestDecisions:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_equals_the_argmax_of_the_tie_band(self, m):
+        """Random (M, B) scores at magnitudes below and above 1, with exact
+        ties, rows just inside, on and just outside the band, -inf entries
+        and all -inf columns."""
+        rng = np.random.default_rng(m)
+        b = 700
+        scores = rng.normal(size=(m, b)) * rng.choice([1e-3, 1.0, 50.0], size=b)
+        best = scores.max(axis=0)
+        tol = sim._TIE_RTOL * np.maximum(1.0, np.abs(best))
+        # per column group: the offsets, in band widths, below the best that
+        # random rows are moved to
+        for group, offset in enumerate([0.0, 0.5, 1.0, 2.0, 1e3]):
+            cols = np.arange(group * 100, (group + 1) * 100)
+            rows = rng.integers(0, m, size=(2, cols.size))
+            for r in rows:
+                scores[r, cols] = best[cols] - offset * tol[cols]
+        scores[rng.integers(0, m, size=100), np.arange(500, 600)] = -np.inf
+        scores[:, 600:] = -np.inf
+        got = sim._decisions(scores)
+        assert got.shape == (b,)
+        assert np.array_equal(got, decisions_reference(scores))
+        assert np.all(got[600:] == 0)
+        if m > 1:  # the band decides columns a plain argmax decides otherwise
+            assert np.any(got[:300] != np.argmax(scores[:, :300], axis=0))
+
+
+CH24 = Channel.from_rows([[0.6, 0.2, 0.1, 0.1], [0.1, 0.1, 0.2, 0.6]])
+ORDER_CASES = {
+    "bsc": (BLOCK_CASES["bsc"], 2**2),
+    "2x3-mixed": (BLOCK_CASES["2x3-mixed"], 3),
+    # types of 3, 1, 1, 1 and 1 positions: (3 + 1)^3 counts tie 4^3 raw digits
+    "2x4": ((CH24, Codebook(n=7, codewords=np.array(
+        [[0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 1, 0, 1]]))), 4),
+}
+
+
+class TestBlockOrder:
+    @pytest.mark.parametrize("case", sorted(ORDER_CASES))
+    def test_blocks_tile_the_class_codes_in_ascending_order(self, monkeypatch, case):
+        """In blocks of a few classes, each class code comes once, in
+        ascending order, and a block is written as a table slice exactly
+        where its codes are one run: always on |Y| = 2, and on |Y| >= 3 but
+        where a count-coded type leaves gaps. The profiles and
+        competing_sum_log equal those of index writes and argmax decisions
+        to the byte."""
+        (ch, cb), block = ORDER_CASES[case]
+        monkeypatch.setattr(sim, "_BLOCK_OUTPUTS", block)
+        blocks, columns = sim._OutputClasses.blocks, sim._OutputClasses.columns
+        codes_seen, paths = [], {"slice": 0, "index": 0}
+
+        def recording(self, kind):
+            for codes, scores, probs in blocks(self, kind):
+                codes_seen.append(codes)
+                yield codes, scores, probs
+
+        def counting(self, table, kind):
+            for out, scores, probs in columns(self, table, kind):
+                paths["slice" if np.shares_memory(out, table) else "index"] += 1
+                yield out, scores, probs
+
+        monkeypatch.setattr(sim._OutputClasses, "blocks", recording)
+        monkeypatch.setattr(sim._OutputClasses, "columns", counting)
+        exact_error_profile(cb, ch, ML)
+        classes = sim._OutputClasses(cb, ch)
+        mult = np.multiply.outer(classes.mult_high, classes.mult_low).ravel()
+        runs = sum(int(c[-1] - c[0]) == c.size - 1 for c in codes_seen)
+        assert len(codes_seen) > 4
+        assert all(np.all(np.diff(c) > 0) for c in codes_seen)
+        assert np.array_equal(np.sort(np.concatenate(codes_seen)), np.flatnonzero(mult))
+        assert paths == {"slice": runs, "index": len(codes_seen) - runs}
+        if ch.n_out == 2:
+            assert paths["index"] == 0
+        else:
+            assert paths["slice"] > 0 and paths["index"] > 0
+        got = _every_output(cb, ch)
+        monkeypatch.setattr(sim._OutputClasses, "columns", _columns_reference)
+        monkeypatch.setattr(sim, "_decisions", decisions_reference)
+        assert _every_output(cb, ch) == got
+
+
 class TestDecoderInvariants:
     @pytest.mark.parametrize("seed", range(12))
     def test_ml_beats_mmi_average(self, seed):
