@@ -36,8 +36,8 @@ from .exponents import (
 from .duals import (
     BoundReport,
     certify_theorem1,
-    g_aux,
     lambda_bound,
+    log_g_aux,
     ml_upper_bound,
     mmi_lower_bound,
     phi_bound,
@@ -67,7 +67,7 @@ __all__ = [
     "OptimizerOptions", "RatePoint", "a_threshold",
     "expurgated_exponent", "gamma", "random_coding_exponent",
     "sweep", "trc_exponent",
-    "BoundReport", "certify_theorem1", "g_aux", "lambda_bound",
+    "BoundReport", "certify_theorem1", "lambda_bound", "log_g_aux",
     "ml_upper_bound", "mmi_lower_bound", "phi_bound", "psi", "theta",
     "Codebook", "ErrorProfile", "GldConfig", "TrialSummary",
     "competing_sum_log", "empirical_trc", "exact_error_profile",

@@ -8,7 +8,7 @@ its defining formula (the sup over the multiplier stays outside):
                    score (the s = 1/2 point is the Bhattacharyya value);
 - ``theta``        sup over rho of the (sigma, tau, V) infimum of
                    rho*(sigma*(R - H(Q_X)) - tau*D(Q_X||V)) minus the
-                   pair term built on the auxiliary kernel ``g_aux``; the
+                   pair term built on the auxiliary kernel (``log_g_aux``); the
                    infimum is computed in its equal primal form, the
                    Lagrangian of Gamma_ML's threshold constraint;
 - ``lambda_bound`` sup over a multiplier of the score-tilted inner channel
@@ -95,12 +95,6 @@ def log_g_aux(y: int, sigma: float, tau: float, v: np.ndarray,
                         "channel column is positive")
     v = np.where(v > 0, v, 1.0)[None, :]
     return float(_log_g_aux_mesh(np.array([sigma]), np.array([tau]), v, ch, q_x)[0, 0, 0, y])
-
-
-def g_aux(y: int, sigma: float, tau: float, v: np.ndarray,
-          ch: Channel, q_x: Dist) -> float:
-    """The auxiliary kernel itself (exp of log_g_aux)."""
-    return float(math.exp(log_g_aux(y, sigma, tau, v, ch, q_x)))
 
 
 def _log_g_aux_mesh(sigmas: np.ndarray, taus: np.ndarray, vs: np.ndarray,

@@ -19,7 +19,9 @@ which repeats build's float operations in build's order, so both stages
 see the same bits. A polish probe goes from its free coordinates to stats
 in one kernel call (``RowMesh.param_stats``), and a zoom stage's mesh
 shares its parent's structure, kernels and buffers included, and replaces
-only the slot grids (``RowMesh.regrid``).
+only the slot grids (``RowMesh.regrid``). A large mesh's MMI scores are
+computed once per distinct pair of cell columns and gathered onto the mesh:
+the method of types applied to the mesh, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 BUDGET = 2_000_000  # most mesh candidates, times |X|*|Y|, scored in one build
 SHRINK = 0.5  # pattern steps and zoom half-widths shrink by this per stage
 RAY_HI = 8.0  # ray suprema search [0, RAY_HI] first, doubling on boundary hits
+_COLUMNS_MIN = 2**14  # least mesh size whose MMI scores may come from distinct columns
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +273,20 @@ class RowMesh:
     mesh's structure (slot groups, dead cells, the plain-float weights and
     log W, the kernels, the buffers) and replaces only the slot grids.
 
+    A score depends on a candidate only through its cell columns [Q(x, y)
+    for each y], and a symbol's sub-mesh may repeat a column bit for bit
+    (at equal slot weights, a binary zoom stage's 17 x 17 sub-mesh holds 33).
+    Where ``_by_columns`` takes a build, ``_score`` runs on the grid of each
+    slot group's distinct columns, one axis per group, and one ``take`` per
+    group gathers the values onto the mesh: each is made by the same float
+    operations on the same bits, so the scores are equal bit for bit.
+
     ``build`` writes its arrays into buffers that the structure owns
     (``buffer``), so the zoom stages of a solve make no new full-mesh
-    arrays: only sub-mesh arrays are new, and, at 8 or more cells or
-    outputs, the terms and partial sums of numpy's pairwise order. A
-    build's arrays are views of these buffers and stay valid until the next
+    arrays: only sub-mesh arrays are new, those of the grid of distinct
+    columns and of its partial gathers, and, at 8 or more cells or outputs,
+    the terms and partial sums of numpy's pairwise order. A build's
+    arrays are views of these buffers and stay valid until the next
     build of a mesh of the same structure, which writes over them. The
     scratch buffers ``s0``, ``s1`` (float) and ``pos`` (bool) hold nothing
     between builds: a caller may use them, at the mesh's size, until the
@@ -351,7 +363,8 @@ class RowMesh:
         """The mesh's ``qy``, ``kl``, ``gx`` and ``gxp`` (see the class).
         ``qy`` holds the first qy_cols columns of Q_Y, shape (N, qy_cols),
         and every column by default: a caller makes only the columns it
-        reads, since each costs a full-mesh sum."""
+        reads, since each costs a full-mesh sum. ``gx`` and ``gxp`` have the
+        full-mesh bits also where they come from distinct cell columns."""
         s, ny, n = self.s, self.ny, self.n
         cols = ny if qy_cols is None else qy_cols
         # mass[r][y]: slot r's weighted probability of output y, on mesh axis r
@@ -363,9 +376,8 @@ class RowMesh:
             _seq_sum([mass[r][y] for r in range(s)], out=qy[y])
         kl = _seq_sum([self._axis_view(self.weights[r] * d, r) for r, d in enumerate(self._row_kl())],
                       out=self.buffer("kl", self.gs))
-        gx = self._score(kind, self._cells(mass, "x"), self.buffer("gx", self.gs))
-        gxp = gx if self._same else self._score(kind, self._cells(mass, "xp"),
-                                                self.buffer("gxp", self.gs))
+        gx = self._score_of(kind, mass, "x", self.buffer("gx", self.gs))
+        gxp = gx if self._same else self._score_of(kind, mass, "xp", self.buffer("gxp", self.gs))
         return {"qy": qy.reshape(cols, n).T, "kl": kl.reshape(n),
                 "gx": gx.reshape(n), "gxp": gxp.reshape(n)}
 
@@ -374,9 +386,37 @@ class RowMesh:
         entries on the mesh axes."""
         return [(x, _vec_sum([mass[r] for r in slots])) for x, slots in self._groups[sym]]
 
+    def _score_of(self, kind: str, mass: list, sym: str, out: np.ndarray) -> np.ndarray:
+        """``_score`` of the joint of sym's slot groups into out: on the mesh,
+        or, where ``_by_columns`` takes it, on the grid of each group's
+        distinct cell columns, gathered onto the mesh (see the class)."""
+        cells = self._cells(mass, sym)
+        picks = [_distinct_columns(col) for _, col in cells] if _by_columns(kind, self.n, None) else []
+        counts = tuple(u.shape[1] for u, _ in picks)
+        if not picks or not _by_columns(kind, self.n, counts):
+            return self._score(kind, cells, out)
+        k = len(picks)
+        grid = self._score(kind, [(x, [c.reshape((1,) * g + (-1,) + (1,) * (k - 1 - g)) for c in u])
+                                  for g, ((x, _), (u, _)) in enumerate(zip(cells, picks))],
+                           self.buffer("cols", counts))
+        # one take per group, the last (mode 'clip' writes out unbuffered) into
+        # the mesh with its axes in group order: out itself when the groups
+        # hold the slots in mesh order
+        groups = [slots for _, slots in self._groups[sym]]
+        order = [r for slots in groups for r in slots]
+        for g, (_, inverse) in enumerate(picks[:-1]):
+            grid = grid.take(inverse, axis=g)
+        sub = tuple(math.prod(self.gs[r] for r in slots) for slots in groups)
+        inorder = order == sorted(order)
+        last = grid.take(picks[-1][1], axis=k - 1, mode="clip",
+                         out=out.reshape(sub) if inorder else self.buffer("s0", sub))
+        if not inorder:
+            np.copyto(out, last.reshape([self.gs[r] for r in order]).transpose(np.argsort(order)))
+        return out
+
     def _score(self, kind: str, cells: list, out: np.ndarray) -> np.ndarray:
         """elog_batch (kind 'ml') or mi_batch of the joint with these cells,
-        in their order of summation, written into out (of shape gs)."""
+        in their order of summation, into out (of their broadcast shape)."""
         nx, ny = self.nx, self.ny
         terms = [0.0] * (nx * ny)
         if kind == "ml":
@@ -392,8 +432,8 @@ class RowMesh:
             for q in charged:
                 np.copyto(total, -np.inf, where=q > 0)
             return total
-        s0, s1 = self.buffer("s0", self.gs), self.buffer("s1", self.gs)
-        pos = self.buffer("pos", self.gs, bool)
+        s0, s1 = self.buffer("s0", out.shape), self.buffer("s1", out.shape)
+        pos = self.buffer("pos", out.shape, bool)
         # the Q_Y term into out first: column y into s0, its x log x into s1
         if ny < 8:  # _np_sum's order: from the left
             for y in range(ny):
@@ -522,6 +562,23 @@ def _vec_sum(vecs: list) -> list:
     for v in vecs[1:]:
         acc = list(map(operator.add, acc, v))
     return acc
+
+
+def _by_columns(kind: str, n: int, counts: list | None) -> bool:
+    """Whether build scores n candidates on distinct cell columns: MMI (an
+    ML score is two adds, cheaper than a gather), n >= _COLUMNS_MIN, and the
+    groups' distinct counts, once found, multiply to at most n / 4."""
+    return kind == "mmi" and n >= _COLUMNS_MIN and (counts is None or 4 * math.prod(counts) <= n)
+
+
+def _distinct_columns(col: list) -> tuple[np.ndarray, np.ndarray]:
+    """A slot group's distinct cell columns by their bits (-0.0 is not 0.0,
+    NaN payloads differ), shape (ny, U), and each sub-mesh candidate's
+    index into them, in C order over the group's slots."""
+    rows = np.stack([c.reshape(-1) for c in col], axis=1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq.view(rows.dtype).reshape(-1, rows.shape[1]).T.copy(), inverse.reshape(-1)
 
 
 def _slot_groups(of: np.ndarray) -> list[tuple[int, list[int]]]:

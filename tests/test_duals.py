@@ -13,7 +13,6 @@ from explab.cli import json_dumps
 from explab.duals import (
     _TiltedProblem,
     certify_theorem1,
-    g_aux,
     lambda_bound,
     log_g_aux,
     ml_upper_bound,
@@ -69,19 +68,19 @@ def threshold_dual(rate: float, q_y: Dist, ch: Channel, q_x: Dist,
 
 class TestGAux:
     def test_tau_zero_drops_v_and_qx(self):
-        v1 = g_aux(0, 2.0, 0.0, np.array([0.9, 0.1]), BSC01, UNIF)
-        v2 = g_aux(0, 2.0, 0.0, np.array([0.5, 0.5]), BSC01,
-                   Dist(np.array([0.25, 0.75])))
+        v1 = math.exp(log_g_aux(0, 2.0, 0.0, np.array([0.9, 0.1]), BSC01, UNIF))
+        v2 = math.exp(log_g_aux(0, 2.0, 0.0, np.array([0.5, 0.5]), BSC01,
+                                Dist(np.array([0.25, 0.75]))))
         want = (0.9 ** 0.5 + 0.1 ** 0.5) ** 2
         assert v1 == pytest.approx(want, abs=1e-12)
         assert v2 == pytest.approx(want, abs=1e-12)
 
     def test_sigma_tau_one_gives_column_mass(self):
-        v = g_aux(1, 1.0, 1.0, UNIF.probs, BSC01, UNIF)
+        v = math.exp(log_g_aux(1, 1.0, 1.0, UNIF.probs, BSC01, UNIF))
         assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_derived_value(self):
-        v = g_aux(0, 2.0, 1.0, UNIF.probs, BSC01, UNIF)
+        v = math.exp(log_g_aux(0, 2.0, 1.0, UNIF.probs, BSC01, UNIF))
         assert v == pytest.approx(G_AUX_S2_T1, abs=1e-12)
 
     def test_sigma_zero_max_term(self):
@@ -90,7 +89,7 @@ class TestGAux:
 
     def test_v_support_violation(self):
         with pytest.raises(ProbError):
-            g_aux(0, 1.0, 1.0, np.array([1.0, 0.0]), BSC01, UNIF)
+            log_g_aux(0, 1.0, 1.0, np.array([1.0, 0.0]), BSC01, UNIF)
 
     def test_mesh_matches_scalar(self):
         from explab.duals import _log_g_aux_mesh

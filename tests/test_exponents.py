@@ -25,7 +25,8 @@ from explab.exponents import (
     trc_exponent,
 )
 from explab.prob import Channel, Dist, Joint2, ProbError, coupling_grid, mutual_information
-from explab.search import elog_batch, mi_batch
+from explab import search
+from explab.search import RowMesh, elog_batch, mi_batch
 
 LOG2 = math.log(2.0)
 UNIF = Dist.uniform(2)
@@ -656,3 +657,59 @@ class TestSharedContext:
                             "--out", str(out)], echo=lambda *a, **k: None) == 0
             results.append(json.loads(out.read_text())["results"])
         assert results[0] == results[1]
+
+
+class TestDistinctColumnWork:
+    """The work of Gamma's mesh scores at R = 0 on BSC(0.1): an MMI zoom
+    mesh of the uniform product coupling scores each distinct pair of cell
+    columns once; ML, unequal slot weights and small meshes score the whole
+    mesh."""
+
+    @staticmethod
+    def _builds(monkeypatch, coupling, metric):
+        """Per build of gamma's solve: its kind, mesh shape, the shapes its
+        scores were computed on, and the distinct column counts it found."""
+        builds = []
+        build, score, distinct = RowMesh.build, RowMesh._score, search._distinct_columns
+
+        def built(self, kind, qy_cols=None):
+            builds.append({"kind": kind, "gs": self.gs, "scores": [], "distinct": []})
+            return build(self, kind, qy_cols)
+
+        def scored(self, kind, cells, out):
+            builds[-1]["scores"].append(out.shape)
+            return score(self, kind, cells, out)
+
+        def found(col):
+            cols, inverse = distinct(col)
+            builds[-1]["distinct"].append(cols.shape[1])
+            return cols, inverse
+
+        monkeypatch.setattr(RowMesh, "build", built)
+        monkeypatch.setattr(RowMesh, "_score", scored)
+        monkeypatch.setattr(search, "_distinct_columns", found)
+        # a channel of its own: no solve of an earlier test is reused
+        gamma(Joint2(np.array(coupling)), 0.0, metric, Channel.bsc(0.1), UNIF, OPTS)
+        small = [b for b in builds if math.prod(b["gs"]) < search._COLUMNS_MIN]
+        assert small and all(b["distinct"] == [] and b["scores"] == [b["gs"]] * 2 for b in small)
+        return [b for b in builds if b["gs"] == (17,) * 4]
+
+    def test_product_coupling_scores_33_by_33_pairs(self, monkeypatch):
+        zoom = self._builds(monkeypatch, [[0.25, 0.25], [0.25, 0.25]], MMI)
+        assert len(zoom) >= 12
+        for b in zoom:
+            assert b["distinct"] == [33] * 4 and b["scores"] == [(33, 33)] * 2, b
+
+    def test_ml_scores_the_full_mesh(self, monkeypatch):
+        zoom = self._builds(monkeypatch, [[0.25, 0.25], [0.25, 0.25]], ML)
+        assert len(zoom) >= 12
+        for b in zoom:
+            assert b["distinct"] == [] and b["scores"] == [(17,) * 4] * 2, b
+
+    def test_unequal_weights_score_the_full_mesh(self, monkeypatch):
+        # about 160 distinct columns of 289 per group: their pairs would
+        # be more than a quarter of the mesh
+        zoom = self._builds(monkeypatch, [[0.4, 0.1], [0.1, 0.4]], MMI)
+        assert len(zoom) >= 12
+        for b in zoom:
+            assert len(b["distinct"]) == 4 and b["scores"] == [(17,) * 4] * 2, b

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from explab import search
 from explab.prob import Channel, Dist, entropy, simplex_grid_array, xlogx
 from explab.search import (
     BUDGET,
@@ -596,6 +597,100 @@ class TestBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+
+
+class TestDistinctColumns:
+    """build scores on the whole mesh, or on the grid of each slot group's
+    distinct cell columns, gathered onto the mesh; _by_columns picks the
+    path. Forced down each path, every build gives the same bytes."""
+
+    @staticmethod
+    def _builds(monkeypatch, mesh, kind):
+        """Copies of the mesh's build on the full-mesh path and on the
+        distinct-column path, and the distinct columns the second one found."""
+        seen = []
+        distinct = search._distinct_columns
+
+        def recorded(col):
+            cols, inverse = distinct(col)
+            seen.append(cols)
+            return cols, inverse
+
+        monkeypatch.setattr(search, "_distinct_columns", recorded)
+        builds = []
+        for take in (False, True):
+            monkeypatch.setattr(search, "_by_columns", lambda *args, take=take: take)
+            builds.append({k: v.copy() for k, v in mesh.build(kind).items()})
+        return builds, seen
+
+    @staticmethod
+    def _assert_stats(mesh, kind, arrs, where):
+        """stats_of at sampled candidates equals the build's entries."""
+        rng = np.random.default_rng(5)
+        for i in {0, mesh.size() - 1, *rng.integers(0, mesh.size(), 20).tolist()}:
+            st = mesh.stats_of(mesh.rows_of(i), kind)
+            assert st["qy"] == arrs["qy"][i].tolist(), (where, i)
+            assert (st["kl"], st["gx"], st["gxp"]) == \
+                (arrs["kl"][i], arrs["gx"][i], arrs["gxp"][i]), (where, i)
+
+    def test_mesh_cases_give_the_same_bytes(self, monkeypatch):
+        """Every MESH_CASES structure (2, 3, 4 and 9 outputs), both kinds:
+        equal and unequal slot weights, dead cells, pairwise sums."""
+        for name, (w, coupling, steps) in MESH_CASES.items():
+            ch = Channel.from_rows(w)
+            q = np.array(coupling)
+            xs, xps = np.nonzero(q > 0)
+            grids = [simplex_grid_array(ch.n_out, k, 10_000) for k in steps]
+            mesh = RowMesh(q[xs, xps], xs, xps, grids, ch.n_in, ch.log_matrix)
+            for kind in ("ml", "mmi"):
+                (full, cols), seen = self._builds(monkeypatch, mesh, kind)
+                assert seen, (name, kind)
+                _assert_builds_equal(cols, full, (name, kind))
+                _assert_builds_equal(full, _build_reference(mesh, kind), (name, kind))
+                self._assert_stats(mesh, kind, cols, (name, kind))
+
+    @pytest.mark.parametrize("coupling", [[[0.25, 0.25], [0.25, 0.25]], [[0.4, 0.1], [0.1, 0.4]]],
+                             ids=["equal", "unequal"])
+    @pytest.mark.parametrize("rows", [[[0.9, 0.1], [0.1, 0.9]], [[1.0, 0.0], [0.2, 0.8]]],
+                             ids=["bsc", "z"])
+    def test_zoom_meshes_give_the_same_bytes(self, monkeypatch, rows, coupling):
+        """Zoom meshes of up to 17**4 candidates, built as the search builds
+        them and down each path. On the Z-channel the rows at the vertex
+        (1, 0) have grids clipped at 0 and 1, with zero cells (MMI's masked
+        x log x) and dead ones (ML's -inf charges)."""
+        ch = Channel.from_rows(rows)
+        q = np.array(coupling)
+        xs, xps = np.nonzero(q > 0)
+        parent = RowMesh(q[xs, xps], xs, xps, simplex_grid_array(2, 8), 2, ch.log_matrix)
+        mesh = parent.regrid(zoom_slot_grids(np.round(ch.w[xs] * 8) / 8, 1 / 16, BUDGET // 16))
+        clipped = rows[0][0] == 1.0
+        assert mesh.gs == ((9, 9, 17, 17) if clipped else (17,) * 4)
+        assert (mesh.slot_grids[0] == 0.0).any() == clipped
+        for kind in ("ml", "mmi"):
+            searched = {k: v.copy() for k, v in mesh.build(kind).items()}
+            (full, cols), seen = self._builds(monkeypatch, mesh, kind)
+            _assert_builds_equal(cols, full, kind)
+            _assert_builds_equal(searched, full, kind)
+            self._assert_stats(mesh, kind, cols, kind)
+            if not clipped and coupling[0][0] == 0.25:
+                # 2 * 17 - 1 distinct sums of two 17-point grids, per group
+                assert [c.shape[1] for c in seen] == [33] * 4
+            if clipped and kind == "ml":
+                assert np.isneginf(full["gx"]).any() and np.isfinite(full["gx"]).any()
+
+    def test_columns_that_differ_in_the_sign_of_a_zero(self, monkeypatch):
+        """0.25 * -0.0 + 0.25 * -0.0 is -0.0, and 0.25 * 0.0 + 0.25 * -0.0
+        is 0.0: the columns (-0.0, 0.5) and (0.0, 0.5) stay apart."""
+        grid = np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, 0.5], [1.0, -0.0], [1.0, 0.0]])
+        q = np.full((2, 2), 0.25)
+        xs, xps = np.nonzero(q > 0)
+        mesh = RowMesh(q[xs, xps], xs, xps, grid, 2, BSC01.log_matrix)
+        for kind in ("ml", "mmi"):
+            (full, cols), seen = self._builds(monkeypatch, mesh, kind)
+            _assert_builds_equal(cols, full, kind)
+            self._assert_stats(mesh, kind, cols, kind)
+            for c in seen:
+                assert c.shape[1] > len(set(map(tuple, c.T.tolist()))), c
 
 
 @pytest.mark.parametrize("w, k", [
