@@ -49,7 +49,6 @@ from .simulate import (
     ErrorProfile,
     GldConfig,
     TrialSummary,
-    competing_sum_log,
     empirical_trc,
     exact_error_profile,
     exact_error_profile_gld,
@@ -70,6 +69,6 @@ __all__ = [
     "BoundReport", "certify_theorem1", "lambda_bound", "log_g_aux",
     "ml_upper_bound", "mmi_lower_bound", "phi_bound", "psi", "theta",
     "Codebook", "ErrorProfile", "GldConfig", "TrialSummary",
-    "competing_sum_log", "empirical_trc", "exact_error_profile",
-    "exact_error_profile_gld", "expurgate_worst_half", "sample_codebook",
+    "empirical_trc", "exact_error_profile", "exact_error_profile_gld",
+    "expurgate_worst_half", "sample_codebook",
 ]

@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -40,14 +39,7 @@ from .exponents import (
     sweep,
 )
 from .prob import Channel, Dist, ProbError
-from .simulate import (
-    GldConfig,
-    _check_enumerable,
-    _trial_summary,
-    exact_error_profile,
-    exact_error_profile_gld,
-    sample_codebook,
-)
+from .simulate import GldConfig, empirical_trc
 
 FORMAT_VERSION = "4"
 LN2 = math.log(2.0)
@@ -389,26 +381,13 @@ def cmd_certify(cfg: RunConfig, out, echo) -> int:
 def cmd_simulate(cfg: RunConfig, out, csv_path, echo) -> int:
     ch = cfg.channel.to_channel()
     comp = Dist(np.array(cfg.composition))
-    metric = ML if cfg.metric == "ml" else MMI
-    _check_enumerable(cfg.n, ch.n_out)  # before any codebook is drawn
-
-    def run_sample(i: int) -> dict:
-        cb = sample_codebook(cfg.n, cfg.m_count, comp, seed=[cfg.seed, i])
-        if cfg.decoder == "gld":
-            prof = exact_error_profile_gld(cb, ch, GldConfig(metric=metric, beta=cfg.beta))
-        else:
-            prof = exact_error_profile(cb, ch, ML if cfg.decoder == "ml" else MMI)
-        return {"index": i, "pe_average": prof.average, "pe_max": prof.max,
-                "per_message": list(prof.per_message)}
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            sample_rows = list(ex.map(run_sample, range(cfg.samples)))
-    else:
-        sample_rows = [run_sample(i) for i in range(cfg.samples)]
-
-    trials = _trial_summary([s["pe_average"] for s in sample_rows], cfg.n, cfg.m_count,
-                            cfg.decoder, cfg.seed)
+    metrics = {"ml": ML, "mmi": MMI}
+    decoder = (GldConfig(metric=metrics[cfg.metric], beta=cfg.beta) if cfg.decoder == "gld"
+               else metrics[cfg.decoder])
+    trials, profiles = empirical_trc(cfg.n, cfg.m_count, comp, ch, decoder,
+                                     cfg.samples, cfg.seed, threads=cfg.threads)
+    sample_rows = [{"index": i, "pe_average": p.average, "pe_max": p.max,
+                    "per_message": list(p.per_message)} for i, p in enumerate(profiles)]
     summary = {"type": "summary", **asdict(trials)}
     summary["M"] = summary.pop("m_count")
     zero, exponent = trials.zero_error_samples, trials.empirical_exponent

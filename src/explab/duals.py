@@ -603,7 +603,7 @@ def _outer_bound(rp: RatePoint, opts: OptimizerOptions, per_coupling) -> float:
             memo[key] = per_coupling(Joint2(q / q.sum()))
         return memo[key], None
 
-    best, (_, v_ref), _, _ = _outer_search(rp, opts, 2.0 * rp.rate, value)
+    best, (_, v_ref, _), _, _ = _outer_search(rp, opts, 2.0 * rp.rate, value)
     return max(float(min(best[0], v_ref)), 0.0)
 
 

@@ -89,13 +89,6 @@ class DecodingMetric:
         if self.kind not in ("ml", "mmi"):
             raise ProbError(f"unknown decoding metric {self.kind!r}")
 
-    def evaluate(self, j: Joint2, ch: Channel | None = None) -> float:
-        if self.kind == "mmi":
-            return mutual_information(j)
-        if ch is None:
-            raise ProbError("the ml metric needs a channel")
-        return float(elog_batch(j.probs[None], ch.log_matrix)[0])
-
 
 ML = DecodingMetric("ml")
 MMI = DecodingMetric("mmi")
@@ -316,11 +309,8 @@ class _MetricCtx:
 
     def _solve_threshold(self, qy: np.ndarray, rate: float) -> float:
         poly = TransportPolytope(self.qx.probs, qy)
-        if poly.dim == 0:
-            j = poly.base
-            if mutual_information(Joint2(j)) > rate + self.opts.slack:
-                return -math.inf
-            return self.g_batch(j[None])[0]
+        if poly.dim == 0:  # the product coupling alone, I = 0
+            return self.g_batch(poly.base[None])[0]
         return self._solve_threshold_grid(poly, rate)
 
     def _solve_threshold_grid(self, poly: TransportPolytope, rate: float) -> float:
@@ -719,8 +709,9 @@ def _outer_search(rp: RatePoint, opts: OptimizerOptions, cap: float,
     grid is scanned but not polished: the incumbent, the product coupling,
     is also the polish result, after 0 evaluations. Returns the grid incumbent
     (value, coupling, payload, information), the polish result
-    (coupling, value), the number of feasible grid couplings and the
-    polish evaluation count.
+    (coupling, value, the payload per_coupling returned with that value
+    there, or None if it is +inf), the number of feasible grid couplings
+    and the polish evaluation count.
     """
     qx = rp.composition
     # rounding tolerance of the cap; near the product coupling I grows like
@@ -744,10 +735,11 @@ def _outer_search(rp: RatePoint, opts: OptimizerOptions, cap: float,
         if total < best[0] - 1e-15:
             best = (total, j2.probs, payload, info)
     if cap == 0.0:
-        return best, (best[1], best[0]), n_feasible, 0
+        return best, (best[1], best[0], best[2]), n_feasible, 0
 
     poly = TransportPolytope(qx.probs, qx.probs)
     state = {"payload": best[2], "sig": _support_sig(best[1]), "val": best[0]}
+    probes: dict[tuple, object] = {}  # payload by (coordinates, value)
 
     def f(c: list) -> float:
         j = poly.joints(c)
@@ -760,12 +752,14 @@ def _outer_search(rp: RatePoint, opts: OptimizerOptions, cap: float,
         sig = _support_sig(j)
         v, payload = per_coupling(j, state["payload"] if sig == state["sig"] else None)
         val = v + info - rp.rate
+        probes[tuple(c), val] = payload
         if val < state["val"]:
             state.update(payload=payload, sig=sig, val=val)
         return val
 
     c_ref, v_ref, evals = pattern_min(poly.param_of(best[1]), f, opts.grid_step, opts.refine_iters)
-    return best, (np.clip(poly.joints(c_ref), 0.0, None), v_ref), n_feasible, evals
+    payload = probes.get((tuple(c_ref.tolist()), v_ref))
+    return best, (np.clip(poly.joints(c_ref), 0.0, None), v_ref, payload), n_feasible, evals
 
 
 def _outer_minimize(rp: RatePoint, metric: DecodingMetric, ch: Channel,
@@ -778,11 +772,12 @@ def _outer_minimize(rp: RatePoint, metric: DecodingMetric, ch: Channel,
         res = _inner_solve(ch, ctx, q, rp.rate, None if warm is None else warm["rows"])
         return res["value"], res
 
-    best, (j, v_ref), n_feasible, evals = _outer_search(rp, opts, info_cap, per_coupling)
-    if v_ref < best[0]:
-        res = _inner_solve(ch, ctx, j, rp.rate)  # cold re-solve at the winning coupling
+    best, (j, v_ref, warm), n_feasible, evals = _outer_search(rp, opts, info_cap, per_coupling)
+    if v_ref < best[0]:  # re-solve cold; report the lower solve with its own rows
+        res = _inner_solve(ch, ctx, j, rp.rate)
         info = float(mi_batch(j[None])[0])
-        best = (min(v_ref, res["value"] + info - rp.rate), j, res, info)
+        cold = res["value"] + info - rp.rate
+        best = (cold, j, res, info) if cold <= v_ref else (v_ref, j, warm, info)
 
     raw, q, res, info = best
     rows_full = _full_conditional(ch, q, res["rows"])

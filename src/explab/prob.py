@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 SUM_TOL = 1e-12
-MEASURE_TOL = 1e-10
 
 # coupling_grid, and simplex_grid_array unless overridden, refuse to
 # enumerate more points than this

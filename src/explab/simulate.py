@@ -4,7 +4,8 @@ No Monte Carlo over channel outputs anywhere: per-message error
 probabilities sum the exact product channel probabilities of the
 decoding-error region over every output sequence y in Y^n (at most
 ``_ENUM_CAP`` = 2^20 of them). Randomness enters only through codebook
-sampling, which is seeded and reproducible.
+sampling, which is seeded and reproducible; ``empirical_trc`` is the one
+sampling loop, for the library and ``explab simulate`` alike.
 
 The decoders see y only through the joint type of (x_m, y), its counts
 N_m(a, b), and those depend only on how many positions of each column type
@@ -14,10 +15,10 @@ joint type is scored once, into a table: its W(y | x_m) and decoder score.
 A joint-type index is linear in the digits of a class, as a class code is
 in the digits of y, so the classes go in blocks of at most 2^12 + 1 whose codes
 and indexes are each one array sum from precomputed ones. A block reads
-its scores from the table and makes its decisions, GLD posterior and
-competing sums. Its codes ascend, so on |Y| = 2 and where its types are
-digit-coded they are one run, written as one slice of the per-class table;
-only the gaps a count-coded type leaves at |Y| >= 3 take an indexed write.
+its scores from the table and makes its decisions or GLD posterior. Its
+codes ascend, so on |Y| = 2 and where its types are digit-coded they are
+one run, written as one slice of the per-class table; only the gaps a
+count-coded type leaves at |Y| >= 3 take an indexed write.
 The outputs of a class share every score and probability,
 so the error profiles weight each class by its size, the number of outputs
 in it (a product of multinomials over the types), and never visit an
@@ -27,8 +28,9 @@ blocking nor on the BLAS build or its threads. Memory is the per-class
 table, M float64 per class code (the code space is at most |Y|^n), two
 joint-type arrays of at most as many entries (on |Y| = 2, one shared table
 of prod_a (n_a + 1) entries), plus a few O(M 2^12) and O(|X| |Y| 2^12)
-block arrays. Only ``competing_sum_log``, which returns an (M, |Y|^n)
-array, maps the classes onto the outputs, |Y|^k outputs at a time.
+block arrays. No profile maps the classes onto the outputs;
+``_OutputClasses.gather``, which does, is read only by the tests, to check
+the class sums and sizes against every output.
 
 Decoders:
 
@@ -44,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -387,9 +390,12 @@ class _OutputClasses:
     def gather(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out[:, t] = table[:, code(y_t)] for every output t = sum_i y_i |Y|^i.
 
-        The outputs go in blocks of |Y|^k, the largest k with |Y|^k <=
-        ``_BLOCK_OUTPUTS``: each block adds the code of its n - k high digits
-        to the codes of the k low digits, computed once.
+        No profile calls it: the tests and the acceptance suite read the
+        per-output values through it, to check the class sums and class
+        sizes against every output. The outputs go in blocks of |Y|^k, the
+        largest k with |Y|^k <= ``_BLOCK_OUTPUTS``: each block adds the code
+        of its n - k high digits to the codes of the k low digits, computed
+        once.
         """
         ny, n, k = self.ch.n_out, self.cb.n, 0
         while k < n and ny ** (k + 1) <= _BLOCK_OUTPUTS:
@@ -515,65 +521,48 @@ def exact_error_profile_gld(cb: Codebook, ch: Channel,
     return ErrorProfile(per_message=classes.class_sums(table))
 
 
-def competing_sum_log(cb: Codebook, ch: Channel,
-                      cfg: GldConfig = GldConfig()) -> np.ndarray:
-    """Concentration diagnostic: log of the competing-score mass per
-    message/output, i.e. log sum over m' != m of exp{n g(joint of x_m', y)}.
-
-    Shape (M, |Y|^n); -inf where a message has no finite-score competitor.
-    M = 1 yields a single all -inf row.
-    """
-    classes = _OutputClasses(cb, ch)
-    m = cb.m_count
-    if m == 1:
-        return np.full((1, ch.n_out**cb.n), -np.inf)
-    table = np.empty((m, classes.size))
-    for out, scores, _ in classes.columns(table, cfg.metric.kind):
-        gn = _gld_exponents(scores, cb.n, cfg)
-        for msg in range(m):
-            others = np.delete(gn, msg, axis=0)
-            top = others.max(axis=0)
-            safe = np.where(np.isfinite(top), top, 0.0)
-            s = np.exp(others - safe[None, :]).sum(axis=0)
-            with np.errstate(divide="ignore"):
-                out[msg] = np.where(np.isfinite(top), safe + np.log(s), top)
-    return classes.gather(table, np.empty((m, ch.n_out**cb.n)))
-
-
 def empirical_trc(n: int, m_count: int, q_x: Dist, ch: Channel,
-                  decoder: DecodingMetric, samples: int, seed: int) -> TrialSummary:
+                  decoder: DecodingMetric | GldConfig, samples: int, seed: int,
+                  threads: int = 1) -> tuple[TrialSummary, list[ErrorProfile]]:
     """Mean of log P_e over seeded codebook samples; exponent = -mean / n.
 
-    Each sample draws its own RNG stream from (seed, sample index), so the
-    summary does not depend on evaluation order; codebooks with P_e = 0 are
-    excluded from the log-mean and counted separately.
+    ``decoder`` is a deterministic metric or a ``GldConfig``. Sample i draws
+    its own RNG stream from (seed, i), so neither the summary nor the
+    per-sample profiles, returned in sample order, depend on the evaluation
+    order: up to ``threads`` samples run at once, and 1 runs them in this
+    thread. The blocklength is checked against the enumeration cap before
+    any codebook is drawn. Codebooks with P_e = 0 are counted in
+    ``zero_error_samples`` and left out of the log-mean.
     """
     if samples < 1:
         raise ProbError("need at least one sample")
-    averages = [exact_error_profile(sample_codebook(n, m_count, q_x, seed=[seed, i]),
-                                    ch, decoder).average
-                for i in range(samples)]
-    return _trial_summary(averages, n, m_count, decoder.kind, seed)
+    _check_enumerable(n, ch.n_out)
+    gld = isinstance(decoder, GldConfig)
+    profile_of = exact_error_profile_gld if gld else exact_error_profile
 
+    def profile(i: int) -> ErrorProfile:
+        return profile_of(sample_codebook(n, m_count, q_x, seed=[seed, i]), ch, decoder)
 
-def _trial_summary(averages: list[float], n: int, m_count: int, decoder: str,
-                   seed: int) -> TrialSummary:
-    """Log-mean, its standard error and the exponent over sampled P_e values;
-    zero-error samples are counted and left out of the log-mean."""
-    logs = [math.log(pe) for pe in averages if pe > 0.0]
-    zero = sum(1 for pe in averages if pe == 0.0)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            profiles = list(ex.map(profile, range(samples)))
+    else:
+        profiles = [profile(i) for i in range(samples)]
+    logs = [math.log(p.average) for p in profiles if p.average > 0.0]
+    zero = len(profiles) - len(logs)
     if logs:
         mean = float(np.mean(logs))
         stderr = float(np.std(logs, ddof=1) / math.sqrt(len(logs))) if len(logs) > 1 else 0.0
         exponent = -mean / n
     else:
         mean, stderr, exponent = math.nan, math.nan, math.inf
-    return TrialSummary(
-        samples=len(averages), n=n, m_count=m_count, rate=math.log(m_count) / n,
-        decoder=decoder, seed=seed,
+    summary = TrialSummary(
+        samples=samples, n=n, m_count=m_count, rate=math.log(m_count) / n,
+        decoder="gld" if gld else decoder.kind, seed=seed,
         mean_log_pe=mean, stderr_log_pe=stderr, empirical_exponent=exponent,
-        zero_error_samples=zero, all_zero_error=zero == len(averages),
+        zero_error_samples=zero, all_zero_error=zero == samples,
     )
+    return summary, profiles
 
 
 def expurgate_worst_half(cb: Codebook, profile: ErrorProfile) -> Codebook:

@@ -4,7 +4,10 @@ the public re-exports. Every private (``_name``) function, class or method
 defined in the package is referenced somewhere in the package, so a solver
 whose last caller is deleted does not linger, and every public module-level
 function or class is re-exported by ``__init__.py`` or referenced somewhere
-else in the package, so no public name lacks a caller. Every search
+else in the package, so no public name lacks a caller; every name in
+``__all__`` is referenced outside ``__init__.py`` or named in backticks in
+README.md, which lists the public names kept as API without an internal
+caller. ``cli.py`` imports no private name from another module. Every search
 setting, a field of ``OptimizerOptions`` or a defaulted parameter of a
 function or method in ``search.py``, is passed at some call site in the package, so a knob that
 no caller turns becomes a constant. The strings a result file writes for
@@ -13,6 +16,7 @@ file format."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -108,6 +112,52 @@ def test_detects_an_uncalled_public_definition():
 def test_every_public_definition_has_a_caller():
     init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
     assert _uncalled_public(init, [p.read_text(encoding="utf-8") for p in MODULES]) == []
+
+
+def _unused_exports(init_src: str, sources: list[str], readme: str) -> list[str]:
+    """The names in init_src's ``__all__`` that no source references and
+    that readme does not name in backticks."""
+    exported = next(ast.literal_eval(node.value) for node in ast.parse(init_src).body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"])
+    named = set(re.findall(r"`([^`\n]+)`", readme))
+    return sorted(set(exported) - _referenced(ast.parse(src) for src in sources) - named)
+
+
+def test_detects_an_unused_export():
+    init = 'from .m import a, b, c, d\n__all__ = ["a", "b", "c", "d"]\n'
+    src = "def a(): pass\ndef b(): return a()\nclass c: pass\ndef d(): pass\n"
+    readme = "- `c`: kept as API\n- `d(x)` is a call, not a name\n"
+    assert _unused_exports(init, [src], readme) == ["b", "d"]
+    assert _unused_exports(init, [src, "m.b\n"], readme + "- `d`\n") == []
+
+
+def test_every_export_has_a_caller_or_a_readme_line():
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _unused_exports(init, [p.read_text(encoding="utf-8") for p in MODULES], readme) == []
+
+
+def _private_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names that source imports from a package module,
+    by relative or ``explab`` import, with their lines."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "explab")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_detects_a_private_import():
+    src = ("from __future__ import annotations\n"
+           "from os import _exit\n"
+           "from .simulate import GldConfig, _check\n"
+           "from explab.prob import _tol as tol\n"
+           "from . import _search\n")
+    assert _private_imports(src) == ["_check (line 3)", "_tol (line 4)", "_search (line 5)"]
+
+
+def test_cli_imports_no_private_name():
+    assert _private_imports((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
 
 
 def _settings(search_src: str, options_src: str) -> list[tuple[str, str, int | None]]:

@@ -13,7 +13,6 @@ from explab.simulate import (
     Codebook,
     ErrorProfile,
     GldConfig,
-    competing_sum_log,
     empirical_trc,
     exact_error_profile,
     exact_error_profile_gld,
@@ -253,22 +252,6 @@ class TestGld:
         prof = exact_error_profile_gld(cb, BSC01, GldConfig(metric=MMI))
         assert np.all(prof.per_message >= 0) and np.all(prof.per_message <= 1)
 
-    def test_competing_sum_log(self):
-        cb = Codebook(n=2, codewords=np.array([[0, 1], [1, 0], [0, 1]]))
-        cfg = GldConfig(metric=ML, beta=1.0)
-        z = competing_sum_log(cb, BSC01, cfg)
-        assert z.shape == (3, 4)
-        # direct check: competitors of message 0 are messages 1 and 2; with
-        # beta = 1 the ML score n*g is the log-likelihood. Output t has
-        # digits y_i = (t // 2^i) % 2, so y_0 varies fastest.
-        want = []
-        for y in itertools.product(range(2), repeat=2):
-            g, _ = oracle_scores(cb, BSC01, y[::-1], "ml")
-            want.append(math.log(math.exp(g[1]) + math.exp(g[2])))
-        assert z[0] == pytest.approx(want, abs=1e-12)
-        single = Codebook(n=2, codewords=np.array([[0, 1]]))
-        assert np.all(np.isneginf(competing_sum_log(single, BSC01, cfg)))
-
 
 # ---------------------------------------------------------------------------
 # block enumeration against the full-array formulas
@@ -276,8 +259,8 @@ class TestGld:
 
 
 def full_array_reference(cb, ch, cfg):
-    """Deterministic profile, GLD profile and competing-score log, each from
-    the (M, |X|, |Y|, |Y|^n) joint counts of every output at once."""
+    """Deterministic and GLD profiles, each from the (M, |X|, |Y|, |Y|^n)
+    joint counts of every output at once."""
     nx, ny, n, m = ch.n_in, ch.n_out, cb.n, cb.m_count
     t = np.arange(ny**n)
     counts = np.zeros((m, nx, ny, t.size), dtype=np.int16)
@@ -316,15 +299,7 @@ def full_array_reference(cb, ch, cfg):
     with np.errstate(invalid="ignore"):
         gld = np.where(np.isfinite(gmax)[None, :],
                        probs * (1.0 - expg / expg.sum(axis=0)), 0.0).sum(axis=1)
-    comp = np.full_like(gn, -np.inf)
-    for msg in range(m):
-        others = np.delete(gn, msg, axis=0)
-        top = others.max(axis=0, initial=-np.inf)  # M = 1: no competitor
-        safe = np.where(np.isfinite(top), top, 0.0)
-        with np.errstate(divide="ignore"):
-            comp[msg] = np.where(np.isfinite(top),
-                                 safe + np.log(np.exp(others - safe[None, :]).sum(axis=0)), top)
-    return np.clip(det, 0.0, 1.0), np.clip(gld, 0.0, 1.0), comp
+    return np.clip(det, 0.0, 1.0), np.clip(gld, 0.0, 1.0)
 
 
 ZCH = Channel.from_rows([[1.0, 0.0], [0.2, 0.8]])
@@ -398,19 +373,18 @@ class TestBlockEnumeration:
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     @pytest.mark.parametrize("kind", ["ml", "mmi"])
     def test_many_blocks_bit_identical(self, monkeypatch, case, kind):
-        """Bit-identical across blockings, and competing_sum_log to the
-        full-array formulas. The profiles sum each output class once, weighted
-        by its size, where the full-array formulas sum every output in numpy's
-        pairwise order: both are within gamma of the exact sum of the same
-        nonnegative values (``class_sums_bound``; at most |Y|^n - 1 roundings
-        for the reference), so they differ by at most 2 gamma(sum) of it."""
+        """Bit-identical across blockings. The profiles sum each output class
+        once, weighted by its size, where the full-array formulas sum every
+        output in numpy's pairwise order: both are within gamma of the exact
+        sum of the same nonnegative values (``class_sums_bound``; at most
+        |Y|^n - 1 roundings for the reference), so they differ by at most
+        2 gamma(sum) of it."""
         ch, cb = BLOCK_CASES[case]
         metric, cfg = (ML, GldConfig(metric=ML, beta=1.0)) if kind == "ml" else (MMI, GldConfig(metric=MMI))
 
         def run():
             return (exact_error_profile(cb, ch, metric).per_message,
-                    exact_error_profile_gld(cb, ch, cfg).per_message,
-                    competing_sum_log(cb, ch, cfg))
+                    exact_error_profile_gld(cb, ch, cfg).per_message)
 
         one_block = run()
         assert ch.n_out**cb.n <= sim._BLOCK_OUTPUTS
@@ -422,9 +396,8 @@ class TestBlockEnumeration:
             blocked = run()
             for got, single in zip(blocked, one_block):
                 assert np.array_equal(got, single)
-            for got, want in zip(blocked[:2], ref[:2]):
+            for got, want in zip(blocked, ref):
                 assert np.all(np.abs(got - want) <= bound * want)
-            assert np.array_equal(blocked[2], ref[2])
             assert np.max(np.abs(blocked[0] - oracle_profile(cb, ch, kind))) <= 1e-12
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
@@ -605,11 +578,10 @@ REFERENCE_CASES = dict(BLOCK_CASES) | {
 
 def _every_output(cb, ch):
     """sha256 of per_message under ML, MMI and the GLD (ML metric at beta 0
-    and 1, MMI metric), and of competing_sum_log under each GLD."""
+    and 1, MMI metric)."""
     out = [exact_error_profile(cb, ch, metric).per_message for metric in (ML, MMI)]
     for cfg in (GldConfig(metric=ML, beta=0.0), GldConfig(metric=ML, beta=1.0), GldConfig(metric=MMI)):
         out.append(exact_error_profile_gld(cb, ch, cfg).per_message)
-        out.append(competing_sum_log(cb, ch, cfg))
     return [hashlib.sha256(a.tobytes()).hexdigest() for a in out]
 
 
@@ -753,9 +725,8 @@ class TestBlockOrder:
         """In blocks of a few classes, each class code comes once, in
         ascending order, and a block is written as a table slice exactly
         where its codes are one run: always on |Y| = 2, and on |Y| >= 3 but
-        where a count-coded type leaves gaps. The profiles and
-        competing_sum_log equal those of index writes and argmax decisions
-        to the byte."""
+        where a count-coded type leaves gaps. The profiles equal those of
+        index writes and argmax decisions to the byte."""
         (ch, cb), block = ORDER_CASES[case]
         monkeypatch.setattr(sim, "_BLOCK_OUTPUTS", block)
         blocks, columns = sim._OutputClasses.blocks, sim._OutputClasses.columns
@@ -876,8 +847,8 @@ class TestEmpiricalTrc:
         points = {}
         for n, m in ((4, 2), (8, 4), (12, 8)):
             points[n] = (
-                empirical_trc(n, m, UNIF, BSC01, ML, samples=400, seed=31),
-                empirical_trc(n, m, UNIF, BSC01, MMI, samples=400, seed=31),
+                empirical_trc(n, m, UNIF, BSC01, ML, samples=400, seed=31)[0],
+                empirical_trc(n, m, UNIF, BSC01, MMI, samples=400, seed=31)[0],
             )
         asymptote = 0.0568  # exponents-module value at this rate
         mls = [points[n][0].empirical_exponent for n in (4, 8, 12)]
@@ -888,8 +859,8 @@ class TestEmpiricalTrc:
         assert gaps[0] > gaps[1] > gaps[2] > 0
 
     def test_determinism(self):
-        a = empirical_trc(6, 2, UNIF, BSC01, ML, samples=40, seed=11)
-        b = empirical_trc(6, 2, UNIF, BSC01, ML, samples=40, seed=11)
+        a, _ = empirical_trc(6, 2, UNIF, BSC01, ML, samples=40, seed=11)
+        b, _ = empirical_trc(6, 2, UNIF, BSC01, ML, samples=40, seed=11)
         assert a == b
 
     def test_noiseless_all_zero_flag(self):
@@ -897,15 +868,36 @@ class TestEmpiricalTrc:
         # single-message codebook keeps the samples duplicate-free by
         # construction, so every sampled P_e is exactly zero
         ident = Channel.from_rows([[1.0, 0.0], [0.0, 1.0]])
-        s = empirical_trc(4, 1, UNIF, ident, ML, samples=10, seed=2)
+        s, _ = empirical_trc(4, 1, UNIF, ident, ML, samples=10, seed=2)
         assert s.all_zero_error and s.zero_error_samples == 10
         assert math.isinf(s.empirical_exponent)
         cb = Codebook(n=4, codewords=np.array([[0, 0, 1, 1], [1, 1, 0, 0]]))
         assert exact_error_profile(cb, ident, ML).per_message.tolist() == [0.0, 0.0]
 
     def test_reproducible_values(self):
-        s = empirical_trc(8, 2, UNIF, BSC01, ML, samples=200, seed=7)
-        s2 = empirical_trc(8, 2, UNIF, BSC01, ML, samples=200, seed=7)
+        s, _ = empirical_trc(8, 2, UNIF, BSC01, ML, samples=200, seed=7)
+        s2, _ = empirical_trc(8, 2, UNIF, BSC01, ML, samples=200, seed=7)
         assert s.mean_log_pe == s2.mean_log_pe
         assert s.empirical_exponent > 0
         assert s.zero_error_samples == 0
+
+    @pytest.mark.parametrize("cfg", [GldConfig(metric=ML, beta=0.0), GldConfig(metric=MMI)],
+                             ids=["gld-ml-beta0", "gld-mmi"])
+    def test_gld_threads_match_the_serial_samples(self, cfg):
+        """Two workers give the serial summary and, sample by sample, the
+        bits of the GLD profile of the codebook drawn from (seed, i)."""
+        serial, profiles = empirical_trc(6, 4, UNIF, ZCH, cfg, samples=6, seed=5)
+        pooled, pooled_profiles = empirical_trc(6, 4, UNIF, ZCH, cfg, samples=6, seed=5, threads=2)
+        assert pooled == serial and serial.decoder == "gld"
+        for i, (one, two) in enumerate(zip(profiles, pooled_profiles, strict=True)):
+            want = exact_error_profile_gld(sample_codebook(6, 4, UNIF, seed=[5, i]), ZCH, cfg)
+            assert one.per_message.tobytes() == want.per_message.tobytes()
+            assert two.per_message.tobytes() == want.per_message.tobytes()
+
+    def test_cap_is_checked_before_any_codebook(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a codebook was drawn")
+
+        monkeypatch.setattr(sim, "sample_codebook", refuse)
+        with pytest.raises(ProbError, match="enumeration cap"):
+            empirical_trc(21, 4, UNIF, BSC01, ML, samples=3, seed=0)
