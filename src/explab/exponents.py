@@ -42,6 +42,7 @@ certificate is claimed beyond the grid resolution.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import weakref
@@ -268,22 +269,29 @@ class _MetricCtx:
         # coupling's cells b00, b01, b10, b11, shape (4, 2N), lower ends first
         base = np.tile(np.stack([q * y for q in self.qx.probs for y in qys.T]), 2)
         sign = np.array([[1.0], [-1.0], [-1.0], [1.0]])  # b01 + (-c) is b01 - c
-        # info's 4 cells and 4 marginal sums, and their x log x, in buffers
+        # info's 4 cells and the 4 marginal sums of its last call (NaN before
+        # the first on a set of segments), and their x log x, in buffers
         j, h = np.empty((2, 8, 2 * n))
         pos = np.empty(j.shape, dtype=bool)
 
         def info(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+            # c cancels in the marginal sums, which so mostly repeat bit for
+            # bit: their x log x is taken again only when one changed
             jc, hc, pc = j[:, :c.size], h[:, :c.size], pos[:, :c.size]
             np.add(b, np.multiply(sign, c, out=jc[:4]), out=jc[:4])
-            for k, (p, q) in enumerate(((0, 1), (2, 3), (0, 2), (1, 3)), 4):
-                np.add(jc[p], jc[q], out=jc[k])
-            x = xlogx(jc, hc, pc)
-            return np.maximum((((x[0] + x[1]) + x[2]) + x[3]
-                               - (x[4] + x[5])
-                               - (x[6] + x[7])), 0.0)
+            for k, (p, q) in enumerate(((0, 1), (2, 3), (0, 2), (1, 3))):
+                np.add(jc[p], jc[q], out=hc[k])  # the sums, until the cells' x log x
+            if np.not_equal(hc[:4], jc[4:], out=pc[4:]).any():
+                np.copyto(jc[4:], hc[:4])
+                xlogx(jc[4:], hc[4:], pc[4:])
+            xlogx(jc[:4], hc[:4], pc[:4])
+            return np.maximum((((hc[0] + hc[1]) + hc[2]) + hc[3]
+                               - (hc[4] + hc[5])
+                               - (hc[6] + hc[7])), 0.0)
 
         sides = np.concatenate([-np.minimum(base[0, :n], base[3, :n]),
                                 np.minimum(base[1, :n], base[2, :n])])
+        j[4:] = np.nan
         at_sides = info(base, sides)
         if self.kind == "mmi":
             # I is convex on the segment and 0 at c = 0: its largest value
@@ -295,6 +303,7 @@ class _MetricCtx:
         # x log x can take its unmasked path
         todo = np.flatnonzero(at_sides > rate)
         b, lo, hi = base[:, todo], np.zeros(todo.size), sides[todo]
+        j[4:] = np.nan
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             good = info(b, mid) <= rate
@@ -506,7 +515,7 @@ class _InnerSolve:
         """
         mesh, ctx = self.mesh, self.ctx
         starts: list[tuple[np.ndarray, float]] = []
-        n_feasible = -1
+        n_feasible = 0  # a warm or penalty-ladder start scans no global grid
         evals = 0
         if warm_rows is not None:
             starts.append((warm_rows, self._objective_single(warm_rows)))
@@ -571,27 +580,22 @@ class _InnerSolve:
         rows, val = rows0, v0
         evals = 0
         budget = BUDGET // (4 * self.mesh.nx * self.mesh.ny)
+        threshold = functools.partial(ctx.threshold_batch, rate=self.rate)
         for _ in range(stages):
             local = self.mesh.regrid(zoom_slot_grids(rows, h, budget, points_cap=cap))
-            arrs = local.build(ctx.kind, ctx.qy_cols)
-            evals += arrs["kl"].size
-            # one pass serves both the graded-slack objective and the
-            # strictly feasible anchor used by the final repair, in the
-            # structure's scratch buffers (RowMesh): s0 holds the thresholds,
-            # then the margin; s1 the lattice indices, then each objective
-            margin, obj = local.buffer("s0"), local.buffer("s1")
-            off = local.buffer("pos", dtype=bool)
-            ctx.threshold_batch(arrs["qy"], self.rate, out=margin, index=obj.view(np.int64))
-            with np.errstate(invalid="ignore"):
-                np.subtract(arrs["gxp"], np.maximum(arrs["gx"], margin, out=margin), out=margin)
+            kl, margin = local.margin(ctx.kind, threshold, ctx.qy_cols)
+            evals += kl.size
+            # one pass serves the graded-slack objective and the repair's
+            # strictly feasible anchor, in the structure's scratch buffers
+            obj, off = local.buffer("s1"), local.buffer("pos", dtype=bool)
             slack_h = ctx.opts.slack * (h / ctx.opts.grid_step)
-            best, v = _kl_argmin(arrs["kl"], margin, -slack_h, obj, off)
+            best, v = _kl_argmin(kl, margin, -slack_h, obj, off)
             if math.isfinite(v) and v < val - 1e-15:
                 rows, val = local.rows_of(best), v
             # when its margin is >= 0 or NaN, that first argmin over margin
             # >= -slack_h is also the first argmin over margin >= 0
             if margin[best] < 0.0:
-                best, v = _kl_argmin(arrs["kl"], margin, 0.0, obj, off)
+                best, v = _kl_argmin(kl, margin, 0.0, obj, off)
             if math.isfinite(v) and v < anchor["kl"]:
                 anchor["rows"], anchor["kl"] = local.rows_of(best), v
             h *= SHRINK

@@ -19,9 +19,9 @@ which repeats build's float operations in build's order, so both stages
 see the same bits. A polish probe goes from its free coordinates to stats
 in one kernel call (``RowMesh.param_stats``), and a zoom stage's mesh
 shares its parent's structure, kernels and buffers included, and replaces
-only the slot grids (``RowMesh.regrid``). A large mesh's MMI scores are
-computed once per distinct pair of cell columns and gathered onto the mesh:
-the method of types applied to the mesh, bit for bit.
+only the slot grids (``RowMesh.regrid``). A large stage's Q_Y, thresholds and
+scores are formed once per distinct cell column or pair of them and gathered
+onto the mesh (``RowMesh.margin``): the method of types, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 BUDGET = 2_000_000  # most mesh candidates, times |X|*|Y|, scored in one build
 SHRINK = 0.5  # pattern steps and zoom half-widths shrink by this per stage
 RAY_HI = 8.0  # ray suprema search [0, RAY_HI] first, doubling on boundary hits
-_COLUMNS_MIN = 2**14  # least mesh size whose MMI scores may come from distinct columns
+_COLUMNS_MIN = 2**14  # least mesh size that may be scored on distinct columns
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +276,25 @@ class RowMesh:
     A score depends on a candidate only through its cell columns [Q(x, y)
     for each y], and a symbol's sub-mesh may repeat a column bit for bit
     (at equal slot weights, a binary zoom stage's 17 x 17 sub-mesh holds 33).
-    Where ``_by_columns`` takes a build, ``_score`` runs on the grid of each
-    slot group's distinct columns, one axis per group, and one ``take`` per
-    group gathers the values onto the mesh: each is made by the same float
-    operations on the same bits, so the scores are equal bit for bit.
+    Where ``_by_columns`` admits it, ``_score`` runs on the grid of each slot
+    group's distinct columns, one axis per group, and takes gather the
+    values onto the mesh. A zoom stage reads only kl and the margin gxp -
+    max(gx, a(R, Q_Y)) (``margin``). The X groups' slots come first, so Q_Y's
+    left fold passes through the first group's cell column: Q_Y, a and
+    max(gx, a) live on the table of that column's distinct values by the
+    other slots' rows (33 x 17 x 17 at that stage), and one take of its rows
+    makes the mesh's. Each value is made by the same float operations on the
+    same bits, so all are equal bit for bit.
 
-    ``build`` writes its arrays into buffers that the structure owns
-    (``buffer``), so the zoom stages of a solve make no new full-mesh
-    arrays: only sub-mesh arrays are new, those of the grid of distinct
-    columns and of its partial gathers, and, at 8 or more cells or outputs,
-    the terms and partial sums of numpy's pairwise order. A build's
-    arrays are views of these buffers and stay valid until the next
-    build of a mesh of the same structure, which writes over them. The
-    scratch buffers ``s0``, ``s1`` (float) and ``pos`` (bool) hold nothing
-    between builds: a caller may use them, at the mesh's size, until the
-    next build. Each structure has its own buffers, so threads that build
-    meshes of different structures do not share memory. ``release`` hands
+    ``build`` and ``margin`` write their arrays into buffers that the structure
+    owns (``buffer``), so the zoom stages of a solve make no new full-mesh
+    arrays: only sub-mesh and table arrays are new, and, at 8 or more cells
+    or outputs, the terms and partial sums of numpy's pairwise order. Their
+    arrays are views of these buffers, valid until the next build or margin
+    of a mesh of the structure. The scratch buffers ``s0`` (but for a
+    margin), ``s1`` (float) and ``pos`` (bool) hold nothing between these:
+    a caller may use them, at the mesh's size, until the next one. Threads
+    on meshes of different structures share no buffers. ``release`` hands
     the arrays of the latest build to their holders and frees the rest.
     """
 
@@ -365,54 +368,103 @@ class RowMesh:
         and every column by default: a caller makes only the columns it
         reads, since each costs a full-mesh sum. ``gx`` and ``gxp`` have the
         full-mesh bits also where they come from distinct cell columns."""
-        s, ny, n = self.s, self.ny, self.n
-        cols = ny if qy_cols is None else qy_cols
-        # mass[r][y]: slot r's weighted probability of output y, on mesh axis r
-        mass = [[self._axis_view(self.weights[r] * self.slot_grids[r][:, y], r)
-                 for y in range(ny)] for r in range(s)]
-        # Q_Y column by column: numpy adds along a short trailing axis slowly
+        return self._build(kind, self.ny if qy_cols is None else qy_cols, self._mass())
+
+    def _build(self, kind: str, cols: int, mass: list, first: tuple | None = None) -> dict:
+        s, n = self.s, self.n
         qy = self.buffer("qy", (cols,) + self.gs)
         for y in range(cols):
             _seq_sum([mass[r][y] for r in range(s)], out=qy[y])
-        kl = _seq_sum([self._axis_view(self.weights[r] * d, r) for r, d in enumerate(self._row_kl())],
-                      out=self.buffer("kl", self.gs))
-        gx = self._score_of(kind, mass, "x", self.buffer("gx", self.gs))
-        gxp = gx if self._same else self._score_of(kind, mass, "xp", self.buffer("gxp", self.gs))
-        return {"qy": qy.reshape(cols, n).T, "kl": kl.reshape(n),
-                "gx": gx.reshape(n), "gxp": gxp.reshape(n)}
+        gx = self._score_of(kind, "x", self._cells(mass, "x"), self.buffer("gx", self.gs), kind, first)
+        gxp = gx if self._same else self._score_of(kind, "xp", self._cells(mass, "xp"),
+                                                   self.buffer("gxp", self.gs), kind)
+        return {"qy": qy.reshape(cols, n).T, "kl": self._kl(), "gx": gx.reshape(n),
+                "gxp": gxp.reshape(n)}
+
+    def margin(self, kind: str, threshold: Callable, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """kl and the score margin gxp - max(gx, a) of each candidate (see the
+        class), flattened, the margin in s0; threshold(qy, out=, index=) writes a(R,
+        Q_Y) of each row of qy (Q_Y's first cols columns) into out, index int64 scratch."""
+        n, s, mass = self.n, self.s, self._mass()
+        cells = self._cells(mass, "x")
+        ordered = n >= _COLUMNS_MIN and (np.diff(self.x_of) >= 0).all()  # the table needs it
+        first = _distinct_columns(cells[0][1]) if ordered else None
+        k0, s0, s1 = len(self._groups["x"][0][1]), self.buffer("s0"), self.buffer("s1")
+        table = () if first is None else (first[0].shape[1],) + (1,) * (k0 - 1) + self.gs[k0:]
+        if not table or not _by_columns(None, n, table):
+            arrs = self._build(kind, cols, mass, first)
+            a = threshold(arrs["qy"], out=s0, index=s1.view(np.int64))
+            top, gxp, kl = np.maximum(arrs["gx"], a, out=a), arrs["gxp"], arrs["kl"]
+        else:
+            gxp = self._score_of(kind, "xp", self._cells(mass, "xp"), self.buffer("gxp", self.gs), None)
+            picks = [first] + [_distinct_columns(col) for _, col in cells[1:]]
+            gx = self._grid(kind, cells, picks)  # then on the table: every axis but the first
+            for h in range(len(picks) - 1, 0, -1):
+                gx = gx.take(picks[h][1], axis=h)
+            qy = self.buffer("qy", (cols,) + table)
+            for y in range(cols):
+                _seq_sum([first[0][y].reshape((-1,) + (1,) * (s - 1))]
+                         + [mass[r][y] for r in range(k0, s)], out=qy[y])
+            a = threshold(qy.reshape(cols, -1).T, out=s0[:gx.size], index=s1[:gx.size].view(np.int64))
+            top = np.maximum(gx.reshape(-1), a, out=a).reshape(table[0], -1).take(
+                first[1], axis=0, out=s1.reshape(first[1].size, -1), mode="clip")
+            kl = self._kl()
+        with np.errstate(invalid="ignore"):
+            return kl, np.subtract(gxp.reshape(n), top.reshape(n), out=s0)
+
+    def _mass(self) -> list:
+        # mass[r][y]: slot r's weighted probability of output y, on mesh axis r
+        return [[self._axis_view(self.weights[r] * self.slot_grids[r][:, y], r)
+                 for y in range(self.ny)] for r in range(self.s)]
+
+    def _kl(self) -> np.ndarray:
+        # kl, flattened. numpy adds along a short trailing axis slowly: below 32
+        # rows, the last slot's add runs with its axis first in s0, then is copied over
+        terms = [self._axis_view(self.weights[r] * d, r) for r, d in enumerate(self._row_kl())]
+        kl, g = self.buffer("kl", self.gs), self.gs[-1]
+        if self.s == 1 or g >= 32:
+            return _seq_sum(terms, out=kl).reshape(self.n)
+        tail = np.add(_seq_sum(terms[:-1]).reshape(1, -1), terms[-1].reshape(g, 1),
+                      out=self.buffer("s0", (g, self.n // g)))
+        np.copyto(kl.reshape(-1, g), tail.T)
+        return kl.reshape(self.n)
 
     def _cells(self, mass: list, sym: str) -> list:
         """[(x, [Q(x, y) for each y])] from mass[r][y], the weighted row
         entries on the mesh axes."""
         return [(x, _vec_sum([mass[r] for r in slots])) for x, slots in self._groups[sym]]
 
-    def _score_of(self, kind: str, mass: list, sym: str, out: np.ndarray) -> np.ndarray:
-        """``_score`` of the joint of sym's slot groups into out: on the mesh,
-        or, where ``_by_columns`` takes it, on the grid of each group's
-        distinct cell columns, gathered onto the mesh (see the class)."""
-        cells = self._cells(mass, sym)
-        picks = [_distinct_columns(col) for _, col in cells] if _by_columns(kind, self.n, None) else []
-        counts = tuple(u.shape[1] for u, _ in picks)
-        if not picks or not _by_columns(kind, self.n, counts):
-            return self._score(kind, cells, out)
+    def _grid(self, kind: str, cells: list, picks: list) -> np.ndarray:
+        # _score on the grid of each group's distinct columns, group g's on axis g
         k = len(picks)
-        grid = self._score(kind, [(x, [c.reshape((1,) * g + (-1,) + (1,) * (k - 1 - g)) for c in u])
+        return self._score(kind, [(x, [c.reshape((1,) * g + (-1,) + (1,) * (k - 1 - g)) for c in u])
                                   for g, ((x, _), (u, _)) in enumerate(zip(cells, picks))],
-                           self.buffer("cols", counts))
-        # one take per group, the last (mode 'clip' writes out unbuffered) into
-        # the mesh with its axes in group order: out itself when the groups
-        # hold the slots in mesh order
-        groups = [slots for _, slots in self._groups[sym]]
-        order = [r for slots in groups for r in slots]
-        for g, (_, inverse) in enumerate(picks[:-1]):
-            grid = grid.take(inverse, axis=g)
-        sub = tuple(math.prod(self.gs[r] for r in slots) for slots in groups)
-        inorder = order == sorted(order)
-        last = grid.take(picks[-1][1], axis=k - 1, mode="clip",
-                         out=out.reshape(sub) if inorder else self.buffer("s0", sub))
-        if not inorder:
-            np.copyto(out, last.reshape([self.gs[r] for r in order]).transpose(np.argsort(order)))
-        return out
+                           self.buffer("cols", tuple(u.shape[1] for u, _ in picks)))
+
+    def _score_of(self, kind: str, sym: str, cells: list, out: np.ndarray, gate: str | None,
+                  first: tuple | None = None) -> np.ndarray:
+        """``_score`` of the joint of sym's slot groups (these cells) into out: on
+        the mesh, or where ``_by_columns(gate, ...)`` admits it, on the grid of each
+        group's distinct cell columns (first: the first group's, if found), gathered."""
+        picks = []
+        if _by_columns(gate, self.n, None):
+            picks = [first] if first else []
+            picks += [_distinct_columns(col) for _, col in cells[len(picks):]]
+        if not picks or not _by_columns(gate, self.n, [u.shape[1] for u, _ in picks]):
+            return self._score(kind, cells, out)
+        # the last slot's group is gathered first, that slot's axis last: each
+        # mesh row over it is then the row the other axes' mesh indices point to
+        grid, gs, last = self._grid(kind, cells, picks), self.gs, self.s - 1
+        groups, inverses = [slots for _, slots in self._groups[sym]], [inv for _, inv in picks]
+        g = next(g for g, slots in enumerate(groups) if last in slots)
+        part = grid.take(inverses[g], axis=g).reshape(
+            grid.shape[:g] + tuple(gs[r] for r in groups[g]) + grid.shape[g + 1:])
+        part = np.moveaxis(part, g + len(groups[g]) - 1, -1)
+        index = [(inverses[h], slots) for h, slots in enumerate(groups) if h != g]
+        index[g:g] = [(np.arange(gs[r]), [r]) for r in groups[g][:-1]]
+        rows = np.ravel_multi_index([v.reshape([gs[q] if q in on else 1 for q in range(last)])
+                                     for v, on in index], part.shape[:-1])
+        return part.reshape(-1, gs[last]).take(rows, axis=0, out=out.reshape(gs), mode="clip")
 
     def _score(self, kind: str, cells: list, out: np.ndarray) -> np.ndarray:
         """elog_batch (kind 'ml') or mi_batch of the joint with these cells,
@@ -564,21 +616,25 @@ def _vec_sum(vecs: list) -> list:
     return acc
 
 
-def _by_columns(kind: str, n: int, counts: list | None) -> bool:
-    """Whether build scores n candidates on distinct cell columns: MMI (an
-    ML score is two adds, cheaper than a gather), n >= _COLUMNS_MIN, and the
-    groups' distinct counts, once found, multiply to at most n / 4."""
-    return kind == "mmi" and n >= _COLUMNS_MIN and (counts is None or 4 * math.prod(counts) <= n)
+def _by_columns(kind: str | None, n: int, counts: Sequence[int] | None) -> bool:
+    """Whether n candidates are scored on distinct cell columns: n >= _COLUMNS_MIN,
+    their counts, once found, multiply to at most n / 4, and not ML in build
+    (two adds, cheaper than a gather); a margin's kind is None."""
+    return kind != "ml" and n >= _COLUMNS_MIN and (counts is None or 4 * math.prod(counts) <= n)
 
 
 def _distinct_columns(col: list) -> tuple[np.ndarray, np.ndarray]:
     """A slot group's distinct cell columns by their bits (-0.0 is not 0.0,
-    NaN payloads differ), shape (ny, U), and each sub-mesh candidate's
-    index into them, in C order over the group's slots."""
-    rows = np.stack([c.reshape(-1) for c in col], axis=1)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return uniq.view(rows.dtype).reshape(-1, rows.shape[1]).T.copy(), inverse.reshape(-1)
+    NaN payloads differ), in lexicographic order of the bits, shape (ny, U),
+    and each sub-mesh candidate's index into them, in C order over the slots."""
+    keys = [c.reshape(-1).view(np.uint64) for c in col]
+    order = np.lexsort(keys[::-1])
+    new = np.arange(order.size) == 0
+    for k in (k[order] for k in keys):
+        new[1:] |= k[1:] != k[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return np.stack([k[order[new]] for k in keys]).view(np.float64), inverse
 
 
 def _slot_groups(of: np.ndarray) -> list[tuple[int, list[int]]]:

@@ -564,19 +564,31 @@ def test_each_build_makes_the_qy_columns_its_threshold_reads(monkeypatch, rows, 
     """Gamma's and theta's meshes make the Q_Y columns a(R, Q_Y) reads:
     Q_Y(0) alone for the binary lattice, every column for the threshold
     solves; lambda's and phi's mesh, which reads no threshold, makes none.
-    Gamma and theta stop at their second build: the global mesh, then the
-    first zoom mesh."""
+    Each solve stops at its second mesh: the global mesh's build, then
+    theta's first zoom build, or the Q_Y that gamma's first zoom stage
+    (RowMesh.margin) hands its threshold."""
     made = []
-    build = RowMesh.build
+    build, margin = RowMesh.build, RowMesh.margin
+
+    def made_one(width):
+        made.append(width)
+        if len(made) == 2:
+            raise _SecondBuild
 
     def spy(mesh, kind, qy_cols=None):
         arrs = build(mesh, kind, qy_cols)
-        made.append(arrs["qy"].shape[1])
-        if len(made) == 2:
-            raise _SecondBuild
+        made_one(arrs["qy"].shape[1])
         return arrs
 
+    def stage(mesh, kind, threshold, qy_cols):
+        def read(qy, **scratch):
+            made_one(qy.shape[1])
+            return threshold(qy, **scratch)
+
+        return margin(mesh, kind, read, qy_cols)
+
     monkeypatch.setattr(RowMesh, "build", spy)
+    monkeypatch.setattr(RowMesh, "margin", stage)
     ch, opts = Channel.from_rows(rows), OptimizerOptions(grid_step=0.25, refine_iters=4)
     for solve in (lambda: gamma(ANTI, 0.05, ML, ch, UNIF, opts),
                   lambda: gamma(ANTI, 0.05, MMI, ch, UNIF, opts),

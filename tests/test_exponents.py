@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,7 +25,7 @@ from explab.exponents import (
     sweep,
     trc_exponent,
 )
-from explab.prob import Channel, Dist, Joint2, ProbError, coupling_grid, mutual_information
+from explab.prob import Channel, Dist, Joint2, ProbError, coupling_grid, mutual_information, xlogx
 from explab import search
 from explab.search import RowMesh, elog_batch, mi_batch
 
@@ -186,6 +187,57 @@ class TestLattice:
             assert np.array_equal(got, want), (rate, np.flatnonzero(got != want)[:5])
             if kind == "mmi":  # a is an information within I <= R
                 assert (got >= 0.0).all() and (got <= rate).all(), (rate, got.max())
+
+
+def _lattice_bisection_reference(ctx, qys: np.ndarray, rate: float) -> np.ndarray:
+    """_MetricCtx._solve_1d_batch as it was before it kept the marginal
+    sums' x log x from step to step: the cell-vector form, with every x log
+    x taken anew in each of the 60 bisection steps."""
+    n = qys.shape[0]
+    base = np.tile(np.stack([q * y for q in ctx.qx.probs for y in qys.T]), 2)
+    sign = np.array([[1.0], [-1.0], [-1.0], [1.0]])
+
+    def info(b, c):
+        j = b + sign * c
+        j = np.concatenate([j, [j[0] + j[1], j[2] + j[3], j[0] + j[2], j[1] + j[3]]])
+        x = xlogx(j)
+        return np.maximum((((x[0] + x[1]) + x[2]) + x[3] - (x[4] + x[5]) - (x[6] + x[7])), 0.0)
+
+    sides = np.concatenate([-np.minimum(base[0, :n], base[3, :n]),
+                            np.minimum(base[1, :n], base[2, :n])])
+    at_sides = info(base, sides)
+    if ctx.kind == "mmi":
+        return np.minimum(rate, np.maximum(at_sides[:n], at_sides[n:]))
+    todo = np.flatnonzero(at_sides > rate)
+    b, lo, hi = base[:, todo], np.zeros(todo.size), sides[todo]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        good = info(b, mid) <= rate
+        lo = np.where(good, mid, lo)
+        hi = np.where(good, hi, mid)
+    c = sides.copy()
+    c[todo] = lo
+    g = elog_batch((base + sign * c).T.reshape(-1, 2, 2), ctx.logw)
+    return np.maximum(g[:n], g[n:])
+
+
+@pytest.mark.parametrize("rows", [[[0.9, 0.1], [0.1, 0.9]], [[0.75, 0.25], [0.1, 0.9]],
+                                  [[1.0, 0.0], [0.2, 0.8]]], ids=["bsc", "asym", "z"])
+@pytest.mark.parametrize("comp", [[0.5, 0.5], [3 / 8, 5 / 8], [0.3, 0.7]], ids=["uniform", "3/8", "0.3"])
+def test_lattice_equals_a_plain_bisection(rows, comp):
+    """The whole threshold lattice (4,097 output laws) and 500 random output
+    laws, whose bisection takes the marginal sums' x log x again only when a
+    sum changed, equal the bisection that takes every x log x anew, bit for
+    bit, at R in {0, 0.01, 0.2} under both metrics. On the lattice at the
+    first two compositions no sum changes; at (0.3, 0.7) some do."""
+    qy0 = np.concatenate([np.arange(4097) / 4096.0, np.random.default_rng(7).random(500)])
+    qys = np.stack([qy0, 1.0 - qy0], axis=1)
+    for kind in ("ml", "mmi"):
+        ctx = exponents._MetricCtx(Channel.from_rows(rows), Dist(np.array(comp)),
+                                   DecodingMetric(kind), OPTS)
+        for rate in (0.0, 0.01, 0.2):
+            got, want = ctx._solve_1d_batch(qys, rate), _lattice_bisection_reference(ctx, qys, rate)
+            assert got.tobytes() == want.tobytes(), (kind, rate, np.flatnonzero(got != want)[:5])
 
 
 def _zoom_reference(prob, rows0, v0, anchor, shallow=False):
@@ -390,6 +442,57 @@ class TestZeroRateClosedForm:
                 assert np.array_equal(res.argmin_coupling.probs, PROD.probs)
                 assert res.diagnostics["coupling_information"] == 0.0
                 assert res.diagnostics["outer_refine_evals"] == 0
+
+
+    @pytest.mark.parametrize("ch", [Channel.bsc(0.1), Channel.from_rows([[1.0, 0.0], [0.2, 0.8]])],
+                             ids=["bsc01", "z"])
+    @pytest.mark.parametrize("q", [[3 / 8, 5 / 8], [1 / 4, 3 / 4]], ids=["3/8", "1/4"])
+    def test_ml_bhattacharyya_average_off_the_uniform_composition(self, ch, q):
+        """At R = 0 the ML exponents sit at the product coupling Q x Q, where
+        Gamma_ML is a Chernoff bound that the symmetry in x and x' puts at
+        s = 1/2: E_trc^ML(0) = E_ex^ML(0) = sum Q(x) Q(x') d_B(x, x'). These
+        compositions give the slots unequal weights, so every zoom stage
+        works on the whole mesh. (MMI reads below this average here: the
+        headline ML = MMI check covers the uniform composition only.)"""
+        q = np.array(q)
+        d_b = -np.log(np.sqrt(ch.w[:, None, :] * ch.w[None, :, :]).sum(axis=-1))
+        average = float(q @ d_b @ q)
+        rp = RatePoint(0.0, Dist(q))
+        for exponent in (trc_exponent, expurgated_exponent):
+            assert exponent(rp, ML, ch, OPTS).value == pytest.approx(average, abs=1e-9)
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("metric", [ML, MMI], ids=["ml", "mmi"])
+    def test_every_count_is_nonnegative(self, metric):
+        """At R = 0.01 on BSC(0.1) the warm polish solve is reported: it scans
+        no global grid, and reports 0 grid points (not a sentinel)."""
+        for exponent in (trc_exponent, expurgated_exponent):
+            diag = exponent(RatePoint(0.01, UNIF), metric, BSC01, OPTS).diagnostics
+            counts = {k: v for k, v in diag.items() if isinstance(v, int)}
+            assert set(counts) == {"outer_feasible_grid_points", "outer_refine_evals",
+                                   "inner_feasible_grid_points", "inner_refine_evals"}
+            assert all(v >= 0 for v in counts.values()), counts
+        assert diag["inner_feasible_grid_points"] == (0 if metric is ML else 3432)
+
+
+def test_a_cold_gamma_solve_peaks_within_its_old_memory():
+    """One cold Gamma solve (MMI, R = 0.01, BSC(0.1), the uniform product
+    coupling) under tracemalloc, after the same solve on another channel
+    object has compiled the structure's kernels. Before its zoom stages
+    formed Q_Y and a(R, Q_Y) on tables of distinct columns, this peaked at
+    4,385,954 bytes (4.18 MiB; 3.11 MiB since); the bound is that peak plus
+    5 %. The tables are gated (search._by_columns): built where the
+    columns do not repeat, they would be nearly as large as the mesh."""
+    gamma(PROD, 0.01, MMI, Channel.bsc(0.1), UNIF, OPTS)
+    ch = Channel.bsc(0.1)
+    tracemalloc.start()
+    try:
+        gamma(PROD, 0.01, MMI, ch, UNIF, OPTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 4_385_954, peak
 
 
 def _bsc_random_coding(p: float, rate: float) -> float:
@@ -675,56 +778,73 @@ class TestSharedContext:
 
 
 class TestDistinctColumnWork:
-    """The work of Gamma's mesh scores at R = 0 on BSC(0.1): an MMI zoom
-    mesh of the uniform product coupling scores each distinct pair of cell
-    columns once; ML, unequal slot weights and small meshes score the whole
-    mesh."""
+    """The work of Gamma's cold zoom stages (RowMesh.margin) at R = 0 on
+    BSC(0.1). At the uniform product coupling each 17**4 stage forms Q_Y
+    and reads a(R, Q_Y) on a table of 33 x 17 x 17 = 9,537 entries (the
+    first X group's distinct cell columns by the other two slots' rows),
+    never on the mesh, and scores g(Q_XY) and g(Q_X'Y) on the 33 x 33 pairs
+    of distinct cell columns, under both metrics. At Q = (3/8, 5/8) every
+    stage forms Q_Y and reads a(R, Q_Y) on the whole mesh: the slot weights
+    differ, and the first X group's columns repeat too little for a
+    table."""
 
     @staticmethod
-    def _builds(monkeypatch, coupling, metric):
-        """Per build of gamma's solve: its kind, mesh shape, the shapes its
-        scores were computed on, and the distinct column counts it found."""
-        builds = []
-        build, score, distinct = RowMesh.build, RowMesh._score, search._distinct_columns
+    def _stages(monkeypatch, q, metric):
+        """Per 17**4 stage of gamma's solve at the product coupling of q:
+        the shapes of the Q_Y buffers it asked for, of the Q_Y rows its
+        threshold read, and of its scores."""
+        stages = []
+        margin, score, buffer = RowMesh.margin, RowMesh._score, RowMesh.buffer
 
-        def built(self, kind, qy_cols=None):
-            builds.append({"kind": kind, "gs": self.gs, "scores": [], "distinct": []})
-            return build(self, kind, qy_cols)
+        def staged(self, kind, threshold, cols):
+            stage = {"gs": self.gs, "qy": [], "read": [], "scores": []}
+            stages.append(stage)
+
+            def read(qy, **scratch):
+                stage["read"].append(qy.shape)
+                return threshold(qy, **scratch)
+
+            return margin(self, kind, read, cols)
 
         def scored(self, kind, cells, out):
-            builds[-1]["scores"].append(out.shape)
+            if stages:  # the global mesh's build comes first
+                stages[-1]["scores"].append(out.shape)
             return score(self, kind, cells, out)
 
-        def found(col):
-            cols, inverse = distinct(col)
-            builds[-1]["distinct"].append(cols.shape[1])
-            return cols, inverse
+        def buffered(self, name, shape=None, dtype=float):
+            if name == "qy" and stages:
+                stages[-1]["qy"].append(shape)
+            return buffer(self, name, shape, dtype)
 
-        monkeypatch.setattr(RowMesh, "build", built)
-        monkeypatch.setattr(RowMesh, "_score", scored)
-        monkeypatch.setattr(search, "_distinct_columns", found)
-        # a channel of its own: no solve of an earlier test is reused
-        gamma(Joint2(np.array(coupling)), 0.0, metric, Channel.bsc(0.1), UNIF, OPTS)
-        small = [b for b in builds if math.prod(b["gs"]) < search._COLUMNS_MIN]
-        assert small and all(b["distinct"] == [] and b["scores"] == [b["gs"]] * 2 for b in small)
-        return [b for b in builds if b["gs"] == (17,) * 4]
+        q = np.array(q)
+        with monkeypatch.context() as patch:
+            patch.setattr(RowMesh, "margin", staged)
+            patch.setattr(RowMesh, "_score", scored)
+            patch.setattr(RowMesh, "buffer", buffered)
+            # a channel of its own: no solve of an earlier test is reused
+            gamma(Joint2(np.outer(q, q)), 0.0, metric, Channel.bsc(0.1), Dist(q), OPTS)
+        zoom = [st for st in stages if st["gs"] == (17,) * 4]
+        assert len(zoom) >= 12
+        return zoom
+
+    @staticmethod
+    def _assert_on_tables(zoom):
+        for st in zoom:
+            assert st["qy"] == [(1, 33, 1, 17, 17)], st
+            assert st["read"] == [(9_537, 1)], st
+            assert st["scores"] == [(33, 33)] * 2, st
 
     def test_product_coupling_scores_33_by_33_pairs(self, monkeypatch):
-        zoom = self._builds(monkeypatch, [[0.25, 0.25], [0.25, 0.25]], MMI)
-        assert len(zoom) >= 12
-        for b in zoom:
-            assert b["distinct"] == [33] * 4 and b["scores"] == [(33, 33)] * 2, b
+        self._assert_on_tables(self._stages(monkeypatch, [0.5, 0.5], MMI))
 
-    def test_ml_scores_the_full_mesh(self, monkeypatch):
-        zoom = self._builds(monkeypatch, [[0.25, 0.25], [0.25, 0.25]], ML)
-        assert len(zoom) >= 12
-        for b in zoom:
-            assert b["distinct"] == [] and b["scores"] == [(17,) * 4] * 2, b
+    def test_ml_scores_33_by_33_pairs(self, monkeypatch):
+        self._assert_on_tables(self._stages(monkeypatch, [0.5, 0.5], ML))
 
     def test_unequal_weights_score_the_full_mesh(self, monkeypatch):
-        # about 160 distinct columns of 289 per group: their pairs would
-        # be more than a quarter of the mesh
-        zoom = self._builds(monkeypatch, [[0.4, 0.1], [0.1, 0.4]], MMI)
-        assert len(zoom) >= 12
-        for b in zoom:
-            assert len(b["distinct"]) == 4 and b["scores"] == [(17,) * 4] * 2, b
+        # 9 a + 15 b repeats where a and b step 5 and 3 grid points apart:
+        # MMI scores the 121 x 121 distinct pairs, as build does
+        for metric, want in ((ML, [(17,) * 4] * 2), (MMI, [(121, 121)] * 2)):
+            for st in self._stages(monkeypatch, [3 / 8, 5 / 8], metric):
+                assert st["qy"] == [(1,) + (17,) * 4], st
+                assert st["read"] == [(17**4, 1)], st
+                assert st["scores"] == want, st

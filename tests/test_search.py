@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import threading
 import tracemalloc
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from explab import search
+from explab import exponents, search
 from explab.prob import Channel, Dist, entropy, simplex_grid_array, xlogx
 from explab.search import (
     BUDGET,
@@ -370,7 +371,9 @@ def test_regrid_builds_as_a_fresh_mesh():
 def test_a_build_of_fewer_qy_columns_equals_the_full_build():
     """build(kind, qy_cols) makes the first qy_cols columns of Q_Y only; they,
     kl, gx and gxp are the full build's, bit for bit, on binary, ternary and
-    wider outputs."""
+    wider outputs. A stage margin (margin) hands its threshold those columns
+    alone, and its kl and gxp - max(gx, a) are the full build's too: these
+    meshes are small, so it works on the whole mesh."""
     for name, (w, coupling, steps) in MESH_CASES.items():
         ch = Channel.from_rows(w)
         q = np.array(coupling)
@@ -387,6 +390,17 @@ def test_a_build_of_fewer_qy_columns_equals_the_full_build():
                     np.ascontiguousarray(full["qy"][:, :cols]).tobytes(), (name, kind, cols)
                 for key in ("kl", "gx", "gxp"):
                     assert got[key].tobytes() == full[key].tobytes(), (name, kind, cols, key)
+            for cols in range(1, ch.n_out + 1):
+                def threshold(qy, out=None, index=None):
+                    assert qy.shape == (mesh.size(), cols) and index.dtype == np.int64
+                    return np.multiply(qy[:, cols - 1], -2.0, out=out)
+
+                a = threshold(full["qy"][:, :cols], np.empty(mesh.size()), np.empty(0, np.int64))
+                kl, margin = mesh.margin(kind, threshold, cols)
+                with np.errstate(invalid="ignore"):
+                    want = full["gxp"] - np.maximum(full["gx"], a)
+                assert kl.tobytes() == full["kl"].tobytes(), (name, kind, cols)
+                assert margin.tobytes() == want.tobytes(), (name, kind, cols)
 
 
 def _xlogx_reference(a):
@@ -500,6 +514,75 @@ def _product_zoom(ch):
     center = np.round(ch.w[xs] * 8) / 8
     local = parent.regrid(zoom_slot_grids(center, 1 / 16, BUDGET // 16))
     return parent, local
+
+
+# channels and couplings of the zoom stage tests. On Z, g_ML is -inf where a
+# charged cell has W = 0, and the margin -inf - (-inf) is NaN. The 3-slot
+# coupling (composition (2/3, 1/3)) has equal weights too; its X' groups
+# {0, 2} {1} interleave on the mesh. The product coupling of (3/8, 5/8) has
+# unequal weights: its columns repeat too little for a table
+STAGE_CHANNELS = {"bsc": [[0.9, 0.1], [0.1, 0.9]], "asym": [[0.75, 0.25], [0.1, 0.9]],
+                  "z": [[1.0, 0.0], [0.2, 0.8]]}
+STAGE_COUPLINGS = {"product": ([0.5, 0.5], [[0.25, 0.25], [0.25, 0.25]]),
+                   "3-slot": ([2 / 3, 1 / 3], [[1 / 3, 1 / 3], [1 / 3, 0.0]]),
+                   "unequal": ([3 / 8, 5 / 8], [[9 / 64, 15 / 64], [15 / 64, 25 / 64]])}
+
+
+class TestStageMargin:
+    """A zoom stage's kl and score margin (RowMesh.margin), formed on a
+    table of Q_Y and distinct cell columns where the columns repeat, equal
+    the full-mesh arithmetic bit for bit: the reference build's Q_Y,
+    threshold_batch on it, np.maximum and a subtraction."""
+
+    @pytest.mark.parametrize("coupling", list(STAGE_COUPLINGS))
+    @pytest.mark.parametrize("channel", list(STAGE_CHANNELS))
+    def test_margin_equals_the_full_mesh_arithmetic(self, channel, coupling):
+        """Zoom meshes at dyadic and random centres and three half-widths,
+        R in {0, 0.01, 0.2}, both metrics: kl, the margin's bytes and the
+        candidate each cut of the stage picks are the full mesh's. Every
+        mesh of at least _COLUMNS_MIN candidates takes the table at equal
+        weights, and none at unequal ones; smaller ones stay on the mesh."""
+        ch = Channel.from_rows(STAGE_CHANNELS[channel])
+        qx, cpl = STAGE_COUPLINGS[coupling]
+        q = np.array(cpl)
+        xs, xps = np.nonzero(q > 0)
+        parent = RowMesh(q[xs, xps], xs, xps, simplex_grid_array(2, 8), 2, ch.log_matrix)
+        noise = np.random.default_rng(3).random(xs.size)
+        centres = {"dyadic": np.round(ch.w[xs] * 8) / 8, "random": np.stack([noise, 1 - noise], 1)}
+        read = []
+
+        def spy(qy, **scratch):
+            read.append(qy.shape[0])
+            return threshold(qy, **scratch)
+
+        paths, nan = set(), False
+        obj, off = np.empty(BUDGET), np.empty(BUDGET, dtype=bool)
+        for kind in ("ml", "mmi"):
+            ctx = exponents._metric_ctx(ch, Dist(np.array(qx)), exponents.DecodingMetric(kind),
+                                        exponents.OptimizerOptions())
+            for where, centre in centres.items():
+                for h in (1 / 8, 1 / 16, 1 / 256):
+                    mesh = parent.regrid(zoom_slot_grids(centre, h, BUDGET // 16))
+                    ref = _build_reference(mesh, kind)
+                    for rate in (0.0, 0.01, 0.2):
+                        threshold = functools.partial(ctx.threshold_batch, rate=rate)
+                        read.clear()
+                        kl, margin = (v.copy() for v in mesh.margin(kind, spy, ctx.qy_cols))
+                        with np.errstate(invalid="ignore"):
+                            want = ref["gxp"] - np.maximum(ref["gx"], threshold(ref["qy"]))
+                        case = (kind, where, h, rate)
+                        assert kl.tobytes() == ref["kl"].tobytes(), case
+                        assert margin.tobytes() == want.tobytes(), case
+                        n = mesh.size()
+                        for cut in (-1e-3, 0.0):
+                            assert exponents._kl_argmin(kl, margin, cut, obj[:n], off[:n]) == \
+                                exponents._kl_argmin(ref["kl"], want, cut, obj[:n], off[:n]), case
+                        paths.add((n >= search._COLUMNS_MIN, read != [n]))
+                        nan |= bool(np.isnan(margin).any())
+        tables = coupling != "unequal"
+        assert (True, tables) in paths and (True, not tables) not in paths
+        assert (False, True) not in paths
+        assert nan == (channel == "z")
 
 
 class TestBuffers:
